@@ -27,10 +27,18 @@ from .natcoeq import BoundCapExceeded
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget", None):
-        return args.budget
-    env = os.environ.get("SEMIMOD_BUDGET")
-    return int(env) if env else 10**6
+    budget = getattr(args, "budget", None)
+    if budget is None:
+        env = os.environ.get("SEMIMOD_BUDGET")
+        if not env:
+            return 10**6
+        try:
+            budget = int(env)
+        except ValueError:
+            raise SemimodError(f"SEMIMOD_BUDGET={env!r} is not an integer") from None
+    if budget < 0:
+        raise SemimodError(f"budget {budget} is negative")
+    return budget
 
 
 def render_table(M: FiniteCommMonoid, ascii_labels: bool = False) -> str:
@@ -95,6 +103,9 @@ def cmd_coeq(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    if len(args.pairs) % 2:
+        raise SemimodError(f"pairs come as a flat list a1 b1 a2 b2 ..., "
+                           f"got {len(args.pairs)} numbers")
     M = load_monoid(args.monoid)
     pairs = [(args.pairs[i], args.pairs[i + 1]) for i in range(0, len(args.pairs), 2)]
     C = cg.congruence_closure(M, pairs)
@@ -134,10 +145,8 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_monoid_check(args) -> int:
-    with open(args.file) as fh:
-        data = json.load(fh)
     try:
-        M = validate_monoid(data["add"], data.get("labels"))
+        M = load_monoid(args.file)
     except SemimodError as e:
         print(f"invalid: {e}", file=sys.stderr)
         return 1
@@ -309,7 +318,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, BoundCapExceeded) as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 2
-    except (SemimodError, OSError, json.JSONDecodeError, KeyError) as e:
+    except (SemimodError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

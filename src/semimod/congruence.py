@@ -141,7 +141,8 @@ def kernel_congruence(f: MonoidHom) -> Congruence:
         first.setdefault(v, m)
         rep.append(first[v])
     C = Congruence(f.source, tuple(rep))
-    assert C.is_translation_closed()
+    if not C.is_translation_closed():
+        raise SemimodError("internal error: the relation is not translation-closed")
     return C
 
 
@@ -189,7 +190,8 @@ def naive_congruence(f: MonoidHom, g: MonoidHom) -> Congruence:
                     if lhs == rhs:
                         uf.union(m, m2)
     C = _from_uf(M, uf)
-    assert C.is_translation_closed()
+    if not C.is_translation_closed():
+        raise SemimodError("internal error: the relation is not translation-closed")
     return C
 
 
@@ -204,7 +206,8 @@ def bourne_congruence(M: FiniteCommMonoid, K: Sequence[int]) -> Congruence:
             if any(M.add[m][a] == M.add[m2][b] for a in K for b in K):
                 uf.union(m, m2)
     C = _from_uf(M, uf)
-    assert C.is_translation_closed()
+    if not C.is_translation_closed():
+        raise SemimodError("internal error: the relation is not translation-closed")
     return C
 
 

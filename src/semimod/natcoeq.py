@@ -241,7 +241,8 @@ def coequalizer_nat(a: int, b: int, bound_cap: int = 10**6) -> NatQuotient:
     q = nat_congruence_quotient([(lo, hi)], bound_cap)
     # sanity: the projection coequalizes (an, bn) for small n as well
     c = q.result
-    assert all(c.project(a * n) == c.project(b * n) for n in range(11))
+    if not all(c.project(a * n) == c.project(b * n) for n in range(11)):
+        raise SemimodError("internal error: the projection does not coequalize a*n and b*n")
     return q
 
 
@@ -324,8 +325,10 @@ def bourne_nat_quotient(generators: Sequence[int],
         # a = rd in the periodic core with n + rd in the core too
         a = c if c >= d else c  # the footing itself works: both in the core
         b = n + a
-        assert M.contains(a) and M.contains(b)
+        if not (M.contains(a) and M.contains(b)):
+            raise SemimodError(f"internal error: witness ({a}, {b}) is not in the ideal")
         witnesses.append((n, (a, b)))
     out = BourneNatQuotient(gens, d, CyclicMonoid(0, d), tuple(witnesses))
-    assert out.verify()
+    if not out.verify():
+        raise SemimodError("internal error: the Bourne quotient does not verify")
     return out

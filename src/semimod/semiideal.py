@@ -137,9 +137,11 @@ class Semiideal:
                 if self.contains(n) and not sub.contains(n):
                     nxt = n
                     break
-            assert nxt is not None
+            if nxt is None:
+                raise SemimodError("internal error: no member left to adjoin")
             canon.append(nxt)
-        assert len(canon) <= canon[0] // d
+        if len(canon) > canon[0] // d:
+            raise SemimodError("internal error: more minimal generators than residues")
         return tuple(canon)
 
     def is_cyclic(self) -> bool:
@@ -227,7 +229,8 @@ def bezout_nonneg(a: int, b: int) -> Optional[tuple[int, int]]:
     u = pow(a, -1, b)          # 0 < u < b since a, b > 1
     v = (u * a - 1) // b       # 0 <= v < a
     r, s = u - 1, a - v - 1
-    assert r >= 0 and s >= 0 and r * a + s * b == (a - 1) * (b - 1)
+    if not (r >= 0 and s >= 0 and r * a + s * b == (a - 1) * (b - 1)):
+        raise SemimodError(f"internal error: ({r}, {s}) does not solve the Bezout equation")
     return (r, s)
 
 

@@ -111,3 +111,60 @@ def test_verify_suites(capsys, suite):
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0
     assert "all checks passed" in out
+
+
+@pytest.mark.parametrize("data", [
+    {"size": 4, "add": "0110"},
+    {"size": 2, "add": 7},
+    {"size": 2, "add": [[0, 1], 5]},
+    {"size": 2, "add": [[0, 1], [1, "0"]]},
+    {"size": 2, "add": [[0, 1], [1, 0.0]]},
+    {"size": 2, "add": [[0, 1], [1, False]]},
+    {"size": 2, "add": [[0, 1], [1, 0]], "labels": [0, 1]},
+    {"size": 3, "add": [[0, 1], [1, 0]]},
+    {"add": [[0, 1], [1, 0]]},
+    [[0, 1], [1, 0]],
+])
+@pytest.mark.parametrize("command", ["monoid-check", "quotient", "tensor"])
+def test_malformed_table_exits_1(tmp_path, capsys, command, data):
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(data))
+    argv = {"monoid-check": [str(p)], "quotient": [str(p), "0", "1"],
+            "tensor": [str(p), str(p)]}[command]
+    code, _, err = run(capsys, command, *argv)
+    assert code == 1
+    assert err.strip()
+    if command == "monoid-check":
+        assert err.startswith("invalid: ")
+
+
+def test_undecodable_file_exits_1(tmp_path, capsys):
+    p = tmp_path / "m.json"
+    p.write_bytes(b"\xff\xfe{")
+    code, _, err = run(capsys, "monoid-check", str(p))
+    assert code == 1 and err.strip()
+
+
+def test_quotient_odd_pair_list_exits_1(tmp_path, capsys):
+    p = tmp_path / "z2.json"
+    p.write_text(json.dumps(monoid_to_json(validate_monoid([[0, 1], [1, 0]]))))
+    code, _, err = run(capsys, "quotient", str(p), "0", "1", "1")
+    assert code == 1
+    assert "pairs" in err
+
+
+def test_tensor_budget_zero_exits_2(tmp_path, capsys):
+    p = tmp_path / "z2.json"
+    p.write_text(json.dumps(monoid_to_json(validate_monoid([[0, 1], [1, 0]]))))
+    code, _, _ = run(capsys, "tensor", str(p), str(p), "--budget", "0")
+    assert code == 2
+
+
+def test_tensor_negative_budget_exits_1(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "z2.json"
+    p.write_text(json.dumps(monoid_to_json(validate_monoid([[0, 1], [1, 0]]))))
+    code, _, err = run(capsys, "tensor", str(p), str(p), "--budget", "-1")
+    assert code == 1 and "negative" in err
+    monkeypatch.setenv("SEMIMOD_BUDGET", "lots")
+    code, _, err = run(capsys, "tensor", str(p), str(p))
+    assert code == 1 and "SEMIMOD_BUDGET" in err

@@ -1,0 +1,139 @@
+"""validate_monoid (Light's test) against the cubic scan over all triples."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semimod.core import (
+    NotAssociative,
+    SemimodError,
+    _generating_set,
+    cyclic_group,
+    enumerate_comm_monoid_tables,
+    saturating_monoid,
+    small_monoid_corpus,
+    submonoid_generated,
+    validate_monoid,
+)
+from semimod.natcoeq import CyclicMonoid
+
+
+def cubic_monoid_oracle(table) -> bool:
+    """The monoid axioms checked cell by cell, associativity over all n^3 triples."""
+    n = len(table)
+    if any(table[0][m] != m for m in range(n)):
+        return False
+    if any(table[a][b] != table[b][a] for a in range(n) for b in range(n)):
+        return False
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def check_against_oracle(table):
+    expected = cubic_monoid_oracle(table)
+    try:
+        validate_monoid(table)
+    except NotAssociative as e:
+        a, x, b = e.witness
+        assert table[table[a][x]][b] != table[a][table[x][b]]
+        assert not expected
+        return False
+    except SemimodError:
+        assert not expected
+        return False
+    assert expected
+    return True
+
+
+@st.composite
+def commutative_tables(draw):
+    n = draw(st.integers(1, 6))
+    table = [[max(a, b) if min(a, b) == 0 else 0 for b in range(n)] for a in range(n)]
+    for a in range(1, n):
+        for b in range(a, n):
+            table[a][b] = table[b][a] = draw(st.integers(0, n - 1))
+    return table
+
+
+def relabel(table, perm):
+    """The table with element e renamed perm[e]; perm fixes 0."""
+    n = len(table)
+    inv = [0] * n
+    for e, v in enumerate(perm):
+        inv[v] = e
+    return [[perm[table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+
+
+def family_table(family, n):
+    if family == "Z":
+        return [list(r) for r in cyclic_group(n).add]
+    if family == "Sat":
+        return [list(r) for r in saturating_monoid(n).add]
+    i = n // 3
+    return [list(r) for r in CyclicMonoid(i, n - i).to_monoid(labels=False).add]
+
+
+@st.composite
+def corrupted_family_tables(draw):
+    family = draw(st.sampled_from(["Z", "Sat", "C"]))
+    n = draw(st.integers(2, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    table = relabel(family_table(family, n), [0] + rest)
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = rng.randrange(n), rng.randrange(n)
+        v = rng.randrange(n)
+        table[a][b] = v
+        if rng.random() < 0.8:     # mostly keep the table commutative
+            table[b][a] = v
+    return table
+
+
+@settings(max_examples=400, deadline=None)
+@given(commutative_tables())
+def test_random_commutative_tables_match_cubic_oracle(table):
+    check_against_oracle(table)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_family_tables())
+def test_corrupted_family_tables_match_cubic_oracle(table):
+    check_against_oracle(table)
+
+
+def test_every_small_commutative_table_matches_cubic_oracle():
+    for n in range(1, 5):
+        cells = [(a, b) for a in range(1, n) for b in range(a, n)]
+        accepted = 0
+        for code in range(n ** len(cells)):
+            table = [[max(a, b) if min(a, b) == 0 else 0 for b in range(n)] for a in range(n)]
+            for a, b in cells:
+                table[a][b] = table[b][a] = code % n
+                code //= n
+            accepted += check_against_oracle(table)
+        assert accepted == len(enumerate_comm_monoid_tables(n)) > 0
+
+
+def test_generating_set_generates_the_whole_table():
+    rng = random.Random(7)
+    monoids = list(small_monoid_corpus(4))
+    for family in ("Z", "Sat", "C"):
+        for n in (2, 5, 12, 30):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            monoids.append(validate_monoid(relabel(family_table(family, n), [0] + rest)))
+    for M in monoids:
+        gens = _generating_set(M.add)
+        assert 0 not in gens
+        assert submonoid_generated(M, gens) == tuple(M.elements())
+
+
+def test_generating_set_sizes_of_known_families():
+    assert _generating_set(cyclic_group(40).add) == [1]
+    assert _generating_set(CyclicMonoid(7, 5).to_monoid().add) == [1]
+    assert _generating_set(saturating_monoid(9).add) == list(range(1, 9))
+    z2_z3 = [[((a // 3 + b // 3) % 2) * 3 + (a % 3 + b % 3) % 3 for b in range(6)]
+             for a in range(6)]
+    assert _generating_set(z2_z3) == [1, 3]
