@@ -57,7 +57,7 @@ def render_table(M: FiniteCommMonoid, ascii_labels: bool = False) -> str:
 
 
 def cmd_semiideal(args) -> int:
-    M = semiideal.Semiideal(args.generators)
+    M = semiideal.Semiideal(args.generators, budget=_budget(args))
     if M.is_zero:
         print("error: need at least one nonzero generator", file=sys.stderr)
         return 1
@@ -90,6 +90,10 @@ def cmd_coeq(args) -> int:
     if q.is_symbolic_nat:
         print(json.dumps({"result": "N0"}) if args.json else "coequalizer: N0 (identity)")
         return 0
+    cells, budget = q.result.size ** 2, _budget(args)
+    if cells > budget:
+        raise BudgetExceeded(f"table of C({q.result.index},{q.result.period}) "
+                             f"has {cells} cells, budget {budget}")
     if args.json:
         print(json.dumps(q.to_json()))
     else:
@@ -266,8 +270,16 @@ def cmd_verify(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, since exit code 2 means budget exhausted."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="semimod")
+    p = _Parser(prog="semimod")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("semiideal", help="period, footing, and canonical generators")

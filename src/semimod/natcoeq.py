@@ -1,9 +1,10 @@
-"""Congruences and coequalizers on the natural numbers.
+"""Congruences and coequalizers on the naturals.
 
 Quotients of the naturals by a generated congruence are either the naturals
 themselves or a cyclic monoid C(i, p): elements 0..i+p-1 where the tail
-from i on wraps with period p.  The solver guesses the candidate (i, p)
-from the seed pairs and then certifies it both ways:
+from i on wraps with period p.  For seed pairs (a_j, b_j) with a_j < b_j,
+i is the least a_j and p the gcd of the differences, and the solver
+certifies that candidate both ways:
 
   certificate A: the candidate projection sends every seed pair to equal
   values, so C(i, p) receives a coequalizing map (the quotient is at least
@@ -11,7 +12,9 @@ from the seed pairs and then certifies it both ways:
 
   certificate B: an explicit chain of translated seed instances merging
   i with i+p, replayable step by step (the quotient is at least this
-  coarse from below).
+  coarse from below).  It is built directly: climb from i until every
+  seed applies, walk a Bezout combination of the seed differences
+  (extended Euclid), then repeat the climb downwards, shifted by p.
 
 Since every translated seed instance has both members >= i and a
 difference divisible by p, the two certificates pin the quotient exactly.
@@ -31,7 +34,7 @@ from .semiideal import EmptyIdeal
 class BoundCapExceeded(SemimodError):
     def __init__(self, candidate: "CyclicMonoid", cap: int):
         super().__init__(
-            f"no certificate within saturation bound {cap}; "
+            f"certificate B would touch numbers above the bound cap {cap}; "
             f"unverified candidate C({candidate.index},{candidate.period})")
         self.candidate = candidate
         self.cap = cap
@@ -90,7 +93,7 @@ class NatQuotient:
             return False
         at = c.index
         for u, v, (a, b), k in self.cert_b:
-            if {u, v} != {a + k, b + k} or (a, b) not in self.pairs:
+            if k < 0 or {u, v} != {a + k, b + k} or (a, b) not in self.pairs:
                 return False
             if u != at:
                 return False
@@ -113,82 +116,76 @@ class NatQuotient:
         }
 
 
-class _ProofForest:
-    """Union-find that records, per merge, which seed instance caused it."""
+def _bezout(diffs: Sequence[int]) -> list[int]:
+    """Coefficients c with sum(c[j] * diffs[j]) = gcd(diffs).
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        # proof edges: node -> (other node, seed, shift)
-        self.proof_parent: list[Optional[int]] = [None] * n
-        self.proof_label: list[Optional[tuple[tuple[int, int], int]]] = [None] * n
+    Extended Euclid on all the differences at once: every value is reduced
+    modulo the smallest nonzero one, carrying its coefficient vector, until
+    one value, the gcd, is left.  The coefficients are of the order of
+    max(diffs) / gcd; sum(|c|) is the number of steps in the walk.
+    """
+    n = len(diffs)
+    vals = list(diffs)
+    vecs = [[int(j == l) for l in range(n)] for j in range(n)]
+    live = list(range(n))
+    while len(live) > 1:
+        m = min(live, key=vals.__getitem__)
+        for j in live:
+            if j != m:
+                q = vals[j] // vals[m]
+                vals[j] -= q * vals[m]
+                vecs[j] = [x - q * y for x, y in zip(vecs[j], vecs[m])]
+        live = [j for j in live if vals[j]]
+    return vecs[live[0]]
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        r = x
-        while p[r] != r:
-            r = p[r]
-        while p[x] != r:
-            p[x], x = r, p[x]
-        return r
 
-    def _reroot(self, a: int) -> None:
-        """Reverse the proof edges along the path from a to its tree root."""
-        edges = []
-        node = a
-        while self.proof_parent[node] is not None:
-            edges.append((node, self.proof_parent[node], self.proof_label[node]))
-            node = self.proof_parent[node]
-        for child, par, label in edges:
-            self.proof_parent[par] = child
-            self.proof_label[par] = label
-        self.proof_parent[a] = None
-        self.proof_label[a] = None
+def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
+                   bound_cap: int) -> tuple[list[ChainStep], int]:
+    """A chain of translated seeds from i to i + p, and the largest number it touches.
 
-    def union(self, a: int, b: int, seed: tuple[int, int], shift: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self._reroot(a)
-        self.proof_parent[a] = b
-        self.proof_label[a] = (seed, shift)
-        self.parent[ra] = rb
-        return True
-
-    def chain(self, x: int, y: int) -> list[ChainStep]:
-        """Path x -> y in the proof forest, as replayable steps."""
-        def path_to_root(v):
-            out = [v]
-            while self.proof_parent[v] is not None:
-                v = self.proof_parent[v]
-                out.append(v)
-            return out
-        px, py = path_to_root(x), path_to_root(y)
-        if px[-1] != py[-1]:
-            raise SemimodError("nodes are not connected")
-        sx, sy = set(px), None
-        # lowest common node
-        common = next(v for v in py if v in sx)
-        steps: list[ChainStep] = []
-        v = x
-        while v != common:
-            w = self.proof_parent[v]
-            seed, k = self.proof_label[v]
-            steps.append((v, w, seed, k))
-            v = w
-        tail: list[ChainStep] = []
-        v = y
-        while v != common:
-            w = self.proof_parent[v]
-            seed, k = self.proof_label[v]
-            tail.append((w, v, seed, k))
-            v = w
-        steps.extend(reversed(tail))
-        return steps
+    The chain climbs from i, each time by the largest difference of a seed
+    that applies, to a floor at or above every seed's smaller member, from
+    where every seed applies in both directions.  A Bezout combination of
+    the seed differences then walks from the floor to the floor + p: down
+    steps whenever one stays at or above the floor, up steps otherwise.
+    The climb, shifted by p and reversed, brings the walk down to i + p.
+    """
+    seeds = sorted(set(seeds))
+    top = max(a for a, _ in seeds)
+    if top + p > bound_cap:         # the walk ends at floor + p >= top + p
+        raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
+    climb: list[ChainStep] = []
+    at = i
+    while at < top:
+        a, b = max((s for s in seeds if s[0] <= at), key=lambda s: s[1] - s[0])
+        climb.append((at, at + b - a, (a, b), at - a))
+        at += b - a
+    floor = peak = at
+    walk: list[ChainStep] = []
+    todo = {s: c for s, c in zip(seeds, _bezout([b - a for a, b in seeds])) if c}
+    while todo:
+        seed = next((s for s, c in todo.items() if c < 0 and at - (s[1] - s[0]) >= floor),
+                    None) or next(s for s, c in todo.items() if c > 0)
+        sign = 1 if todo[seed] > 0 else -1
+        to = at + sign * (seed[1] - seed[0])
+        walk.append((at, to, seed, min(at, to) - seed[0]))
+        at, peak = to, max(peak, to)
+        todo[seed] -= sign
+        if not todo[seed]:
+            del todo[seed]
+    if peak > bound_cap:
+        raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
+    descent = [(v + p, u + p, s, k + p) for u, v, s, k in reversed(climb)]
+    return climb + walk + descent, peak
 
 
 def nat_congruence_quotient(pairs: Sequence[tuple[int, int]],
                             bound_cap: int = 10**6) -> NatQuotient:
-    """Quotient of the naturals by the congruence generated by the pairs."""
+    """Quotient of the naturals by the congruence generated by the pairs.
+
+    Certificate B touches no number above bound_cap; if it would, this
+    raises BoundCapExceeded.
+    """
     norm = []
     for a, b in pairs:
         if a < 0 or b < 0:
@@ -200,31 +197,13 @@ def nat_congruence_quotient(pairs: Sequence[tuple[int, int]],
         return NatQuotient(all_pairs, None)
 
     i = min(a for a, b in norm)
-    p = 0
-    for a, b in norm:
-        p = gcd(p, b - a)
-    candidate = CyclicMonoid(i, p)
-
-    maxb = max(b for a, b in norm)
-    if bound_cap < max(maxb, i + p):
-        raise BoundCapExceeded(candidate, bound_cap)
-    bound = 2 * (maxb + i + p)
-    while True:
-        bound = min(bound, bound_cap)
-        forest = _ProofForest(bound + 1)
-        for a, b in norm:
-            for k in range(bound - b + 1):
-                forest.union(a + k, b + k, (a, b), k)
-        if forest.find(i) == forest.find(i + p):
-            chain = forest.chain(i, i + p)
-            q = NatQuotient(tuple(norm), candidate, cert_a=True,
-                            cert_b=tuple(chain), bound_used=bound)
-            if not q.verify():
-                raise SemimodError("internal error: certificate replay failed")
-            return q
-        if bound >= bound_cap:
-            raise BoundCapExceeded(candidate, bound_cap)
-        bound *= 2
+    p = gcd(*(b - a for a, b in norm))
+    chain, peak = _certificate_b(norm, i, p, bound_cap)
+    q = NatQuotient(tuple(norm), CyclicMonoid(i, p), cert_a=True,
+                    cert_b=tuple(chain), bound_used=peak)
+    if not q.verify():
+        raise SemimodError("internal error: certificate replay failed")
+    return q
 
 
 def coequalizer_nat(a: int, b: int, bound_cap: int = 10**6) -> NatQuotient:
@@ -322,12 +301,10 @@ def bourne_nat_quotient(generators: Sequence[int],
     witnesses = []
     for t in range(1, witness_multiples + 1):
         n = t * d
-        # a = rd in the periodic core with n + rd in the core too
-        a = c if c >= d else c  # the footing itself works: both in the core
-        b = n + a
-        if not (M.contains(a) and M.contains(b)):
-            raise SemimodError(f"internal error: witness ({a}, {b}) is not in the ideal")
-        witnesses.append((n, (a, b)))
+        # the footing c and n + c both lie in the periodic core
+        if not (M.contains(c) and M.contains(n + c)):
+            raise SemimodError(f"internal error: witness ({c}, {n + c}) is not in the ideal")
+        witnesses.append((n, (c, n + c)))
     out = BourneNatQuotient(gens, d, CyclicMonoid(0, d), tuple(witnesses))
     if not out.verify():
         raise SemimodError("internal error: the Bourne quotient does not verify")

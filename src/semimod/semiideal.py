@@ -1,17 +1,22 @@
 """Finitely generated semiideals of the naturals.
 
 A semiideal is the set of all sums of a finite list of positive generators
-(plus 0).  Membership is decided by dynamic programming over indices scaled
-by the period d = gcd of the generators; the table grows on demand.
+(plus 0).  Every invariant is read off one table on residues.  Scale the
+generators by their gcd d (the period) and let a be the smallest scaled
+generator; the Apéry table Ap[r] is the least scaled member congruent to r
+modulo a.  Then n*d is a member iff n >= Ap[n mod a], the footing is
+max(max Ap - a + 1, 1)*d, and the minimal generators are the generators
+that lower an entry of the table when adjoined in ascending order.  The
+table is built once, on first use, by the round-robin shortest-path
+algorithm of Böcker and Lipták (2007) in O(a*k) steps for k generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import SemimodError
+from .core import DEFAULT_BUDGET, BudgetExceeded, SemimodError
 
 
 class EmptyIdeal(SemimodError):
@@ -27,25 +32,22 @@ class NotDivisible(SemimodError):
 
 
 class Semiideal:
-    """The semiideal generated by a list of positive integers."""
+    """The semiideal generated by a list of positive integers.
 
-    def __init__(self, generators: Sequence[int]):
-        gens = sorted({g for g in generators if g != 0})
+    Building the Apéry table of a residues for k generators may cost at most
+    ``budget`` steps (a*k); beyond that the first query raises
+    BudgetExceeded.
+    """
+
+    def __init__(self, generators: Sequence[int], budget: int = DEFAULT_BUDGET):
         if any(g < 0 for g in generators):
             raise SemimodError("generators must be nonnegative")
-        self.generators: tuple[int, ...] = tuple(gens)
-        if gens:
-            d = 0
-            for g in gens:
-                d = gcd(d, g)
-            self._d = d
-            self._scaled = tuple(g // d for g in gens)
-        else:
-            self._d = None
-            self._scaled = ()
-        # membership over scaled indices: _member[k] <=> k*d is a member
-        self._member: list[bool] = [True]
-        self._footing: Optional[int] = None
+        self.generators: tuple[int, ...] = tuple(sorted({g for g in generators if g != 0}))
+        self._d = gcd(*self.generators)
+        self._scaled = tuple(g // self._d for g in self.generators) if self._d else ()
+        self._budget = budget
+        self._apery: Optional[list[int]] = None
+        self._minimal: tuple[int, ...] = ()
 
     def __repr__(self):
         return f"Semiideal{self.generators}"
@@ -58,15 +60,47 @@ class Semiideal:
         if self.is_zero:
             raise EmptyIdeal("the zero semiideal has no period or footing")
 
-    def ensure_computed_up_to(self, n: int) -> None:
-        """Pre-extend the membership table to cover all queries <= n."""
-        if self.is_zero:
-            return
-        top = n // self._d
-        mem = self._member
-        while len(mem) <= top:
-            k = len(mem)
-            mem.append(any(k >= g and mem[k - g] for g in self._scaled))
+    def _table(self) -> list[int]:
+        """The Apéry table of the scaled generators, built on first use.
+
+        Generators are adjoined in ascending order.  One that is at least
+        the table entry of its residue is a sum of smaller ones, so it is
+        not minimal and leaves the table unchanged.  Adjoining g relaxes
+        every orbit of r -> r + g (mod a) once around, starting from the
+        orbit's least entry.
+        """
+        if self._apery is not None:
+            return self._apery
+        self._require_nonempty()
+        a, *rest = self._scaled
+        if a * len(self._scaled) > self._budget:
+            raise BudgetExceeded(
+                f"Apéry table of {a} residues for {len(self._scaled)} generators "
+                f"exceeds budget {self._budget}")
+        unreached = float("inf")
+        ap = [0] + [unreached] * (a - 1)
+        minimal = [a]
+        for g in rest:
+            if g >= ap[g % a]:
+                continue
+            minimal.append(g)
+            c = gcd(a, g)
+            for r in range(c):
+                n = min(ap[r::c])           # the orbit of r is r + c*Z mod a
+                if n == unreached:
+                    continue
+                for _ in range(a // c - 1):
+                    n += g
+                    q = n % a
+                    if ap[q] < n:
+                        n = ap[q]
+                    else:
+                        ap[q] = n
+        if unreached in ap:
+            raise SemimodError("internal error: a residue is unreached although the gcd is 1")
+        self._apery = ap
+        self._minimal = tuple(g * self._d for g in minimal)
+        return ap
 
     def contains(self, n: int) -> bool:
         if n < 0:
@@ -75,77 +109,34 @@ class Semiideal:
             return True
         if self.is_zero or n % self._d != 0:
             return False
-        self.ensure_computed_up_to(n)
-        return self._member[n // self._d]
+        k = n // self._d
+        ap = self._table()
+        return k >= ap[k % len(ap)]
 
     def period(self) -> int:
         self._require_nonempty()
         return self._d
 
-    def minimal_difference(self, window: int) -> int:
-        """Brute-force smallest b - a over members 0 < a < b <= window."""
-        self._require_nonempty()
-        self.ensure_computed_up_to(window)
-        members = [k * self._d for k in range(1, window // self._d + 1)
-                   if self._member[k]]
-        if len(members) < 2:
-            raise PreconditionFailed("window holds fewer than two members")
-        return min(b - a for a, b in zip(members, members[1:]))
-
     def footing(self) -> int:
         """Least member from which the semiideal is an arithmetic tail.
 
-        Works in the period-1 rescaling: once e0 consecutive scaled members
-        appear (e0 the smallest scaled generator), every later number is a
-        member, so the scan terminates.
+        In the scaled ideal every k >= max Ap - a + 1 is a member (its
+        residue's least member is at most k), while max Ap - a is not.
         """
-        self._require_nonempty()
-        if self._footing is not None:
-            return self._footing
-        e0 = self._scaled[0]
-        run = 0
-        k = 0
-        while run < e0:
-            k += 1
-            self.ensure_computed_up_to(k * self._d)
-            run = run + 1 if self._member[k] else 0
-        start = k - e0 + 1
-        while start > 1 and self._member[start - 1]:
-            start -= 1
-        self._footing = start * self._d
-        return self._footing
+        ap = self._table()
+        return max(max(ap) - len(ap) + 1, 1) * self._d
 
     def perc(self) -> tuple[int, int]:
         """(footing, period) describing the periodic core."""
         return self.footing(), self.period()
 
     def minimal_generators(self) -> tuple[int, ...]:
-        """The unique smallest generating system.
-
-        Greedy: repeatedly adjoin the smallest member not generated so far,
-        until all input generators are generated.
-        """
-        self._require_nonempty()
-        d = self._d
-        canon = [self.generators[0]]
-        while True:
-            sub = Semiideal(canon)
-            if all(sub.contains(g) for g in self.generators):
-                break
-            nxt = None
-            for n in range(d, self.generators[-1] + 1, d):
-                if self.contains(n) and not sub.contains(n):
-                    nxt = n
-                    break
-            if nxt is None:
-                raise SemimodError("internal error: no member left to adjoin")
-            canon.append(nxt)
-        if len(canon) > canon[0] // d:
-            raise SemimodError("internal error: more minimal generators than residues")
-        return tuple(canon)
+        """The unique smallest generating system: the generators that are
+        not sums of smaller ones."""
+        self._table()
+        return self._minimal
 
     def is_cyclic(self) -> bool:
-        self._require_nonempty()
         return len(self.minimal_generators()) == 1
 
     def difference_witness_core(self, a: int, d: int, window: int = 50) -> int:
@@ -164,38 +155,14 @@ class Semiideal:
         return c
 
     def to_json(self) -> dict:
-        self._require_nonempty()
+        minimal = self.minimal_generators()
         return {
             "generators": list(self.generators),
             "period": self.period(),
             "footing": self.footing(),
-            "minimal_generators": list(self.minimal_generators()),
-            "cyclic": self.is_cyclic(),
+            "minimal_generators": list(minimal),
+            "cyclic": len(minimal) == 1,
         }
-
-
-def period(M: Semiideal) -> int:
-    return M.period()
-
-
-def footing(M: Semiideal) -> int:
-    return M.footing()
-
-
-def perc(M: Semiideal) -> tuple[int, int]:
-    return M.perc()
-
-
-def contains(M: Semiideal, n: int) -> bool:
-    return M.contains(n)
-
-
-def minimal_generators(M: Semiideal) -> tuple[int, ...]:
-    return M.minimal_generators()
-
-
-def is_cyclic(M: Semiideal) -> bool:
-    return M.is_cyclic()
 
 
 def footing_two_generators(a: int, b: int) -> int:

@@ -168,3 +168,31 @@ def test_tensor_negative_budget_exits_1(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SEMIMOD_BUDGET", "lots")
     code, _, err = run(capsys, "tensor", str(p), str(p))
     assert code == 1 and "SEMIMOD_BUDGET" in err
+
+
+def test_usage_error_exits_1(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["coeq", "x"])
+    assert e.value.code == 1
+    assert "usage: semimod coeq" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (("semiideal", "100003", "100019"), "100"),
+    (("semiideal", "4", "6"), "3"),
+    (("coeq", "0", "100000"), "100"),
+    (("coeq", "4", "6", "--json"), "35"),
+])
+def test_naturals_budget_exit_2(capsys, monkeypatch, argv, limit):
+    monkeypatch.setenv("SEMIMOD_BUDGET", limit)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "budget" in err
+
+
+def test_naturals_within_budget(capsys, monkeypatch):
+    monkeypatch.setenv("SEMIMOD_BUDGET", "36")
+    assert run(capsys, "coeq", "4", "6", "--json")[0] == 0
+    monkeypatch.setenv("SEMIMOD_BUDGET", "4")
+    code, out, _ = run(capsys, "semiideal", "4", "6", "--json")
+    assert code == 0 and json.loads(out)["footing"] == 4

@@ -70,6 +70,17 @@ class TestCoequalizerNat:
         bad2 = NatQuotient(q.pairs, q.result, q.cert_a, broken_chain, q.bound_used)
         assert not bad2.verify_certificate_b()
 
+    def test_negative_shift_rejected(self):
+        # (4, 6) shifted by -4 would merge 0 and 2, which the congruence does not
+        forged = NatQuotient(((4, 6),), CyclicMonoid(0, 2), True, ((0, 2, (4, 6), -4),))
+        assert not forged.verify_certificate_b()
+
+    def test_large_single_pair_is_one_step(self):
+        q = coequalizer_nat(12345, 1000003, bound_cap=2 * 10**6)
+        assert q.result == CyclicMonoid(12345, 987658)
+        assert q.cert_b == ((12345, 1000003, (12345, 1000003), 0),)
+        assert q.bound_used == 1000003
+
 
 class TestGeneratedQuotient:
     def test_single_trivial_pair(self):
@@ -106,6 +117,15 @@ class TestGeneratedQuotient:
     def test_bound_cap_raises(self):
         with pytest.raises(BoundCapExceeded):
             nat_congruence_quotient([(10, 30)], bound_cap=12)
+
+    def test_chain_climbs_then_walks_bezout(self):
+        # i = 2 climbs by 3 to the floor 8 >= 7, walks 8 -> 11 -> 14 -> 9
+        # by 2*3 - 5 = 1, then comes back down by 3 to i + p = 3
+        q = nat_congruence_quotient([(2, 5), (7, 12)])
+        assert q.result == CyclicMonoid(2, 1)
+        assert [(u, v) for u, v, _, _ in q.cert_b] == \
+            [(2, 5), (5, 8), (8, 11), (11, 14), (14, 9), (9, 6), (6, 3)]
+        assert q.bound_used == 14 and q.verify()
 
     def test_agreement_with_finite_chain_congruence(self):
         # truncate the naturals to a large cyclic monoid and rerun there

@@ -52,16 +52,17 @@ class TestPeriod:
         assert Semiideal([3, 5]).period() == 1
 
     def test_matches_minimal_difference(self):
+        # the smallest gap between members 0 < a < b <= 200
         for gens in [(4, 6), (3, 5), (6, 10, 15), (9, 12), (5,)]:
             M = Semiideal(gens)
-            assert M.period() == M.minimal_difference(window=200)
+            members = [n for n in range(1, 201) if M.contains(n)]
+            assert M.period() == min(b - a for a, b in zip(members, members[1:]))
 
     def test_minimal_difference_witness_divisible(self):
         # the smaller member of a minimal-difference pair is a period multiple
         for gens in [(4, 6), (6, 10, 15), (9, 12)]:
             M = Semiideal(gens)
             d = M.period()
-            M.ensure_computed_up_to(200)
             members = [n for n in range(1, 201) if M.contains(n)]
             a, b = next((a, b) for a, b in zip(members, members[1:]) if b - a == d)
             assert a % d == 0
