@@ -15,9 +15,7 @@ from .core import (
     free_universal_map,
     hom_check,
     internal_direct_sum_check,
-    orbit,
     saturating_monoid,
-    scalar_action,
     submonoid_generated,
     trivial_monoid,
     validate_monoid,

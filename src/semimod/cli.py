@@ -10,18 +10,17 @@ import argparse
 import json
 import os
 import sys
-from math import gcd
+from functools import cache
 
+from . import acceptance, natcoeq, semiideal, tensor
 from . import congruence as cg
-from . import natcoeq, semiideal, tensor
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     FiniteCommMonoid,
     SemimodError,
     load_monoid,
     monoid_to_json,
-    small_monoid_corpus,
-    validate_monoid,
 )
 from .natcoeq import BoundCapExceeded
 
@@ -31,7 +30,7 @@ def _budget(args) -> int:
     if budget is None:
         env = os.environ.get("SEMIMOD_BUDGET")
         if not env:
-            return 10**6
+            return DEFAULT_BUDGET
         try:
             budget = int(env)
         except ValueError:
@@ -78,7 +77,8 @@ def cmd_semiideal(args) -> int:
 
 def cmd_coeq(args) -> int:
     if args.naive:
-        classes = natcoeq.naive_nat_classes(args.a, args.b, probe_limit=20)
+        classes = natcoeq.naive_nat_classes(args.a, args.b, probe_limit=20,
+                                            budget=_budget(args))
         if args.json:
             print(json.dumps({"naive_classes": classes}))
         else:
@@ -158,113 +158,16 @@ def cmd_monoid_check(args) -> int:
     return 0
 
 
-# --- verification suites ---------------------------------------------------
-
-def _check(name: str, ok: bool, failures: list) -> None:
-    print(f"  [{'ok' if ok else 'FAIL'}] {name}")
-    if not ok:
-        failures.append(name)
-
-
-def verify_reference_tables(failures: list) -> None:
-    q = natcoeq.coequalizer_nat(4, 6)
-    expected = [
-        [0, 1, 2, 3, 4, 5],
-        [1, 2, 3, 4, 5, 4],
-        [2, 3, 4, 5, 4, 5],
-        [3, 4, 5, 4, 5, 4],
-        [4, 5, 4, 5, 4, 5],
-        [5, 4, 5, 4, 5, 4],
-    ]
-    table = [list(r) for r in q.result.to_monoid().add]
-    _check("coequalizer of (4,6) matches the printed 6x6 table",
-           table == expected, failures)
-    _check("certificates replay", q.verify(), failures)
-
-    from .core import internal_direct_sum_check, direct_summand_analysis
-    M4 = validate_monoid([[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]],
-                         ["0", "1A", "1B", "2B"])
-    v = internal_direct_sum_check(M4, [(0, 1), (0, 2, 3)])
-    _check("4-element counterexample: sum and independence hold, uniqueness fails",
-           v.sum_is_all and v.independent and not v.unique_decomposition, failures)
-    N3 = validate_monoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]])
-    a = direct_summand_analysis(N3, (0, 1))
-    _check("3-element counterexample: retraction and idempotent but no complement",
-           a.complement is None and a.retraction is not None
-           and a.idempotent is not None, failures)
-
-
-def verify_oracles(failures: list) -> None:
-    ok = True
-    for a in range(2, 41):
-        for b in range(2, 41):
-            if a == b:
-                continue
-            if semiideal.footing_two_generators(a, b) != semiideal.Semiideal([a, b]).footing():
-                ok = False
-    _check("two-generator footing formula vs dynamic programming", ok, failures)
-
-    ok = True
-    for a in range(2, 31):
-        for b in range(2, 31):
-            got = semiideal.bezout_nonneg(a, b)
-            want = semiideal.bezout_exhaustive_search(a, b)
-            if (got is None) != (want is None):
-                ok = False
-            if got is not None and got[0] * a + got[1] * b != (a - 1) * (b - 1):
-                ok = False
-            if (got is None) != (gcd(a, b) != 1):
-                ok = False
-    _check("nonnegative Bezout solvability iff coprime", ok, failures)
-
-    ok = True
-    for M in small_monoid_corpus(4):
-        congs = cg.enumerate_congruences(M)
-        pairs = [(a, b) for a in M.elements() for b in range(a + 1, M.size)]
-        for seed in pairs:
-            closed = cg.congruence_closure(M, [seed])
-            for C in congs:
-                if C.same(*seed) and not C.contains(closed):
-                    ok = False
-    _check("generated closure is the least congruence containing the seeds",
-           ok, failures)
-
-
-def verify_coherence(failures: list) -> None:
-    corpus = small_monoid_corpus(3)
-    ok = True
-    for M in corpus:
-        for N in corpus:
-            if not tensor.symmetry_iso(M, N).verify():
-                ok = False
-    _check("symmetry isomorphism on the size-<=3 corpus", ok, failures)
-    ok = True
-    for M in corpus:
-        for N in corpus:
-            for P in corpus:
-                if not tensor.associativity_iso(M, N, P).verify():
-                    ok = False
-    _check("associativity isomorphism on the size-<=3 corpus", ok, failures)
-    ok = True
-    for P in corpus:
-        for M in corpus:
-            for N in corpus:
-                if not tensor.hom_adjunction_check(P, M, N):
-                    ok = False
-    _check("tensor-hom adjunction on the size-<=3 corpus", ok, failures)
-
-
 def cmd_verify(args) -> int:
-    suites = {
-        "reference-tables": verify_reference_tables,
-        "oracles": verify_oracles,
-        "coherence": verify_coherence,
-    }
-    failures: list = []
+    failures = 0
     print(f"suite {args.suite}:")
-    suites[args.suite](failures)
+    for name in acceptance.SUITES[args.suite]:
+        ok = acceptance.CRITERIA[name]()
+        number = list(acceptance.CRITERIA).index(name) + 1
+        print(f"  [{'ok' if ok else 'FAIL'}] criterion {number:02d} {name}")
+        failures += not ok
     if failures:
-        print(f"{len(failures)} check(s) failed", file=sys.stderr)
+        print(f"{failures} check(s) failed", file=sys.stderr)
         return 1
     print("all checks passed")
     return 0
@@ -277,8 +180,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops a '--' from every argument's strings, which would
+        # leave a positional given as a second '--' with [] for its value
+        if action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {action.dest}: invalid value '--'")
+        return super()._get_values(action, arg_strings)
 
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
     p = _Parser(prog="semimod")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -317,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_monoid_check)
 
     s = sub.add_parser("verify", help="run an acceptance suite")
-    s.add_argument("suite", choices=["reference-tables", "oracles", "coherence"])
+    s.add_argument("suite", choices=list(acceptance.SUITES))
     s.set_defaults(func=cmd_verify)
 
     return p

@@ -13,6 +13,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    DEFAULT_BUDGET,
     Biproduct,
     BudgetExceeded,
     FiniteCommMonoid,
@@ -282,7 +283,7 @@ def enumerate_congruences(M: FiniteCommMonoid, max_size: int = 6) -> list[Congru
 
 def coequalizer_universal_probe(f: MonoidHom, g: MonoidHom,
                                 targets: Iterable[FiniteCommMonoid],
-                                budget: int = 10**7) -> bool:
+                                budget: int = DEFAULT_BUDGET) -> bool:
     """Finite surrogate of the coequalizer property over the given targets.
 
     For every map h with h o f = h o g, a unique factorization through the

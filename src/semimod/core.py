@@ -16,7 +16,7 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-DEFAULT_BUDGET = 10**7
+DEFAULT_BUDGET = 10**6
 
 
 class SemimodError(Exception):
@@ -209,9 +209,10 @@ def validate_monoid(table: Sequence[Sequence[int]],
         if len(row) != n:
             raise OutOfRange("table is not square")
     rows = tuple(map(tuple, table))
-    values = set(chain.from_iterable(rows))
-    # the type test comes first: bools and integral floats equal ints in a set
-    if set(map(type, chain.from_iterable(rows))) != {int} or min(values) < 0 or max(values) >= n:
+    # the type test comes first: bools and integral floats compare as ints,
+    # and other values may not compare with ints at all
+    if (set(map(type, chain.from_iterable(rows))) != {int}
+            or min(map(min, rows)) < 0 or max(map(max, rows)) >= n):
         v = next(v for v in chain.from_iterable(rows) if type(v) is not int or not 0 <= v < n)
         raise OutOfRange(f"entry {v!r} is not an integer in [0, {n})")
     if rows[0] != tuple(range(n)):
@@ -231,14 +232,6 @@ def validate_monoid(table: Sequence[Sequence[int]],
         add=rows,
         labels=tuple(labels) if labels is not None else None,
     )
-
-
-def scalar_action(M: FiniteCommMonoid, k: int, m: int) -> int:
-    return M.scalar(k, m)
-
-
-def orbit(M: FiniteCommMonoid, m: int) -> Orbit:
-    return M.orbit(m)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import FiniteCommMonoid, SemimodError, validate_monoid
+from .congruence import UnionFind
+from .core import DEFAULT_BUDGET, BudgetExceeded, FiniteCommMonoid, SemimodError, validate_monoid
 from . import semiideal as _semiideal
 from .semiideal import EmptyIdeal
 
@@ -226,41 +227,33 @@ def coequalizer_nat(a: int, b: int, bound_cap: int = 10**6) -> NatQuotient:
 
 
 def naive_nat_classes(a: int, b: int, probe_limit: int = 20,
-                      witness_bound: Optional[int] = None) -> list[list[int]]:
+                      witness_bound: Optional[int] = None,
+                      budget: int = DEFAULT_BUDGET) -> list[list[int]]:
     """Census of the one-step relation m + an + bn' = m' + an' + bn.
 
     Decided by bounded witness search over n, n'; returns the classes of
-    {0..probe_limit} sorted by smallest member.
+    {0..probe_limit} sorted by smallest member.  The search tries up to
+    W^2 witnesses for each of the probe pairs, and raises BudgetExceeded
+    when that exceeds the budget.
     """
+    if a < 0 or b < 0:
+        raise SemimodError("multipliers must be nonnegative")
     if a == b:
         raise SemimodError("the multipliers must differ")
     W = witness_bound if witness_bound is not None else probe_limit + max(a, b) + 2
-    parent = list(range(probe_limit + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    cost = probe_limit * (probe_limit + 1) // 2 * W * W
+    if cost > budget:
+        raise BudgetExceeded(f"witness search of {cost} steps exceeds budget {budget}")
+    uf = UnionFind(probe_limit + 1)
     for m in range(probe_limit + 1):
         for m2 in range(m + 1, probe_limit + 1):
-            found = False
-            for n in range(W):
-                for n2 in range(W):
-                    if m + a * n + b * n2 == m2 + a * n2 + b * n:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                ra, rb = find(m), find(m2)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+            if any(m + a * n + b * n2 == m2 + a * n2 + b * n
+                   for n in range(W) for n2 in range(W)):
+                uf.union(m, m2)
 
     buckets: dict[int, list[int]] = {}
     for m in range(probe_limit + 1):
-        buckets.setdefault(find(m), []).append(m)
+        buckets.setdefault(uf.find(m), []).append(m)
     return [buckets[r] for r in sorted(buckets)]
 
 

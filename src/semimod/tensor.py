@@ -3,8 +3,9 @@
 The tensor of M and N is built as a finitely presented commutative monoid:
 one generator per pair of nonzero elements, biadditivity relations, and a
 per-generator reduction rule taken from the shorter of the two element
-orbits.  Every exponent vector reduces into a finite box, and a union-find
-saturation over the box computes the generated congruence.
+orbits.  Every exponent vector reduces into a finite box, and the shared
+`congruence.UnionFind`, saturated over integer codes of the box vectors,
+computes the generated congruence.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
+from .congruence import UnionFind
 from .core import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     FiniteCommMonoid,
     MonoidHom,
@@ -21,8 +24,6 @@ from .core import (
     enumerate_homs,
     validate_monoid,
 )
-
-DEFAULT_BOX_BUDGET = 10**6
 
 
 class NotBalanced(SemimodError):
@@ -115,7 +116,7 @@ def _presentation(M: FiniteCommMonoid, N: FiniteCommMonoid) -> PresentedCommMono
 
 
 def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
-                   budget: int = DEFAULT_BOX_BUDGET) -> TensorProduct:
+                   budget: int = DEFAULT_BUDGET) -> TensorProduct:
     pres = _presentation(M, N)
     k = len(pres.generators)
     if k == 0:
@@ -127,66 +128,50 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     if vol > budget:
         raise BudgetExceeded(f"box volume {vol} exceeds budget {budget}")
 
-    parent: dict[tuple[int, ...], tuple[int, ...]] = {}
+    # A box vector is coded in mixed radix i+p, first coordinate most
+    # significant, so code order is lexicographic order.  Adding generator j
+    # steps its digit up by one, or wraps it from i+p-1 back to i.
+    radix = [i + p for i, p in pres.rules]
+    stride = [1] * k
+    for j in range(k - 1, 0, -1):
+        stride[j - 1] = stride[j] * radix[j]
+    wrap = [(1 - p) * s for (_, p), s in zip(pres.rules, stride)]
 
-    def find(x):
-        root = x
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(x, x) != root:
-            parent[x], x = root, parent[x]
-        return root
+    def encode(vec) -> int:
+        return sum(v * s for v, s in zip(pres.reduce(vec), stride))
 
-    units = []
-    for i in range(k):
-        v = [0] * k
-        v[i] = 1
-        units.append(tuple(v))
+    def step(c: int, j: int) -> int:
+        return c + (wrap[j] if c // stride[j] % radix[j] == radix[j] - 1 else stride[j])
 
-    def vec_add(u, v):
-        return pres.reduce(tuple(a + b for a, b in zip(u, v)))
-
-    work = [(pres.reduce(a), pres.reduce(b)) for a, b in pres.relations]
+    # UnionFind keeps the smallest code of a class as its root, so the root
+    # is the class's lex-least vector
+    uf = UnionFind(vol)
+    work = [(encode(a), encode(b)) for a, b in pres.relations]
     while work:
         a, b = work.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        for e in units:
-            work.append((vec_add(a, e), vec_add(b, e)))
+        if uf.union(a, b):
+            work.extend((step(a, j), step(b, j)) for j in range(k))
 
-    # collect classes over the whole box; representative = lex-least vector
-    rep_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for v in pres.box_vectors():
-        r = find(v)
-        if r not in rep_of or v < rep_of[r]:
-            rep_of[r] = v
-    zero_root = find((0,) * k)
-    roots = sorted(rep_of, key=lambda r: (r != zero_root, rep_of[r]))
-    index = {r: i for i, r in enumerate(roots)}
-    class_of = {v: index[find(v)] for v in pres.box_vectors()}
-    reps = tuple(rep_of[r] for r in roots)
+    # classes in order of their roots: the zero vector's class comes first
+    cls: list[int] = []
+    roots: list[int] = []
+    for c in range(vol):
+        r = uf.find(c)
+        if r == c:
+            cls.append(len(roots))
+            roots.append(c)
+        else:
+            cls.append(cls[r])
+    class_of = dict(zip(pres.box_vectors(), cls))   # both in lexicographic order
+    reps = tuple(tuple(r // s % d for s, d in zip(stride, radix)) for r in roots)
 
-    size = len(roots)
-    table = [[0] * size for _ in range(size)]
-    for i, r in enumerate(roots):
-        for j, r2 in enumerate(roots):
-            table[i][j] = class_of[vec_add(rep_of[r], rep_of[r2])]
+    table = [[cls[encode([a + b for a, b in zip(u, v)])] for v in reps] for u in reps]
     T = validate_monoid(table)
 
-    bil = []
-    for m in range(M.size):
-        row = []
-        for n in range(N.size):
-            if m == 0 or n == 0:
-                row.append(0)
-            else:
-                row.append(class_of[pres.reduce(units[pres.generators.index((m, n))])])
-        bil.append(tuple(row))
-    out = TensorProduct(T, tuple(bil), M, N, pres, class_of, reps)
+    bil = [[0] * N.size for _ in range(M.size)]
+    for j, (m, n) in enumerate(pres.generators):
+        bil[m][n] = cls[step(0, j)]
+    out = TensorProduct(T, tuple(map(tuple, bil)), M, N, pres, class_of, reps)
     ok, witness = balanced_check(M, N, T, out.bilinear)
     if not ok:
         raise SemimodError(f"internal error: tensor table not balanced at {witness}")
@@ -254,9 +239,12 @@ def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
 
 
 def enumerate_balanced_maps(M: FiniteCommMonoid, N: FiniteCommMonoid,
-                            A: FiniteCommMonoid) -> list[tuple[tuple[int, ...], ...]]:
+                            A: FiniteCommMonoid,
+                            budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[int, ...], ...]]:
     """All balanced maps M x N -> A, by filtering the full function space."""
     cells = [(m, n) for m in range(1, M.size) for n in range(1, N.size)]
+    if A.size ** len(cells) > budget:
+        raise BudgetExceeded(f"{A.size}^{len(cells)} candidate maps exceed budget {budget}")
     out = []
     for values in product(range(A.size), repeat=len(cells)):
         f = [[0] * N.size for _ in range(M.size)]
@@ -332,7 +320,7 @@ class IsoWitness:
 
 def associativity_iso(M: FiniteCommMonoid, N: FiniteCommMonoid,
                       P: FiniteCommMonoid,
-                      budget: int = DEFAULT_BOX_BUDGET) -> IsoWitness:
+                      budget: int = DEFAULT_BUDGET) -> IsoWitness:
     """(M (x) N) (x) P ~ M (x) (N (x) P) on pure tensors, both directions."""
     TMN = tensor_product(M, N, budget)
     L = tensor_product(TMN.monoid, P, budget)
@@ -365,7 +353,7 @@ def associativity_iso(M: FiniteCommMonoid, N: FiniteCommMonoid,
 
 
 def symmetry_iso(M: FiniteCommMonoid, N: FiniteCommMonoid,
-                 budget: int = DEFAULT_BOX_BUDGET) -> IsoWitness:
+                 budget: int = DEFAULT_BUDGET) -> IsoWitness:
     """The twist m (x) n -> n (x) m and its inverse."""
     T = tensor_product(M, N, budget)
     S = tensor_product(N, M, budget)
@@ -380,7 +368,7 @@ def symmetry_iso(M: FiniteCommMonoid, N: FiniteCommMonoid,
 
 
 def hom_monoid(M: FiniteCommMonoid, N: FiniteCommMonoid,
-               budget: int = 10**7) -> tuple[FiniteCommMonoid, list[MonoidHom]]:
+               budget: int = DEFAULT_BUDGET) -> tuple[FiniteCommMonoid, list[MonoidHom]]:
     """Hom(M, N) as a monoid under pointwise addition; element 0 is the zero map."""
     homs = enumerate_homs(M, N, budget)
     pos = {h.image: i for i, h in enumerate(homs)}
@@ -396,16 +384,16 @@ def hom_monoid(M: FiniteCommMonoid, N: FiniteCommMonoid,
 
 def hom_adjunction_check(P: FiniteCommMonoid, M: FiniteCommMonoid,
                          N: FiniteCommMonoid,
-                         budget: int = DEFAULT_BOX_BUDGET) -> bool:
+                         budget: int = DEFAULT_BUDGET) -> bool:
     """Hom(P (x) M, N) and Hom(P, Hom(M, N)) are in natural bijection.
 
     Builds both hom sets by enumeration, transports each way, and checks
     the round trips.
     """
     T = tensor_product(P, M, budget)
-    left = enumerate_homs(T.monoid, N)
-    H, homs_mn = hom_monoid(M, N)
-    right = enumerate_homs(P, H)
+    left = enumerate_homs(T.monoid, N, budget)
+    H, homs_mn = hom_monoid(M, N, budget)
+    right = enumerate_homs(P, H, budget)
     hom_index = {h.image: i for i, h in enumerate(homs_mn)}
 
     def phi(f: MonoidHom) -> MonoidHom:

@@ -1,238 +1,33 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+The checks live in `semimod.acceptance`, which ``semimod verify`` runs too;
+this module makes one test ``test_criterion_NN_<name>`` of each.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
-import random
 import sys
-from math import gcd
 
-from semimod.congruence import congruence_closure, enumerate_congruences
-from semimod.core import (
-    cyclic_group,
-    enumerate_comm_monoid_tables,
-    enumerate_homs,
-    direct_summand_analysis,
-    internal_direct_sum_check,
-    saturating_monoid,
-    small_monoid_corpus,
-    trivial_monoid,
-    validate_monoid,
-)
-from semimod.natcoeq import coequalizer_nat, naive_nat_classes, bourne_nat_quotient
-from semimod.semiideal import (
-    Semiideal,
-    bezout_nonneg,
-    footing_two_generators,
-)
-from semimod.tensor import (
-    associativity_iso,
-    balanced_check,
-    enumerate_balanced_maps,
-    hom_adjunction_check,
-    hom_monoid,
-    symmetry_iso,
-    tensor_product,
-    universal_factorization,
-)
-
-EXPECTED_C42 = [
-    [0, 1, 2, 3, 4, 5],
-    [1, 2, 3, 4, 5, 4],
-    [2, 3, 4, 5, 4, 5],
-    [3, 4, 5, 4, 5, 4],
-    [4, 5, 4, 5, 4, 5],
-    [5, 4, 5, 4, 5, 4],
-]
-
-M4 = validate_monoid([[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]])
-N3 = validate_monoid([[0, 1, 2], [1, 1, 2], [2, 2, 2]])
+from semimod.acceptance import CRITERIA, SUITES
 
 
-def report(criterion, ok):
-    print(f"criterion {criterion:2d}: {'PASS' if ok else 'FAIL'}",
-          file=sys.stderr, flush=True)
-    assert ok, f"criterion {criterion} failed"
+def _criterion_test(number, name, check):
+    def test():
+        ok = check()
+        print(f"criterion {number:2d}: {'PASS' if ok else 'FAIL'}",
+              file=sys.stderr, flush=True)
+        assert ok, f"criterion {number} failed"
+
+    test.__name__ = test.__qualname__ = f"test_criterion_{number:02d}_{name}"
+    test.__doc__ = check.__doc__
+    return test
 
 
-def test_criterion_01_coequalizer_table():
-    q = coequalizer_nat(4, 6)
-    M = q.result.to_monoid(labels=False)
-    table = [list(r) for r in M.add]
-    ok = (q.result.index == 4 and q.result.period == 2
-          and table == EXPECTED_C42
-          and table[5][5] == 4 and table[1][5] == 4)
-    report(1, ok)
+for _number, (_name, _check) in enumerate(CRITERIA.items(), 1):
+    _test = _criterion_test(_number, _name, _check)
+    globals()[_test.__name__] = _test
 
 
-def test_criterion_02_naive_vs_coequalizer_gap():
-    ok = all(len(naive_nat_classes(4, 6, probe_limit=lim)) == 2
-             for lim in (8, 12, 20, 33))
-    ok = ok and coequalizer_nat(4, 6).result.size == 6
-    report(2, ok)
-
-
-def test_criterion_03_footing_formula_vs_dp():
-    ok = all(footing_two_generators(a, b) == Semiideal([a, b]).footing()
-             for a in range(2, 61) for b in range(2, 61) if a != b)
-    report(3, ok)
-
-
-def test_criterion_04_bezout_characterization():
-    ok = True
-    for a in range(2, 41):
-        for b in range(2, 41):
-            got = bezout_nonneg(a, b)
-            if (got is not None) != (gcd(a, b) == 1):
-                ok = False
-            if got is not None:
-                r, s = got
-                if r < 0 or s < 0 or r * a + s * b != (a - 1) * (b - 1):
-                    ok = False
-    report(4, ok)
-
-
-def test_criterion_05_minimal_generators_recovery():
-    rng = random.Random(12345)
-    ok = True
-    for _ in range(200):
-        canon = sorted(rng.sample(range(5, 60), rng.randint(1, 4)))
-        X = Semiideal(canon).minimal_generators()
-        extras = []
-        for _ in range(rng.randint(0, 6)):
-            a, b = rng.choice(X), rng.choice(X)
-            extras.append(a + b * rng.randint(0, 2))
-        inp = list(X) + extras
-        M = Semiideal(inp)
-        Y = M.minimal_generators()
-        if Y != X or not set(Y) <= set(inp):
-            ok = False
-        if len(Y) > Y[0] // M.period():
-            ok = False
-    report(5, ok)
-
-
-def test_criterion_06_structure_constants():
-    ok = True
-    for gens in [(3, 5), (4, 6), (4, 10), (6, 10, 15), (8, 12, 18), (7,), (9, 24)]:
-        M = Semiideal(gens)
-        c, d = M.perc()
-        if any(M.contains(c - e) for e in range(1, 2 * d) if c - e > 0):
-            ok = False
-        window = 10 * (c + d)
-        tail = {n for n in range(c, window) if M.contains(n)}
-        if tail != {c + n * d for n in range((window - c + d - 1) // d)
-                    if c + n * d < window}:
-            ok = False
-    report(6, ok)
-
-
-def test_criterion_07_bourne_quotient():
-    q = bourne_nat_quotient([4, 6])
-    Q = q.quotient.to_monoid(labels=False)
-    Z2 = cyclic_group(2)
-    isos = [h for h in enumerate_homs(Q, Z2) if h.is_bijective()]
-    ok = q.modulus == 2 and q.verify() and len(isos) == 1
-    q2 = bourne_nat_quotient([2, 3])
-    ok = ok and q2.modulus == 1 and q2.quotient.to_monoid().size == 1 and q2.verify()
-    report(7, ok)
-
-
-def test_criterion_08_direct_sum_counterexamples():
-    A = {0, 1}   # {0, 1_A}
-    B = {0, 2, 3}  # {0, 1_B, 2_B}
-    v = internal_direct_sum_check(M4, [A, B])
-    ok = v.sum_is_all and v.independent and not v.unique_decomposition
-    ok = ok and v.witness is not None
-    if ok:
-        sums = {M4.sum(combo) for combo in v.witness}
-        ok = len(sums) == 1 and {tuple(sorted(c)) for c in v.witness} == {(0, 3), (1, 2)}
-    sub = (0, 2)
-    res = direct_summand_analysis(N3, sub)
-    ok = (ok and res.retraction is not None and res.idempotent is not None
-          and res.complement is None)
-    report(8, ok)
-
-
-def test_criterion_09_closure_minimality_oracle():
-    tables = [M for n in range(1, 5) for M in enumerate_comm_monoid_tables(n)]
-    assert len(tables) >= 50
-    ok = True
-    for M in tables:
-        n = M.size
-        congs = enumerate_congruences(M)
-        seeds_list = [[]]
-        seeds_list += [[(a, b)] for a in range(n) for b in range(a + 1, n)]
-        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        seeds_list += [[p, q] for i, p in enumerate(pairs) for q in pairs[i + 1:]]
-        for seeds in seeds_list:
-            C = congruence_closure(M, seeds)
-            containing = [D for D in congs
-                          if all(D.same(a, b) for a, b in seeds)]
-            for x in range(n):
-                for y in range(n):
-                    meet = all(D.same(x, y) for D in containing)
-                    if C.same(x, y) != meet:
-                        ok = False
-    report(9, ok)
-
-
-def test_criterion_10_tensor_universal_property():
-    pool = [trivial_monoid(), cyclic_group(2), cyclic_group(3), saturating_monoid(2)]
-    targets = small_monoid_corpus(3)
-    ok = True
-    for M in pool:
-        for N in pool:
-            T = tensor_product(M, N)
-            if not balanced_check(M, N, T.monoid, T.bilinear)[0]:
-                ok = False
-            reached, frontier = {0}, {0}
-            pures = {T.pure(m, n) for m in M.elements() for n in N.elements()}
-            while frontier:
-                nxt = {T.monoid.plus(x, p) for x in frontier for p in pures}
-                frontier = nxt - reached
-                reached |= nxt
-            if reached != set(T.monoid.elements()):
-                ok = False
-            for A in targets:
-                for f in enumerate_balanced_maps(M, N, A):
-                    g = universal_factorization(T, A, f)
-                    if any(g.image[T.pure(m, n)] != f[m][n]
-                           for m in M.elements() for n in N.elements()):
-                        ok = False
-                    same = [h for h in enumerate_homs(T.monoid, A)
-                            if all(h.image[T.pure(m, n)] == f[m][n]
-                                   for m in M.elements() for n in N.elements())]
-                    if len(same) != 1:
-                        ok = False
-    ok = ok and tensor_product(cyclic_group(2), cyclic_group(3)).monoid.size == 1
-    T22 = tensor_product(cyclic_group(2), cyclic_group(2))
-    iso = [h for h in enumerate_homs(T22.monoid, cyclic_group(2)) if h.is_bijective()]
-    ok = ok and len(iso) == 1
-    report(10, ok)
-
-
-def test_criterion_11_coherence():
-    corpus = small_monoid_corpus(3)
-    ok = all(symmetry_iso(M, N).verify() for M in corpus for N in corpus)
-    for M in corpus:
-        for N in corpus:
-            for P in corpus:
-                if not associativity_iso(M, N, P).verify():
-                    ok = False
-                if not hom_adjunction_check(M, N, P):
-                    ok = False
-                T = tensor_product(M, N)
-                H, _ = hom_monoid(N, P)
-                if len(enumerate_homs(T.monoid, P)) != len(enumerate_homs(M, H)):
-                    ok = False
-    report(11, ok)
-
-
-def test_criterion_12_certificate_replay():
-    ok = True
-    for a, b in [(4, 6), (0, 3), (2, 5), (1, 2), (3, 12), (5, 5)]:
-        q = coequalizer_nat(a, b)
-        if not (q.verify_certificate_a() and q.verify_certificate_b()):
-            ok = False
-    report(12, ok)
+def test_suites_partition_the_criteria():
+    names = [name for suite in SUITES.values() for name in suite]
+    assert len(CRITERIA) == 12
+    assert sorted(names) == sorted(CRITERIA)

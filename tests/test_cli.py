@@ -33,6 +33,18 @@ def test_coeq_naive(capsys):
     assert len(json.loads(out)["naive_classes"]) == 2
 
 
+def test_coeq_naive_budget_exit_2(capsys):
+    code, out, err = run(capsys, "coeq", "3", "2000", "--naive")
+    assert code == 2 and out == "" and "budget" in err
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    code, out, _ = run(capsys, "semiideal", "3", "5", "--json")
+    assert code == 0 and json.loads(out)["footing"] == 8
+    code, out, _ = run(capsys, "semiideal", "3", "5")
+    assert code == 0 and out.startswith("generators         [3, 5]")
+
+
 def test_semiideal(capsys):
     code, out, _ = run(capsys, "semiideal", "3", "5", "--json")
     data = json.loads(out)

@@ -1,6 +1,7 @@
 import pytest
 
 from semimod.congruence import congruence_closure
+from semimod.core import BudgetExceeded, SemimodError
 from semimod.natcoeq import (
     BoundCapExceeded,
     BourneNatQuotient,
@@ -156,6 +157,18 @@ class TestNaiveClasses:
     def test_any_window_size(self):
         for limit in (8, 15, 30):
             assert len(naive_nat_classes(4, 6, probe_limit=limit)) == 2
+
+    def test_budget(self):
+        # 210 probe pairs times 28^2 witnesses each
+        assert len(naive_nat_classes(4, 6, budget=210 * 28 ** 2)) == 2
+        with pytest.raises(BudgetExceeded):
+            naive_nat_classes(4, 6, budget=210 * 28 ** 2 - 1)
+        with pytest.raises(BudgetExceeded):
+            naive_nat_classes(3, 2000)
+
+    def test_negative_multiplier_rejected(self):
+        with pytest.raises(SemimodError):
+            naive_nat_classes(-3, 5)
 
 
 class TestBourneQuotient:

@@ -1,6 +1,10 @@
+from math import comb, gcd
+
 import pytest
 
+from semimod import tensor
 from semimod.core import (
+    BudgetExceeded,
     cyclic_group,
     enumerate_homs,
     hom_check,
@@ -69,6 +73,63 @@ class TestTensorProduct:
         pairs = [(m, 0) for m in Z3.elements()]
         values = [T.pure(m, n) for m, n in pairs]
         assert len(set(values)) == 1  # all (m, 0) collapse to 0
+
+
+class TestKnownAnswers:
+    def test_cyclic_tensor_is_cyclic_of_gcd(self):
+        # Z/m (x) Z/n ~ Z/gcd(m, n) by x (x) y -> xy mod gcd
+        cases = [(2, n) for n in range(1, 9)] + [(n, 2) for n in range(1, 9)] + [(3, 3)]
+        for m, n in cases:
+            g = gcd(m, n)
+            T = tensor_product(cyclic_group(m), cyclic_group(n))
+            assert T.monoid.size == g
+            image = {}
+            for x in range(m):
+                for y in range(n):
+                    assert image.setdefault(T.pure(x, y), x * y % g) == x * y % g
+            phi = hom_check(T.monoid, cyclic_group(g), [image[t] for t in range(g)])
+            assert phi.is_bijective()
+
+    def test_saturating_tensor_size_is_binomial(self):
+        for m in range(1, 11):
+            for n in range(1, 11):
+                if (m - 1) * (n - 1) <= 9:
+                    T = tensor_product(saturating_monoid(m), saturating_monoid(n))
+                    assert T.monoid.size == comb(m + n - 2, m - 1), (m, n)
+
+    def test_reps_are_lex_least_in_their_class(self):
+        for M, N in [(Z2, cyclic_group(4)), (cyclic_group(4), Z2), (Z3, SAT2),
+                     (saturating_monoid(3), saturating_monoid(3)), (Z3, Z3)]:
+            T = tensor_product(M, N)
+            least = {}
+            for v, cls in T.class_of.items():
+                if cls not in least or v < least[cls]:
+                    least[cls] = v
+            assert tuple(least[i] for i in range(T.monoid.size)) == T.reps
+            assert T.reps[0] == (0,) * len(T.reps[0])
+
+
+class TestBudgets:
+    def test_balanced_maps_budget(self):
+        assert enumerate_balanced_maps(Z3, Z3, saturating_monoid(3), budget=81)
+        with pytest.raises(BudgetExceeded):
+            enumerate_balanced_maps(Z3, Z3, saturating_monoid(3), budget=80)
+        with pytest.raises(BudgetExceeded):     # 5^16 maps: refused before the search
+            enumerate_balanced_maps(cyclic_group(5), cyclic_group(5), cyclic_group(5))
+
+    def test_adjunction_check_passes_its_budget(self, monkeypatch):
+        seen = []
+
+        def spy(M, N, budget=None):
+            seen.append(budget)
+            return enumerate_homs(M, N, budget)
+
+        monkeypatch.setattr(tensor, "enumerate_homs", spy)
+        assert hom_adjunction_check(Z2, Z2, SAT2, budget=1234)
+        assert seen == [1234] * 3
+        with pytest.raises(BudgetExceeded):
+            hom_adjunction_check(trivial_monoid(), saturating_monoid(3), saturating_monoid(3),
+                                 budget=2)
 
 
 class TestBalancedCheck:
