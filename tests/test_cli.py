@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from semimod import acceptance
 from semimod.cli import main
 from semimod.core import monoid_to_json, validate_monoid
 
@@ -118,11 +119,41 @@ def test_determinism(capsys):
     assert len(runs) == 1
 
 
+def stub_criteria(monkeypatch, failing=()):
+    """Replace the registry's checks by stubs that record their calls."""
+    ran = []
+
+    def stub(name):
+        return lambda: ran.append(name) or name not in failing
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        {name: stub(name) for name in acceptance.CRITERIA})
+    return ran
+
+
+# the checks themselves run in tests/test_acceptance.py; these tests cover
+# how verify runs them
 @pytest.mark.parametrize("suite", ["reference-tables", "oracles", "coherence"])
-def test_verify_suites(capsys, suite):
+def test_verify_suites(capsys, monkeypatch, suite):
+    numbers = {name: i for i, name in enumerate(acceptance.CRITERIA, 1)}
+    ran = stub_criteria(monkeypatch)
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0
     assert "all checks passed" in out
+    assert ran == list(acceptance.SUITES[suite])
+    for name in ran:
+        assert f"[ok] criterion {numbers[name]:02d} {name}" in out
+
+
+def test_verify_reports_a_failing_criterion(capsys, monkeypatch):
+    name = acceptance.SUITES["oracles"][1]
+    number = list(acceptance.CRITERIA).index(name) + 1
+    ran = stub_criteria(monkeypatch, failing={name})
+    code, out, err = run(capsys, "verify", "oracles")
+    assert code == 1
+    assert ran == list(acceptance.SUITES["oracles"])
+    assert f"[FAIL] criterion {number:02d} {name}" in out
+    assert "1 check(s) failed" in err and "all checks passed" not in out
 
 
 @pytest.mark.parametrize("data", [

@@ -110,10 +110,13 @@ class TestKnownAnswers:
 
 
 class TestBudgets:
-    def test_balanced_maps_budget(self):
-        assert enumerate_balanced_maps(Z3, Z3, saturating_monoid(3), budget=81)
+    def test_balanced_maps_budget(self, monkeypatch):
+        monkeypatch.setattr(tensor, "DEFAULT_BUDGET", 81)   # 3^4 maps: exactly at the cap
+        assert enumerate_balanced_maps(Z3, Z3, saturating_monoid(3))
+        monkeypatch.setattr(tensor, "DEFAULT_BUDGET", 80)
         with pytest.raises(BudgetExceeded):
-            enumerate_balanced_maps(Z3, Z3, saturating_monoid(3), budget=80)
+            enumerate_balanced_maps(Z3, Z3, saturating_monoid(3))
+        monkeypatch.undo()
         with pytest.raises(BudgetExceeded):     # 5^16 maps: refused before the search
             enumerate_balanced_maps(cyclic_group(5), cyclic_group(5), cyclic_group(5))
 
