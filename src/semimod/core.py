@@ -3,9 +3,13 @@
 Element 0 is always the identity.  Every table, given or built here, goes
 through `validate_monoid`, which checks associativity by Light's test over
 a greedy generating set (O(n^2 |X|) for a generating set X, instead of the
-O(n^3) scan over all triples).  A validated monoid doubles as a module over
-the nonnegative integers via the repeated-addition action, which is cached
-per element as an eventually-periodic orbit.
+O(n^3) scan over all triples).  Tables of at most 256 elements are checked
+on byte rows, where `bytes.translate` composes a whole row at C speed; the
+rows also give the range check, since `bytes()` rejects entries outside
+[0, 256).  Larger tables use tuple rows gathered by `itemgetter`.  A
+validated monoid doubles as a module over the nonnegative integers via the
+repeated-addition action, which is cached per element as an
+eventually-periodic orbit.
 """
 
 from __future__ import annotations
@@ -183,6 +187,42 @@ def _generating_set(table: Sequence[Sequence[int]]) -> list[int]:
     return gens
 
 
+def _out_of_range(rows, n) -> OutOfRange:
+    v = next(v for v in chain.from_iterable(rows) if type(v) is not int or not 0 <= v < n)
+    return OutOfRange(f"entry {v!r} is not an integer in [0, {n})")
+
+
+def _light_rows(rows: Sequence[Sequence[int]], gens: Iterable[int]) -> None:
+    """Light's test over gens, one row of a + (x + b) per (x, a) by itemgetter."""
+    n = len(rows)
+    for x in gens:
+        x_plus = itemgetter(*rows[x])              # row -> its entries at x + b
+        for a, a_x in enumerate(rows[x]):
+            lhs, rhs = rows[a_x], x_plus(rows[a])  # (a + x) + b, a + (x + b)
+            if lhs != rhs:
+                raise NotAssociative(a, x, next(b for b in range(n) if lhs[b] != rhs[b]))
+
+
+def _light_bytes(rb: Sequence[bytes], gens: Iterable[int]) -> None:
+    """Light's test over gens on byte rows (n <= 256), one blob per x.
+
+    Both sides of (a + x) + b = a + (x + b) are built for all a, b at once as
+    n*n-byte blobs in the order a*n + b: the left by joining rows a + x, the
+    right by translating row x through each row a padded to 256 bytes.  The
+    first differing byte gives the same witness as `_light_rows`.
+    """
+    n = len(rb)
+    tabs = [r.ljust(256, b"\0") for r in rb]
+    for x in gens:
+        row_x = rb[x]
+        lhs = b"".join(map(rb.__getitem__, row_x))
+        rhs = b"".join(map(row_x.translate, tabs))
+        if lhs != rhs:
+            a = next(a for a in range(n) if lhs[a * n:a * n + n] != rhs[a * n:a * n + n])
+            b = next(b for b in range(n) if lhs[a * n + b] != rhs[a * n + b])
+            raise NotAssociative(a, x, b)
+
+
 def validate_monoid(table: Sequence[Sequence[int]],
                     labels: Optional[Sequence[str]] = None) -> FiniteCommMonoid:
     """Check the monoid axioms and return the validated monoid.
@@ -191,9 +231,13 @@ def validate_monoid(table: Sequence[Sequence[int]],
     is Light's test (Clifford-Preston 1961, section 1.2): the elements x
     with (a + x) + b = a + (x + b) for all a, b form a submonoid, so it is
     enough to check x in a generating set X, at O(n^2 |X|) instead of
-    O(n^3).  For each x the whole row of a + (x + b) over b is gathered by
-    one itemgetter call and compared with the row of a + x, which is cheaper
-    than a per-cell scan over a < b alone.
+    O(n^3).  For n <= 256 the rows are byte strings and each x costs one
+    comparison of two n*n-byte blobs built at C speed (`_light_bytes`:
+    a + (x + b) for all a, b is row x translated through each row a).
+    Larger tables gather the whole row of a + (x + b) over b by one
+    itemgetter call per (x, a) and compare it with the row of a + x
+    (`_light_rows`).  Both report the first failing (a, b) in the order a,
+    then b, so the witness does not depend on n.
     """
     if not isinstance(table, (list, tuple)):
         raise OutOfRange(f"table is a {type(table).__name__}, not a list of rows")
@@ -210,23 +254,30 @@ def validate_monoid(table: Sequence[Sequence[int]],
             raise OutOfRange("table is not square")
     rows = tuple(map(tuple, table))
     # the type test comes first: bools and integral floats compare as ints,
-    # and other values may not compare with ints at all
-    if (set(map(type, chain.from_iterable(rows))) != {int}
-            or min(map(min, rows)) < 0 or max(map(max, rows)) >= n):
-        v = next(v for v in chain.from_iterable(rows) if type(v) is not int or not 0 <= v < n)
-        raise OutOfRange(f"entry {v!r} is not an integer in [0, {n})")
+    # bytes() accepts them and any __index__ object, and other values may
+    # not compare with ints at all
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        raise _out_of_range(rows, n)
+    if n <= 256:
+        try:
+            rb = list(map(bytes, rows))
+        except ValueError:                 # an entry outside [0, 256)
+            rb = None
+        if rb is None or max(map(max, rb)) >= n:
+            raise _out_of_range(rows, n)
+    elif min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        raise _out_of_range(rows, n)
     if rows[0] != tuple(range(n)):
         raise NotIdentity(next(m for m in range(n) if rows[0][m] != m))
     for m, col in enumerate(zip(*rows)):
         if rows[m] != col:
             # the first asymmetric row differs first right of the diagonal
             raise NotCommutative(m, next(m2 for m2 in range(m + 1, n) if rows[m][m2] != col[m2]))
-    for x in _generating_set(rows):
-        x_plus = itemgetter(*rows[x])              # row -> its entries at x + b
-        for a, a_x in enumerate(rows[x]):
-            lhs, rhs = rows[a_x], x_plus(rows[a])  # (a + x) + b, a + (x + b)
-            if lhs != rhs:
-                raise NotAssociative(a, x, next(b for b in range(n) if lhs[b] != rhs[b]))
+    gens = _generating_set(rows)
+    if n <= 256:
+        _light_bytes(rb, gens)
+    else:
+        _light_rows(rows, gens)
     return FiniteCommMonoid(
         size=n,
         add=rows,

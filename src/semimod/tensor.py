@@ -69,7 +69,7 @@ class TensorProduct:
     source_m: FiniteCommMonoid
     source_n: FiniteCommMonoid
     presentation: PresentedCommMonoid
-    class_of: dict                                # box vector -> element index
+    classes: tuple[int, ...]                      # element index of each box vector, lex order
     reps: tuple[tuple[int, ...], ...]             # element index -> lex-least vector
 
     def pure(self, m: int, n: int) -> int:
@@ -123,7 +123,7 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
         from .core import trivial_monoid
         T = trivial_monoid()
         bil = tuple((0,) * N.size for _ in range(M.size))
-        return TensorProduct(T, bil, M, N, pres, {(): 0}, ((),))
+        return TensorProduct(T, bil, M, N, pres, (0,), ((),))
     vol = pres.box_volume()
     if vol > budget:
         raise BudgetExceeded(f"box volume {vol} exceeds budget {budget}")
@@ -162,7 +162,6 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
             roots.append(c)
         else:
             cls.append(cls[r])
-    class_of = dict(zip(pres.box_vectors(), cls))   # both in lexicographic order
     reps = tuple(tuple(r // s % d for s, d in zip(stride, radix)) for r in roots)
 
     table = [[cls[encode([a + b for a, b in zip(u, v)])] for v in reps] for u in reps]
@@ -171,7 +170,7 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     bil = [[0] * N.size for _ in range(M.size)]
     for j, (m, n) in enumerate(pres.generators):
         bil[m][n] = cls[step(0, j)]
-    out = TensorProduct(T, tuple(map(tuple, bil)), M, N, pres, class_of, reps)
+    out = TensorProduct(T, tuple(map(tuple, bil)), M, N, pres, tuple(cls), reps)
     ok, witness = balanced_check(M, N, T, out.bilinear)
     if not ok:
         raise SemimodError(f"internal error: tensor table not balanced at {witness}")
@@ -226,7 +225,7 @@ def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
     for i, rep in enumerate(T.reps):
         image[i] = evaluate(rep)
     # well-definedness: every box vector must agree with its class value
-    for v, cls in T.class_of.items():
+    for v, cls in zip(T.presentation.box_vectors(), T.classes):   # both in lex order
         if evaluate(v) != image[cls]:
             raise WellDefinednessFailure(
                 f"vector {v} evaluates off its class representative")

@@ -56,8 +56,26 @@ class TestValidation:
             validate_monoid(t)
 
     def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            validate_monoid([[0, 1], [1, 7]])
+        class Small(int):
+            pass
+
+        class Index:
+            def __index__(self):
+                return 1
+
+        # bytes() accepts True, Small(1), Index(), 3 and 255: the type test
+        # and the bound n must still reject them
+        for bad in (True, 1.0, Small(1), Index(), 3, 7, 255, 256, -1):
+            with pytest.raises(OutOfRange) as e:
+                validate_monoid([[0, 1, 2], [1, 2, 0], [2, 0, bad]])
+            assert str(e.value) == f"entry {bad!r} is not an integer in [0, 3)"
+        for n in (255, 256, 257):
+            for bad in (n, -1):
+                table = [list(r) for r in cyclic_group(n).add]
+                table[n - 1][n - 1] = bad
+                with pytest.raises(OutOfRange) as e:
+                    validate_monoid(table)
+                assert str(e.value) == f"entry {bad} is not an integer in [0, {n})"
 
 
 class TestScalarAction:

@@ -102,7 +102,7 @@ class TestKnownAnswers:
                      (saturating_monoid(3), saturating_monoid(3)), (Z3, Z3)]:
             T = tensor_product(M, N)
             least = {}
-            for v, cls in T.class_of.items():
+            for v, cls in zip(T.presentation.box_vectors(), T.classes):
                 if cls not in least or v < least[cls]:
                     least[cls] = v
             assert tuple(least[i] for i in range(T.monoid.size)) == T.reps

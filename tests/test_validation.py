@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,8 @@ from semimod.core import (
     NotAssociative,
     SemimodError,
     _generating_set,
+    _light_bytes,
+    _light_rows,
     cyclic_group,
     enumerate_comm_monoid_tables,
     saturating_monoid,
@@ -137,3 +140,45 @@ def test_generating_set_sizes_of_known_families():
     z2_z3 = [[((a // 3 + b // 3) % 2) * 3 + (a % 3 + b % 3) % 3 for b in range(6)]
              for a in range(6)]
     assert _generating_set(z2_z3) == [1, 3]
+
+
+def light_outcome(kernel, rows, gens):
+    """None if the kernel passes, else its exception's class, witness and message."""
+    try:
+        kernel(rows, gens)
+    except NotAssociative as e:
+        return type(e), e.witness, str(e)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(commutative_tables(), corrupted_family_tables()))
+def test_byte_kernel_matches_row_gather_loop(table):
+    rows = tuple(map(tuple, table))
+    gens = _generating_set(rows)
+    expected = light_outcome(_light_rows, rows, gens)
+    assert light_outcome(_light_bytes, list(map(bytes, rows)), gens) == expected
+    # (x + a) + b != a + (x + b) at the first failing x, and at the first
+    # failing (a, b) in the order a, then b
+    if expected is not None:
+        a, x, b = expected[1]
+        assert rows[rows[x][a]][b] != rows[a][rows[x][b]]
+        assert all(rows[rows[x2][a2]][b2] == rows[a2][rows[x2][b2]]
+                   for x2 in gens[:gens.index(x)] for a2 in range(len(rows))
+                   for b2 in range(len(rows)))
+        assert all(rows[rows[x][a2]][b2] == rows[a2][rows[x][b2]]
+                   for a2 in range(a + 1) for b2 in range(b if a2 == a else len(rows)))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("family", ["Z", "Sat"])
+def test_both_sides_of_the_byte_row_cutoff(family, n):
+    """n <= 256 runs on byte rows, n > 256 on itemgetter rows."""
+    table = family_table(family, n)
+    assert validate_monoid(table).add == tuple(map(tuple, table))
+    d = n // 2
+    table[d][d] = 1        # still commutative; (d + d) + 2 = 1 + 2 != d + (d + 2) in both
+    with pytest.raises(NotAssociative) as e:
+        validate_monoid(table)
+    a, x, b = e.value.witness
+    assert table[table[a][x]][b] != table[a][table[x][b]]
