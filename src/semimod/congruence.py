@@ -1,9 +1,15 @@
 """Congruence relations on finite commutative monoids.
 
 A congruence is an equivalence relation closed under translation by every
-element, so the quotient carries a well-defined addition.  The generated
-closure runs a union-find worklist: whenever two classes merge, all their
-translates are re-examined.
+element, so the quotient carries a well-defined addition.  Translation by
+a sum is a composite of translations by its terms, so an equivalence
+closed under translation by a generating set X is already a congruence.
+Everything here uses the X that `validate_monoid` keeps on the monoid
+(`FiniteCommMonoid.gens`): the generated closure runs a union-find
+worklist that, whenever two classes merge, re-examines their translates
+by X only; the translation-closure test compares each element with one
+member of its class under each x in X, O(n |X|); and the coequalizer of
+f, g seeds f(y) ~ g(y) for y in the source's X only.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    DEFAULT_BUDGET,
     Biproduct,
     BudgetExceeded,
     FiniteCommMonoid,
@@ -74,13 +79,17 @@ class Congruence:
         return len(set(self.rep))
 
     def is_translation_closed(self) -> bool:
-        M = self.carrier
-        for a in M.elements():
-            for b in M.elements():
-                if self.rep[a] == self.rep[b]:
-                    for w in M.elements():
-                        if self.rep[M.add[a][w]] != self.rep[M.add[b][w]]:
-                            return False
+        """a + x ~ b + x for all a ~ b and x in the carrier's gens.
+
+        Each a is compared with its representative rep[a], a member of its
+        class: if every a agrees with it under x, any two members agree.
+        """
+        M, rep = self.carrier, self.rep
+        for x in M.gens:
+            row = M.add[x]
+            for a, r in enumerate(rep):
+                if rep[row[a]] != rep[row[r]]:
+                    return False
         return True
 
     def contains(self, other: "Congruence") -> bool:
@@ -106,17 +115,24 @@ def identity_congruence(M: FiniteCommMonoid) -> Congruence:
 
 def congruence_closure(M: FiniteCommMonoid,
                        pairs: Sequence[tuple[int, int]]) -> Congruence:
-    """Smallest congruence containing the given pairs."""
+    """Smallest congruence containing the given pairs.
+
+    Every merge pushes the translates of its pair by each x in M.gens.  The
+    result is the least equivalence closed under those translations, hence
+    the least congruence, and each class keeps its smallest member as
+    representative.
+    """
     for a, b in pairs:
         if not (0 <= a < M.size and 0 <= b < M.size):
             raise SemimodError(f"pair ({a},{b}) out of range")
     uf = UnionFind(M.size)
+    rows = [M.add[x] for x in M.gens]
     work = list(pairs)
     while work:
         a, b = work.pop()
         if uf.union(a, b):
-            for w in M.elements():
-                work.append((M.add[a][w], M.add[b][w]))
+            # a pair of equal translates merges nothing
+            work.extend((row[a], row[b]) for row in rows if row[a] != row[b])
     return _from_uf(M, uf, pairs)
 
 
@@ -160,12 +176,16 @@ def factor_through(f: MonoidHom, C: Congruence) -> MonoidHom:
 
 
 def chain_congruence(f: MonoidHom, g: MonoidHom) -> Congruence:
-    """Closure of the pairs f(n) ~ g(n); its quotient is the coequalizer."""
+    """Closure of the pairs f(n) ~ g(n); its quotient is the coequalizer.
+
+    Seeding n in the source's gens is enough: f and g are additive, so
+    f(n) ~ g(n) for every sum n of generators follows.
+    """
     if f.source is not g.source and f.source != g.source:
         raise SemimodError("mismatched sources")
     if f.target is not g.target and f.target != g.target:
         raise SemimodError("mismatched targets")
-    seeds = [(f.image[n], g.image[n]) for n in f.source.elements()]
+    seeds = [(f.image[n], g.image[n]) for n in f.source.gens]
     return congruence_closure(f.target, seeds)
 
 
@@ -280,30 +300,3 @@ def enumerate_congruences(M: FiniteCommMonoid, max_size: int = 6) -> list[Congru
     rec(0, [], 0)
     return out
 
-
-def coequalizer_universal_probe(f: MonoidHom, g: MonoidHom,
-                                targets: Iterable[FiniteCommMonoid],
-                                budget: int = DEFAULT_BUDGET) -> bool:
-    """Finite surrogate of the coequalizer property over the given targets.
-
-    For every map h with h o f = h o g, a unique factorization through the
-    computed quotient must exist.
-    """
-    from .core import enumerate_homs
-    Q, nu = coequalizer_finite(f, g)
-    M = f.target
-    for P in targets:
-        for h in enumerate_homs(M, P, budget):
-            if all(h.image[f.image[n]] == h.image[g.image[n]] for n in f.source.elements()):
-                # factorization exists and is unique because nu is surjective
-                cls: dict[int, int] = {}
-                ok = True
-                for m in M.elements():
-                    q = nu.image[m]
-                    if q in cls and cls[q] != h.image[m]:
-                        ok = False
-                        break
-                    cls[q] = h.image[m]
-                if not ok:
-                    return False
-    return True

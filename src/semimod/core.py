@@ -6,16 +6,19 @@ a greedy generating set (O(n^2 |X|) for a generating set X, instead of the
 O(n^3) scan over all triples).  Tables of at most 256 elements are checked
 on byte rows, where `bytes.translate` composes a whole row at C speed; the
 rows also give the range check, since `bytes()` rejects entries outside
-[0, 256).  Larger tables use tuple rows gathered by `itemgetter`.  A
-validated monoid doubles as a module over the nonnegative integers via the
-repeated-addition action, which is cached per element as an
-eventually-periodic orbit.
+[0, 256).  Larger tables use tuple rows gathered by `itemgetter`.  The
+validated monoid keeps X as `gens`, and builds a `Presentation` over it on
+first use; congruences and tensor products work over X instead of over
+every element.  A validated monoid doubles as a module over the
+nonnegative integers via the repeated-addition action, which is cached
+per element as an eventually-periodic orbit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -80,19 +83,64 @@ class Orbit:
 
 
 @dataclass(frozen=True)
+class Presentation:
+    """A presentation of a finite commutative monoid over a generating set X.
+
+    Words are exponent vectors over X.  Each element's normal form is the
+    word of the path that first reaches it in a breadth-first walk of the
+    Cayley graph from 0 (edges e -> e + x, x in X, in the order of X), and
+    every edge outside that spanning tree gives one relation
+    nf(e) + x = nf(e + x) (Froidure-Pin 1997).  The relations generate
+    every relation between words: any word reduces to a normal form along
+    tree edges and relations, one letter at a time.
+    """
+
+    gens: tuple[int, ...]
+    normal_forms: tuple[tuple[int, ...], ...]         # element -> word
+    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _present(add: Sequence[Sequence[int]], gens: Sequence[int]) -> Presentation:
+    nf: list[Optional[tuple[int, ...]]] = [None] * len(add)
+    nf[0] = (0,) * len(gens)
+    relations = []
+    order = [0]
+    for e in order:                      # grows as the walk reaches new elements
+        w = nf[e]
+        for j, x in enumerate(gens):
+            t = add[e][x]
+            wx = w[:j] + (w[j] + 1,) + w[j + 1:]
+            if nf[t] is None:
+                nf[t] = wx
+                order.append(t)
+            else:
+                relations.append((wx, nf[t]))
+    return Presentation(tuple(gens), tuple(nf), tuple(relations))
+
+
+@dataclass(frozen=True)
 class FiniteCommMonoid:
     size: int
     add: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[str, ...]] = None
+    # the greedy generating set X that validate_monoid ran Light's test over
+    gens: tuple[int, ...] = field(default=(), compare=False, repr=False)
     # powers[m] = (0, m, 2m, ..., (i+p)m); computed at validation time
     _powers: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
     _orbits: tuple[Orbit, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.gens and self.size > 1:
+            object.__setattr__(self, "gens", tuple(_generating_set(self.add)))
         if not self._powers:
             powers, orbits = _orbit_tables(self.size, self.add)
             object.__setattr__(self, "_powers", powers)
             object.__setattr__(self, "_orbits", orbits)
+
+    @cached_property
+    def presentation(self) -> Presentation:
+        """The presentation over gens, built on first use."""
+        return _present(self.add, self.gens)
 
     def plus(self, a: int, b: int) -> int:
         return self.add[a][b]
@@ -237,7 +285,8 @@ def validate_monoid(table: Sequence[Sequence[int]],
     Larger tables gather the whole row of a + (x + b) over b by one
     itemgetter call per (x, a) and compare it with the row of a + x
     (`_light_rows`).  Both report the first failing (a, b) in the order a,
-    then b, so the witness does not depend on n.
+    then b, so the witness does not depend on n.  The returned monoid keeps
+    X as its `gens`.
     """
     if not isinstance(table, (list, tuple)):
         raise OutOfRange(f"table is a {type(table).__name__}, not a list of rows")
@@ -282,6 +331,7 @@ def validate_monoid(table: Sequence[Sequence[int]],
         size=n,
         add=rows,
         labels=tuple(labels) if labels is not None else None,
+        gens=tuple(gens),
     )
 
 

@@ -139,21 +139,6 @@ class Semiideal:
     def is_cyclic(self) -> bool:
         return len(self.minimal_generators()) == 1
 
-    def difference_witness_core(self, a: int, d: int, window: int = 50) -> int:
-        """Start of a verified arithmetic progression of step d inside the ideal.
-
-        Requires a and a + d to be members with a nonzero; returns
-        c = d * a * (a + d) and checks c + n*d for n up to the window.
-        """
-        if a == 0 or not (self.contains(a) and self.contains(a + d)):
-            raise PreconditionFailed(f"need nonzero members a={a} and a+d={a + d}")
-        b = a + d
-        c = d * a * b
-        for n in range(window + 1):
-            if not self.contains(c + n * d):
-                raise SemimodError(f"verification failed at {c + n * d}")
-        return c
-
     def to_json(self) -> dict:
         minimal = self.minimal_generators()
         return {

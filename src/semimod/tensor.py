@@ -1,11 +1,15 @@
 """Tensor products of finite commutative monoids.
 
-The tensor of M and N is built as a finitely presented commutative monoid:
-one generator per pair of nonzero elements, biadditivity relations, and a
-per-generator reduction rule taken from the shorter of the two element
-orbits.  Every exponent vector reduces into a finite box, and the shared
-`congruence.UnionFind`, saturated over integer codes of the box vectors,
-computes the generated congruence.
+The tensor of M and N is built as a finitely presented commutative monoid
+over the kept generating sets X of M and Y of N (`FiniteCommMonoid.gens`):
+M (x) N = F(X x Y)/R, with one generator x (x) y per pair, the relations of
+M's presentation tensored with each y and those of N's with each x (right
+exactness), and a per-generator reduction rule taken from the shorter of
+the orbits of x and y.  Every exponent vector reduces into a finite box,
+and the shared `congruence.UnionFind`, saturated over integer codes of the
+box vectors, computes the generated congruence.  The pure tensor m (x) n is
+the class of nf(m) (x) nf(n), whose coordinate (x, y) is nf(m)[x] * nf(n)[y]
+for the normal forms of `core.Presentation`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ class WellDefinednessFailure(SemimodError):
 class PresentedCommMonoid:
     """Generators with per-coordinate wrap rules plus relation pairs."""
 
-    generators: tuple[tuple[int, int], ...]       # (m, n) element pairs
+    generators: tuple[tuple[int, int], ...]       # (x, y) generator pairs
     rules: tuple[tuple[int, int], ...]            # (index, period) per generator
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
@@ -76,8 +80,21 @@ class TensorProduct:
         return self.bilinear[m][n]
 
 
+def _outer(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """The word of u (x) v over X x Y: coordinate (x, y) is u[x] * v[y]."""
+    return tuple(a * b for a in u for b in v)
+
+
 def _presentation(M: FiniteCommMonoid, N: FiniteCommMonoid) -> PresentedCommMonoid:
-    gens = tuple((m, n) for m in range(1, M.size) for n in range(1, N.size))
+    """M (x) N = F(X x Y)/R over the presentations of M and N.
+
+    R holds u (x) y = v (x) y for each relation u = v of M and each y in Y,
+    and x (x) s = x (x) t for each relation s = t of N and each x in X: the
+    tensor is right exact in each variable, and the word of a generator is
+    its unit vector.
+    """
+    PM, PN = M.presentation, N.presentation
+    gens = tuple(product(PM.gens, PN.gens))
     rules = []
     for m, n in gens:
         om, on = M.orbit(m), N.orbit(n)
@@ -86,44 +103,39 @@ def _presentation(M: FiniteCommMonoid, N: FiniteCommMonoid) -> PresentedCommMono
             rules.append((om.index, om.period))
         else:
             rules.append((on.index, on.period))
-    rules = tuple(rules)
-
-    pos = {g: i for i, g in enumerate(gens)}
-    k = len(gens)
-
-    def unit(g) -> tuple[int, ...]:
-        v = [0] * k
-        v[pos[g]] = 1
-        return tuple(v)
-
-    def elem(m, n) -> tuple[int, ...]:
-        if m == 0 or n == 0:
-            return (0,) * k
-        return unit((m, n))
-
-    relations = []
-    for n in range(1, N.size):
-        for m in range(1, M.size):
-            for m2 in range(m, M.size):
-                lhs = tuple(a + b for a, b in zip(elem(m, n), elem(m2, n)))
-                relations.append((lhs, elem(M.add[m][m2], n)))
-    for m in range(1, M.size):
-        for n in range(1, N.size):
-            for n2 in range(n, N.size):
-                lhs = tuple(a + b for a, b in zip(elem(m, n), elem(m, n2)))
-                relations.append((lhs, elem(m, N.add[n][n2])))
-    return PresentedCommMonoid(gens, rules, tuple(relations))
+    xs = [PM.normal_forms[x] for x in PM.gens]
+    ys = [PN.normal_forms[y] for y in PN.gens]
+    relations = [(_outer(u, y), _outer(v, y)) for u, v in PM.relations for y in ys]
+    relations += [(_outer(x, s), _outer(x, t)) for s, t in PN.relations for x in xs]
+    return PresentedCommMonoid(gens, tuple(rules), tuple(relations))
 
 
 def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
                    budget: int = DEFAULT_BUDGET) -> TensorProduct:
+    """M (x) N on the generators X x Y; m (x) n is the class of nf(m) (x) nf(n)."""
     pres = _presentation(M, N)
+    T, classes, reps, gen_class = _saturate(pres, budget)
+    # m (x) n is the sum of nf(m)[x] nf(n)[y] (x (x) y), summed over y first
+    nf_m, nf_n = M.presentation.normal_forms, N.presentation.normal_forms
+    ky = len(N.gens)
+    right = [[T.sum(T.scalar(e, gen_class[i * ky + j]) for j, e in enumerate(nf_n[n]))
+              for n in N.elements()] for i in range(len(M.gens))]
+    bil = tuple(tuple(T.sum(T.scalar(e, right[i][n]) for i, e in enumerate(nf_m[m]))
+                      for n in N.elements()) for m in M.elements())
+    out = TensorProduct(T, bil, M, N, pres, classes, reps)
+    ok, witness = balanced_check(M, N, T, out.bilinear)
+    if not ok:
+        raise SemimodError(f"internal error: tensor table not balanced at {witness}")
+    return out
+
+
+def _saturate(pres: PresentedCommMonoid, budget: int):
+    """The monoid pres presents, by saturating its box.
+
+    Returns the monoid, the class of each box vector in code order, the
+    lex-least vector of each class, and the class of each generator.
+    """
     k = len(pres.generators)
-    if k == 0:
-        from .core import trivial_monoid
-        T = trivial_monoid()
-        bil = tuple((0,) * N.size for _ in range(M.size))
-        return TensorProduct(T, bil, M, N, pres, (0,), ((),))
     vol = pres.box_volume()
     if vol > budget:
         raise BudgetExceeded(f"box volume {vol} exceeds budget {budget}")
@@ -165,16 +177,8 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     reps = tuple(tuple(r // s % d for s, d in zip(stride, radix)) for r in roots)
 
     table = [[cls[encode([a + b for a, b in zip(u, v)])] for v in reps] for u in reps]
-    T = validate_monoid(table)
-
-    bil = [[0] * N.size for _ in range(M.size)]
-    for j, (m, n) in enumerate(pres.generators):
-        bil[m][n] = cls[step(0, j)]
-    out = TensorProduct(T, tuple(map(tuple, bil)), M, N, pres, tuple(cls), reps)
-    ok, witness = balanced_check(M, N, T, out.bilinear)
-    if not ok:
-        raise SemimodError(f"internal error: tensor table not balanced at {witness}")
-    return out
+    # every radix is at least 2, so the unit vector of generator j has code stride[j]
+    return validate_monoid(table), tuple(cls), reps, tuple(cls[s] for s in stride)
 
 
 def balanced_check(M: FiniteCommMonoid, N: FiniteCommMonoid,
@@ -411,10 +415,11 @@ def hom_adjunction_check(P: FiniteCommMonoid, M: FiniteCommMonoid,
 
     if len(left) != len(right):
         return False
+    right_images = {h.image for h in right}
     seen = set()
     for f in left:
         g = phi(f)
-        if g is None or g.image not in {h.image for h in right}:
+        if g is None or g.image not in right_images:
             return False
         if psi(g).image != f.image:
             return False

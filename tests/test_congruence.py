@@ -1,13 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semimod.congruence import (
+    Congruence,
     HypothesisFails,
+    UnionFind,
     bourne_congruence,
     chain_congruence,
     coequalizer_finite,
-    coequalizer_universal_probe,
     congruence_closure,
     enumerate_congruences,
     factor_through,
@@ -20,6 +23,8 @@ from semimod.congruence import (
     zero_class,
 )
 from semimod.core import (
+    DEFAULT_BUDGET,
+    SemimodError,
     all_submonoids,
     cyclic_group,
     enumerate_homs,
@@ -34,7 +39,76 @@ from semimod.core import (
 )
 from semimod.natcoeq import CyclicMonoid
 
+from test_validation import commutative_tables, family_table, relabel
+
 C42 = CyclicMonoid(4, 2).to_monoid(labels=False)
+
+
+def closure_over_all_elements(M, pairs) -> tuple[int, ...]:
+    """Reference closure: every merge pushes the translates by all n elements."""
+    uf = UnionFind(M.size)
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        if uf.union(a, b):
+            work.extend((M.add[a][w], M.add[b][w]) for w in M.elements())
+    return tuple(uf.find(m) for m in M.elements())
+
+
+def cubic_translation_closed(C) -> bool:
+    """Reference check: a + w ~ b + w for all a ~ b and every element w."""
+    M = C.carrier
+    return all(C.same(M.add[a][w], M.add[b][w])
+               for a in M.elements() for b in M.elements() if C.same(a, b)
+               for w in M.elements())
+
+
+def coequalizer_universal_probe(f, g, targets, budget=DEFAULT_BUDGET) -> bool:
+    """Finite surrogate of the coequalizer property over the given targets.
+
+    For every map h with h o f = h o g, a unique factorization through the
+    computed quotient must exist.
+    """
+    Q, nu = coequalizer_finite(f, g)
+    M = f.target
+    for P in targets:
+        for h in enumerate_homs(M, P, budget):
+            if all(h.image[f.image[n]] == h.image[g.image[n]] for n in f.source.elements()):
+                # factorization exists and is unique because nu is surjective
+                cls: dict[int, int] = {}
+                for m in M.elements():
+                    q = nu.image[m]
+                    if cls.setdefault(q, h.image[m]) != h.image[m]:
+                        return False
+    return True
+
+
+def _is_monoid(table) -> bool:
+    try:
+        validate_monoid(table)
+    except SemimodError:
+        return False
+    return True
+
+
+@st.composite
+def product_tables(draw):
+    """Relabelled products of one or two of Z/n, Sat_n and C(i, p)."""
+    table = [[0]]
+    for _ in range(draw(st.integers(1, 2))):
+        f = family_table(draw(st.sampled_from(["Z", "Sat", "C"])), draw(st.integers(2, 7)))
+        k, n = len(f), len(table) * len(f)
+        table = [[table[a // k][b // k] * k + f[a % k][b % k] for b in range(n)]
+                 for a in range(n)]
+    rest = draw(st.permutations(range(1, len(table))))
+    return relabel(table, [0, *rest])
+
+
+monoid_tables = st.one_of(commutative_tables().filter(_is_monoid), product_tables())
+
+
+def element_pairs(n):
+    return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
 
 
 class TestClosure:
@@ -87,6 +161,45 @@ class TestClosure:
                                 new.append(key[k])
                             meet_rep = new
                 assert tuple(meet_rep) == closed.rep
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_closure_over_all_elements(self, data):
+        M = validate_monoid(data.draw(monoid_tables))
+        seeds = data.draw(st.lists(element_pairs(M.size), min_size=1, max_size=3))
+        assert congruence_closure(M, seeds).rep == closure_over_all_elements(M, seeds)
+
+
+class TestTranslationClosed:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_cubic_check_on_random_partitions(self, data):
+        M = validate_monoid(data.draw(monoid_tables))
+        n = M.size
+        if data.draw(st.booleans()):
+            # a congruence, with one element possibly moved to another class
+            blocks = list(congruence_closure(
+                M, data.draw(st.lists(element_pairs(n), max_size=2))).rep)
+            a, b = data.draw(element_pairs(n))
+            if data.draw(st.booleans()):
+                blocks[a] = blocks[b]
+        else:
+            blocks = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        first = {}
+        C = Congruence(M, tuple(first.setdefault(k, m) for m, k in enumerate(blocks)))
+        assert C.is_translation_closed() == cubic_translation_closed(C)
+
+    def test_matches_cubic_check_on_every_partition_of_small_tables(self):
+        def partitions(M, rep=()):
+            if len(rep) == M.size:
+                yield Congruence(M, rep)
+                return
+            for r in sorted(set(rep)) + [len(rep)]:
+                yield from partitions(M, rep + (r,))
+
+        for M in small_monoid_corpus(4):
+            for C in partitions(M):
+                assert C.is_translation_closed() == cubic_translation_closed(C)
 
 
 class TestQuotient:

