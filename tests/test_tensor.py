@@ -1,11 +1,18 @@
+from dataclasses import replace
+from functools import cache
+from itertools import product
 from math import comb, gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semimod import tensor
 from semimod.core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    MonoidHom,
+    OutOfRange,
     cyclic_group,
     enumerate_homs,
     hom_check,
@@ -21,6 +28,7 @@ from semimod.tensor import (
     NotBalanced,
     PresentedCommMonoid,
     TensorProduct,
+    WellDefinednessFailure,
     balanced_check,
     associativity_iso,
     enumerate_balanced_maps,
@@ -36,6 +44,7 @@ from semimod.tensor import (
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 SAT2 = saturating_monoid(2)
+SAT3 = saturating_monoid(3)
 
 
 def all_pairs_presentation(M, N) -> PresentedCommMonoid:
@@ -79,6 +88,74 @@ def all_pairs_tensor(M, N, budget=DEFAULT_BUDGET) -> TensorProduct:
     for (m, n), c in zip(pres.generators, gen_class):
         bil[m][n] = c
     return TensorProduct(T, tuple(map(tuple, bil)), M, N, pres, classes, reps)
+
+
+def box_vectors(T: TensorProduct):
+    """Every vector of T's box, in lex order (the order of T.classes)."""
+    return product(*(range(i + p) for i, p in T.presentation.rules))
+
+
+def all_pairs_balanced_check(M, N, A, f):
+    """Reference check: biadditivity against every element, zero laws, and
+    the scalar-exchange law for a few multipliers."""
+    for n in range(N.size):
+        if f[0][n] != 0:
+            return False, ("zero-left", n)
+        for m in range(M.size):
+            for m2 in range(M.size):
+                if f[M.add[m][m2]][n] != A.add[f[m][n]][f[m2][n]]:
+                    return False, ("add-left", m, m2, n)
+    for m in range(M.size):
+        if f[m][0] != 0:
+            return False, ("zero-right", m)
+        for n in range(N.size):
+            for n2 in range(N.size):
+                if f[m][N.add[n][n2]] != A.add[f[m][n]][f[m][n2]]:
+                    return False, ("add-right", m, n, n2)
+    for m in range(M.size):
+        for n in range(N.size):
+            for r in range(5):
+                if f[M.scalar(r, m)][n] != f[m][N.scalar(r, n)]:
+                    return False, ("exchange", r, m, n)
+    return True, None
+
+
+def box_universal_factorization(T, A, f):
+    """Reference factorization: every box vector must evaluate to the value
+    of its class's representative, and g must agree with f on pure tensors."""
+    M, N = T.source_m, T.source_n
+    ok, witness = all_pairs_balanced_check(M, N, A, f)
+    if not ok:
+        raise NotBalanced(witness)
+    gens = T.presentation.generators
+
+    def evaluate(vec):
+        acc = 0
+        for (m, n), mult in zip(gens, vec):
+            acc = A.add[acc][A.scalar(mult, f[m][n])]
+        return acc
+
+    image = [evaluate(rep) for rep in T.reps]
+    for v, cls in zip(box_vectors(T), T.classes):
+        if evaluate(v) != image[cls]:
+            raise WellDefinednessFailure(f"vector {v} evaluates off its class representative")
+    g = MonoidHom(T.monoid, A, tuple(image))
+    for m in range(M.size):
+        for n in range(N.size):
+            if g.image[T.bilinear[m][n]] != f[m][n]:
+                raise WellDefinednessFailure(f"g((x)) != f at ({m},{n})")
+    return g
+
+
+@cache
+def pool():
+    """corpus(<=3), whose eight monoids come first, then Z/4 and Sat4."""
+    return small_monoid_corpus(3) + [cyclic_group(4), saturating_monoid(4)]
+
+
+@cache
+def pool_tensor(i, j):
+    return tensor_product(pool()[i], pool()[j])
 
 
 class TestTensorProduct:
@@ -160,19 +237,26 @@ class TestKnownAnswers:
                      (saturating_monoid(3), saturating_monoid(3)), (Z3, Z3)]:
             T = tensor_product(M, N)
             least = {}
-            for v, cls in zip(T.presentation.box_vectors(), T.classes):
+            for v, cls in zip(box_vectors(T), T.classes):
                 if cls not in least or v < least[cls]:
                     least[cls] = v
             assert tuple(least[i] for i in range(T.monoid.size)) == T.reps
             assert T.reps[0] == (0,) * len(T.reps[0])
 
+    def test_duplicate_relations_are_dropped(self):
+        # two commuting non-tree Cayley edges of Sat_n give the same relation
+        for m, n, count in [(4, 4, 27), (3, 6, 35), (5, 5, 64)]:
+            M, N = saturating_monoid(m), saturating_monoid(n)
+            relations = tensor._presentation(M, N).relations
+            assert len(relations) == len(set(relations)) == count, (m, n)
+            assert tensor_product(M, N).monoid.size == comb(m + n - 2, m - 1), (m, n)
+
 
 class TestAllPairsOracle:
     def test_isomorphic_to_all_pairs_tensor_on_corpus(self):
-        pool = small_monoid_corpus(3) + [cyclic_group(4), saturating_monoid(4)]
-        for M in pool:
-            for N in pool:
-                old, new = all_pairs_tensor(M, N), tensor_product(M, N)
+        for i, M in enumerate(pool()):
+            for j, N in enumerate(pool()):
+                old, new = all_pairs_tensor(M, N), pool_tensor(i, j)
                 g = universal_factorization(old, new.monoid, new.bilinear)
                 assert g.is_bijective()
                 assert universal_factorization(new, old.monoid, old.bilinear).is_bijective()
@@ -227,6 +311,31 @@ class TestBalancedCheck:
         ok, witness = balanced_check(Z3, Z3, T.monoid, f)
         assert not ok and witness is not None
 
+    def test_witness_names_a_generator_on_each_side(self):
+        # only x = 2 (y = 2) sees that f(2, 1) (f(1, 2)) is not idempotent;
+        # 1 + 2 = 2 is checked from both generators of Sat3
+        assert SAT3.gens == (1, 2)
+        assert balanced_check(SAT3, Z2, Z2, [[0, 0], [0, 0], [0, 1]]) == (
+            False, ("add-left", 2, 2, 1))
+        assert balanced_check(Z2, SAT3, Z2, [[0, 0, 0], [0, 0, 1]]) == (
+            False, ("add-right", 1, 2, 2))
+
+    def test_each_zero_law_is_needed(self):
+        # biadditive against the generators, yet f(0, 1) = 1 or f(1, 0) = 1
+        assert balanced_check(SAT2, SAT2, SAT2, [[0, 1], [0, 1]]) == (False, ("zero-left", 1))
+        assert balanced_check(SAT2, SAT2, SAT2, [[0, 0], [1, 1]]) == (False, ("zero-right", 1))
+
+    @pytest.mark.parametrize("f", [[[0, 0]], [[0, 0], [0]], [[0, 0], [0, 0], [0, 0]],
+                                   [[0, 0], 0], (0, 0), None])
+    def test_rejects_a_map_of_the_wrong_shape(self, f):
+        with pytest.raises(OutOfRange, match="map is not a 2 x 2 table"):
+            balanced_check(Z2, Z2, Z2, f)
+
+    @pytest.mark.parametrize("v", [2, 5, -1, True, 1.0, "1"])
+    def test_rejects_an_entry_outside_the_target(self, v):
+        with pytest.raises(OutOfRange, match=r"entry .* is not an integer in \[0, 2\)"):
+            balanced_check(Z2, Z2, Z2, [[0, 0], [0, v]])
+
 
 class TestUniversalFactorization:
     def test_factor_bilinear_itself(self):
@@ -244,6 +353,27 @@ class TestUniversalFactorization:
         T = tensor_product(Z2, Z2)
         with pytest.raises(NotBalanced):
             universal_factorization(T, Z2, [[0, 1], [0, 0]])
+
+    def test_rejects_an_entry_outside_the_target(self):
+        with pytest.raises(OutOfRange, match=r"entry 5 is not an integer in \[0, 2\)"):
+            universal_factorization(tensor_product(Z2, Z2), Z2, [[0, 0], [0, 5]])
+
+    def test_rejects_a_representative_off_zero(self):
+        T = tensor_product(Z2, Z2)
+        bad = replace(T, reps=(T.reps[1],) + T.reps[1:])
+        with pytest.raises(WellDefinednessFailure, match=r"g\(0\) = 1, not 0"):
+            universal_factorization(bad, T.monoid, T.bilinear)
+
+    def test_g_must_be_a_hom_out_of_the_tensor_table(self):
+        # Sat2 (x) Sat3 is the chain 0 < 2 < 1.  In the swapped table 2 + 2 = 1
+        # and only that sum differs, so only the last generator 2 sees that
+        # the identity is not a hom out of it.
+        T = tensor_product(SAT2, SAT3)
+        assert T.monoid.add == ((0, 1, 2), (1, 1, 1), (2, 1, 2))
+        swapped = validate_monoid([[0, 1, 2], [1, 1, 1], [2, 1, 1]])
+        assert swapped.gens == (1, 2)
+        with pytest.raises(WellDefinednessFailure, match=r"g\(2 \+ 2\)"):
+            universal_factorization(replace(T, monoid=swapped), T.monoid, T.bilinear)
 
     def test_all_balanced_maps_factor_uniquely(self):
         corpus = small_monoid_corpus(3)
@@ -270,6 +400,86 @@ class TestUniversalFactorization:
         for A in small_monoid_corpus(3):
             for f in enumerate_balanced_maps(Z2, Z3, A):
                 assert all(v == 0 for row in f for v in row)
+
+
+def factor(method, T, A, f):
+    """The image of the factorization, or the class of what it raised."""
+    try:
+        return method(T, A, f).image
+    except (NotBalanced, WellDefinednessFailure) as exc:
+        return type(exc)
+
+
+def violates(M, N, A, f, witness) -> bool:
+    """Whether f breaks the law a witness of `balanced_check` names there."""
+    law, *at = witness
+    if law == "zero-left":
+        return f[0][at[0]] != 0
+    if law == "zero-right":
+        return f[at[0]][0] != 0
+    if law == "add-left":
+        m, x, n = at
+        return x in M.gens and f[M.add[m][x]][n] != A.add[f[m][n]][f[x][n]]
+    m, n, y = at
+    return law == "add-right" and y in N.gens and f[m][N.add[n][y]] != A.add[f[m][n]][f[m][y]]
+
+
+def assert_checks_agree(i, j, A, f):
+    M, N = pool()[i], pool()[j]
+    (ok, witness), (old_ok, _) = balanced_check(M, N, A, f), all_pairs_balanced_check(M, N, A, f)
+    assert ok == old_ok
+    assert ok or violates(M, N, A, f, witness), witness
+    T = pool_tensor(i, j)
+    assert (factor(universal_factorization, T, A, f)
+            == factor(box_universal_factorization, T, A, f))
+
+
+pool_pair = st.tuples(st.integers(0, 9), st.integers(0, 9))
+target = st.integers(0, 7)          # an index into corpus(<=3)
+
+
+class TestCheckOracles:
+    """The generator-based checks against the all-pairs balanced check and
+    the box-vector factorization, on corpus(<=3) + {Z/4, Sat4}."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool_pair, target, st.data())
+    def test_random_maps_with_zero_row_and_column(self, pair, k, data):
+        (i, j), A = pair, pool()[k]
+        M, N = pool()[i], pool()[j]
+        cell = st.integers(0, A.size - 1)
+        f = [[0] * N.size] + [[0] + [data.draw(cell) for _ in range(1, N.size)]
+                              for _ in range(1, M.size)]
+        assert_checks_agree(i, j, A, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pool_pair, st.data())
+    def test_perturbed_tensor_maps(self, pair, data):
+        T = pool_tensor(*pair)
+        M, N, A = T.source_m, T.source_n, T.monoid
+        f = [list(row) for row in T.bilinear]
+        for _ in range(data.draw(st.integers(1, 2))):
+            m, n = data.draw(st.integers(0, M.size - 1)), data.draw(st.integers(0, N.size - 1))
+            f[m][n] = data.draw(st.integers(0, A.size - 1))
+        assert_checks_agree(*pair, A, f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(pool_pair, target)
+    def test_every_enumerated_balanced_map(self, pair, k):
+        (i, j), A = pair, pool()[k]
+        M, N = pool()[i], pool()[j]
+        cells = [(m, n) for m in range(1, M.size) for n in range(1, N.size)]
+        assume(A.size ** len(cells) <= 729)
+        space = []
+        for values in product(range(A.size), repeat=len(cells)):
+            f = [[0] * N.size for _ in range(M.size)]
+            for (m, n), v in zip(cells, values):
+                f[m][n] = v
+            space.append(tuple(map(tuple, f)))
+        maps = enumerate_balanced_maps(M, N, A)
+        assert maps == [f for f in space if all_pairs_balanced_check(M, N, A, f)[0]]
+        for f in maps:
+            assert_checks_agree(i, j, A, f)
 
 
 class TestInducedMaps:
