@@ -10,8 +10,9 @@ rows also give the range check, since `bytes()` rejects entries outside
 validated monoid keeps X as `gens`, and builds a `Presentation` over it on
 first use; congruences and tensor products work over X instead of over
 every element.  A validated monoid doubles as a module over the
-nonnegative integers via the repeated-addition action, which is cached
-per element as an eventually-periodic orbit.
+nonnegative integers via the repeated-addition action: `scalar` computes
+k*m by doubling, and `orbit` walks m, 2m, ... when asked, so a monoid
+keeps nothing but its table, labels and generating set.
 """
 
 from __future__ import annotations
@@ -125,17 +126,10 @@ class FiniteCommMonoid:
     labels: Optional[tuple[str, ...]] = None
     # the greedy generating set X that validate_monoid ran Light's test over
     gens: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    # powers[m] = (0, m, 2m, ..., (i+p)m); computed at validation time
-    _powers: tuple[tuple[int, ...], ...] = field(default=(), compare=False, repr=False)
-    _orbits: tuple[Orbit, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if not self.gens and self.size > 1:
             object.__setattr__(self, "gens", tuple(_generating_set(self.add)))
-        if not self._powers:
-            powers, orbits = _orbit_tables(self.size, self.add)
-            object.__setattr__(self, "_powers", powers)
-            object.__setattr__(self, "_orbits", orbits)
 
     @cached_property
     def presentation(self) -> Presentation:
@@ -160,49 +154,35 @@ class FiniteCommMonoid:
         return str(m)
 
     def orbit(self, m: int) -> Orbit:
+        """The orbit of m, by walking m, 2m, ... along row m to the first repeat."""
         if not 0 <= m < self.size:
             raise OutOfRange(f"element {m} out of range")
-        return self._orbits[m]
+        row = self.add[m]
+        first = {}                 # k*m -> k
+        cur, k = m, 1
+        while cur not in first:
+            first[cur] = k
+            cur, k = row[cur], k + 1
+        return Orbit(first[cur], k - first[cur])
 
     def scalar(self, k: int, m: int) -> int:
-        """k*m = m + ... + m (k times), via the cached orbit."""
+        """k*m = m + ... + m (k times), by doubling: O(log k) table reads."""
         if not 0 <= m < self.size:
             raise OutOfRange(f"element {m} out of range")
         if k < 0:
             raise OutOfRange("scalar must be nonnegative")
-        orb = self._orbits[m]
-        top = orb.index + orb.period
-        if k < top:
-            return self._powers[m][k]
-        return self._powers[m][orb.index + (k - orb.index) % orb.period]
+        add, acc = self.add, 0
+        while k:
+            if k & 1:
+                acc = add[acc][m]
+            m, k = add[m][m], k >> 1
+        return acc
 
     def is_submonoid(self, subset: Iterable[int]) -> bool:
         s = set(subset)
         if 0 not in s:
             return False
         return all(self.add[a][b] in s for a in s for b in s)
-
-
-def _orbit_tables(size, add):
-    powers = []
-    orbits = []
-    for m in range(size):
-        seq = [0]  # 0*m
-        seen: dict[int, int] = {}
-        cur = 0
-        k = 0
-        while True:
-            k += 1
-            cur = add[cur][m]
-            if cur in seen:
-                i = seen[cur]
-                p = k - i
-                break
-            seen[cur] = k
-            seq.append(cur)
-        powers.append(tuple(seq))
-        orbits.append(Orbit(i, p))
-    return tuple(powers), tuple(orbits)
 
 
 def _generating_set(table: Sequence[Sequence[int]]) -> list[int]:
@@ -471,10 +451,16 @@ def submonoid_generated(M: FiniteCommMonoid, subset: Iterable[int]) -> tuple[int
     return tuple(sorted(closed))
 
 
-def all_submonoids(M: FiniteCommMonoid) -> list[tuple[int, ...]]:
-    """All submonoids of a small monoid, by closing every subset."""
+def all_submonoids(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
+    """All submonoids of a small monoid, by closing every subset.
+
+    Raises `BudgetExceeded` before closing any subset when the 2^(n-1)
+    subsets of the nonzero elements exceed the budget.
+    """
     found = set()
     nonzero = [m for m in M.elements() if m != 0]
+    if 1 << len(nonzero) > budget:
+        raise BudgetExceeded(f"2^{len(nonzero)} subsets exceed budget {budget}")
     for mask in range(1 << len(nonzero)):
         gens = [nonzero[i] for i in range(len(nonzero)) if mask >> i & 1]
         found.add(submonoid_generated(M, gens))
@@ -556,13 +542,15 @@ def direct_summand_analysis(N: FiniteCommMonoid, M: Sequence[int],
     """Search for a complement, a retraction, and an idempotent with image M.
 
     The three searches are independent; any of them may succeed alone.
+    Each honours the budget: the complement search over `all_submonoids`
+    and the two over `enumerate_homs`.
     """
     M = tuple(sorted(M))
     if not N.is_submonoid(M):
         raise NotASubmonoid(f"{M} is not a submonoid")
 
     complement = None
-    for S in all_submonoids(N):
+    for S in all_submonoids(N, budget):
         verdict = internal_direct_sum_check(N, [M, S])
         if verdict.is_internal_direct_sum:
             complement = S
@@ -622,17 +610,19 @@ class NatVec:
 
 def free_universal_map(X: Sequence, f: Mapping, M: FiniteCommMonoid) -> Callable[[NatVec], int]:
     """The unique additive map from free vectors over X into M extending f."""
-    X = list(X)
     for x in X:
-        if not 0 <= f[x] < M.size:
+        if x not in f:
+            raise OutOfRange(f"f has no value at {x!r}")
+        if type(f[x]) is not int or not 0 <= f[x] < M.size:
             raise OutOfRange(f"f({x!r}) out of range")
+    fx = {x: f[x] for x in X}              # f restricted to X
 
     def g(vec: NatVec) -> int:
         acc = 0
         for x, k in vec.coords:
-            if x not in f:
+            if x not in fx:
                 raise OutOfRange(f"unknown label {x!r}")
-            acc = M.add[acc][M.scalar(k, f[x])]
+            acc = M.add[acc][M.scalar(k, fx[x])]
         return acc
 
     return g

@@ -104,8 +104,7 @@ def _presentation(M: FiniteCommMonoid, N: FiniteCommMonoid) -> PresentedCommMono
     PM, PN = M.presentation, N.presentation
     gens = tuple(product(PM.gens, PN.gens))
     rules = []
-    for m, n in gens:
-        om, on = M.orbit(m), N.orbit(n)
+    for om, on in product([M.orbit(x) for x in PM.gens], [N.orbit(y) for y in PN.gens]):
         # the smaller wrap bound gives the smaller sound box
         if om.index + om.period <= on.index + on.period:
             rules.append((om.index, om.period))

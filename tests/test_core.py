@@ -1,6 +1,12 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from semimod import core
 from semimod.core import (
+    BudgetExceeded,
     NatVec,
     NotAdditive,
     NotAssociative,
@@ -8,6 +14,7 @@ from semimod.core import (
     NotIdentity,
     Orbit,
     OutOfRange,
+    SemimodError,
     all_submonoids,
     biproduct,
     cyclic_group,
@@ -27,6 +34,8 @@ from semimod.core import (
     zero_hom,
 )
 from semimod.natcoeq import CyclicMonoid
+
+from test_validation import commutative_tables, family_table, relabel
 
 M4_TABLE = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]]  # {0,1A,1B,2B}
 C42 = CyclicMonoid(4, 2).to_monoid()
@@ -121,6 +130,68 @@ class TestOrbit:
                 # no earlier repetition
                 seen = powers[1:o.index + o.period]
                 assert len(set(seen)) == len(seen)
+
+
+def orbit_tables(size, add):
+    """Reference orbits: every element's multiples, walked one addition at a time.
+
+    powers[m] = (0, m, 2m, ..., (i+p-1)m) and orbits[m] = Orbit(i, p).
+    """
+    powers = []
+    orbits = []
+    for m in range(size):
+        seq = [0]  # 0*m
+        seen: dict[int, int] = {}
+        cur = 0
+        k = 0
+        while True:
+            k += 1
+            cur = add[cur][m]
+            if cur in seen:
+                i = seen[cur]
+                p = k - i
+                break
+            seen[cur] = k
+            seq.append(cur)
+        powers.append(tuple(seq))
+        orbits.append(Orbit(i, p))
+    return tuple(powers), tuple(orbits)
+
+
+def table_scalar(powers, orbits, k, m):
+    """k*m read from the reference tables, wrapping k into the orbit."""
+    o = orbits[m]
+    if k < o.index + o.period:
+        return powers[m][k]
+    return powers[m][o.index + (k - o.index) % o.period]
+
+
+def _validated(table):
+    try:
+        return validate_monoid(table)
+    except SemimodError:
+        return None
+
+
+def relabelled_family_monoid(family, n, seed):
+    rest = list(range(1, n))
+    random.Random(seed).shuffle(rest)
+    return validate_monoid(relabel(family_table(family, n), [0, *rest]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(commutative_tables().map(_validated).filter(lambda M: M is not None),
+                 st.builds(relabelled_family_monoid, st.sampled_from(["Z", "Sat", "C"]),
+                           st.integers(2, 40), st.integers(0, 2**32)),
+                 st.sampled_from(small_monoid_corpus(4))))
+@example(relabelled_family_monoid("C", 260, 5))     # C(86, 174): above the byte-row cutoff
+def test_orbit_and_scalar_match_orbit_tables(M):
+    powers, orbits = orbit_tables(M.size, M.add)
+    for m in M.elements():
+        o = orbits[m]
+        assert M.orbit(m) == o
+        for k in [*range(3 * (o.index + o.period) + 1), 10**18]:
+            assert M.scalar(k, m) == table_scalar(powers, orbits, k, m)
 
 
 class TestHoms:
@@ -261,11 +332,44 @@ class TestDirectSummand:
         a = direct_summand_analysis(N, (0,))
         assert a.complement == tuple(N.elements())
 
+    @staticmethod
+    def forbid_closures(monkeypatch):
+        def closed(*args):
+            raise AssertionError("a subset was closed")
+
+        monkeypatch.setattr(core, "submonoid_generated", closed)
+
+    def test_complement_search_honours_the_budget(self, monkeypatch):
+        self.forbid_closures(monkeypatch)
+        with pytest.raises(BudgetExceeded):
+            direct_summand_analysis(saturating_monoid(22), (0, 1), budget=1000)
+
+    def test_all_submonoids_budget_boundary(self, monkeypatch):
+        M = saturating_monoid(4)               # 2^3 subsets of the nonzero elements
+        assert all_submonoids(M, budget=8) == all_submonoids(M)
+        self.forbid_closures(monkeypatch)
+        with pytest.raises(BudgetExceeded):
+            all_submonoids(M, budget=7)
+
 
 class TestFreeVectors:
     def test_empty_vector(self):
         g = free_universal_map(["x"], {"x": 1}, cyclic_group(3))
         assert g(NatVec.zero()) == 0
+
+    def test_label_of_x_without_a_value(self):
+        with pytest.raises(OutOfRange, match="f has no value at 'y'"):
+            free_universal_map(["x", "y"], {"x": 1}, cyclic_group(3))
+
+    def test_value_outside_m(self):
+        for bad in (3, -1, "a", 1.0):
+            with pytest.raises(OutOfRange, match=r"f\('x'\) out of range"):
+                free_universal_map(["x"], {"x": bad}, cyclic_group(3))
+
+    def test_label_outside_x(self):
+        g = free_universal_map(["x"], {"x": 1, "z": 2}, cyclic_group(3))
+        with pytest.raises(OutOfRange, match="unknown label 'z'"):
+            g(NatVec.of({"z": 1}))
 
     def test_scalar_consistency(self):
         M = saturating_monoid(4)
