@@ -8,11 +8,11 @@ on byte rows, where `bytes.translate` composes a whole row at C speed; the
 rows also give the range check, since `bytes()` rejects entries outside
 [0, 256).  Larger tables use tuple rows gathered by `itemgetter`.  The
 validated monoid keeps X as `gens`, and builds a `Presentation` over it on
-first use; congruences and tensor products work over X instead of over
-every element.  A validated monoid doubles as a module over the
-nonnegative integers via the repeated-addition action: `scalar` computes
-k*m by doubling, and `orbit` walks m, 2m, ... when asked, so a monoid
-keeps nothing but its table, labels and generating set.
+first use; congruences, tensor products and homs work over X instead of
+over every element (a hom is its images of X).  A validated monoid doubles
+as a module over the nonnegative integers via the repeated-addition action:
+`scalar` computes k*m by doubling, and `orbit` walks m, 2m, ... when asked,
+so a monoid keeps nothing but its table, labels and generating set.
 """
 
 from __future__ import annotations
@@ -93,18 +93,24 @@ class Presentation:
     every edge outside that spanning tree gives one relation
     nf(e) + x = nf(e + x) (Froidure-Pin 1997).  The relations generate
     every relation between words: any word reduces to a normal form along
-    tree edges and relations, one letter at a time.
+    tree edges and relations, one letter at a time.  As element triples
+    (e, j, t), t = e + x_j, `tree` keeps each t's first edge and `edges` the
+    edge of each relation.  Letters never decrease along a tree path: if
+    e = p + x_i and j < i, the walk visits p + x_j before e, and reaches
+    e + x_j from there.
     """
 
     gens: tuple[int, ...]
     normal_forms: tuple[tuple[int, ...], ...]         # element -> word
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    tree: tuple[tuple[int, int, int], ...]
+    edges: tuple[tuple[int, int, int], ...]
 
 
 def _present(add: Sequence[Sequence[int]], gens: Sequence[int]) -> Presentation:
     nf: list[Optional[tuple[int, ...]]] = [None] * len(add)
     nf[0] = (0,) * len(gens)
-    relations = []
+    relations, tree, edges = [], [], []
     order = [0]
     for e in order:                      # grows as the walk reaches new elements
         w = nf[e]
@@ -114,9 +120,11 @@ def _present(add: Sequence[Sequence[int]], gens: Sequence[int]) -> Presentation:
             if nf[t] is None:
                 nf[t] = wx
                 order.append(t)
+                tree.append((e, j, t))
             else:
                 relations.append((wx, nf[t]))
-    return Presentation(tuple(gens), tuple(nf), tuple(relations))
+                edges.append((e, j, t))
+    return Presentation(tuple(gens), tuple(nf), tuple(relations), tuple(tree), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -339,19 +347,34 @@ class MonoidHom:
         return self.is_injective() and self.is_surjective()
 
 
+def _additivity_failure(M: FiniteCommMonoid, N: FiniteCommMonoid,
+                        image: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first (a, x), x in M.gens, with f(a + x) != f(a) + f(x), or None; if
+    f(0) = 0, None means f is additive (induct on a word, as in Light's test)."""
+    for x in M.gens:
+        fx = image[x]
+        for a, ax in enumerate(M.add[x]):
+            if image[ax] != N.add[image[a]][fx]:
+                return a, x
+    return None
+
+
 def hom_check(M: FiniteCommMonoid, N: FiniteCommMonoid,
               image: Sequence[int]) -> MonoidHom:
+    """The hom M -> N with this image table: |M| ints in [0, |N|), f(0) = 0, and
+    additive against M.gens, O(n|X|); `NotAdditive` names the failing (a, x)."""
+    if not isinstance(image, Sequence):
+        raise OutOfRange(f"image must be a sequence, not {type(image).__name__}")
     if len(image) != M.size:
         raise OutOfRange("image table length mismatch")
     for v in image:
-        if not 0 <= v < N.size:
-            raise OutOfRange(f"image value {v} out of range")
+        if type(v) is not int or not 0 <= v < N.size:
+            raise OutOfRange(f"image value {v!r} is not an integer in [0, {N.size})")
     if image[0] != 0:
         raise IdentityNotPreserved("f(0) != 0")
-    for a in range(M.size):
-        for b in range(a, M.size):
-            if image[M.add[a][b]] != N.add[image[a]][image[b]]:
-                raise NotAdditive(a, b)
+    bad = _additivity_failure(M, N, image)
+    if bad is not None:
+        raise NotAdditive(*bad)
     return MonoidHom(M, N, tuple(image))
 
 
@@ -367,41 +390,46 @@ def enumerate_homs(M: FiniteCommMonoid, N: FiniteCommMonoid,
                    budget: int = DEFAULT_BUDGET) -> list[MonoidHom]:
     """All homomorphisms M -> N, lexicographically ordered by image table.
 
-    Backtracking over images of 1..size-1 with incremental additivity checks.
+    Backtracks over the images of X = M.gens in order.  Once x_j has one,
+    each element whose normal form ends in letter j gets its image along
+    its tree edge, and each relation edge with all three ends now imaged
+    is checked.  That covers every Cayley edge, enough as in `hom_check`.
+    Greedy X makes each other element a sum of generators below it, so the
+    order is lexicographic.  The budget counts generator images tried.
     """
-    n = M.size
-    image = [0] * n
+    P = M.presentation
+    k = len(P.gens)
+    last = [-1] * M.size                 # element -> letter of its tree edge
+    define = [[] for _ in range(k)]      # j -> tree edges (e, t) of letter j
+    check = [[] for _ in range(k)]       # j -> relation edges (e, x, t) imaged at j
+    for e, j, t in P.tree:
+        last[t] = j
+        define[j].append((e, t))
+    for e, j, t in P.edges:
+        check[max(last[e], j, last[t])].append((e, P.gens[j], t))
+    nadd = N.add
+    image = [0] * M.size
     out: list[MonoidHom] = []
     spent = 0
 
-    def consistent(k: int) -> bool:
-        # check all sums involving element k against already-assigned elements
-        for a in range(k + 1):
-            s = M.add[a][k]
-            if s <= k and image[s] != N.add[image[a]][image[k]]:
-                return False
-        # sums of smaller elements landing on k
-        for a in range(k):
-            for b in range(a, k):
-                if M.add[a][b] == k and image[k] != N.add[image[a]][image[b]]:
-                    return False
-        return True
-
-    def rec(k: int):
+    def rec(j: int):
         nonlocal spent
-        if k == n:
+        if j == k:
             out.append(MonoidHom(M, N, tuple(image)))
             return
         for v in range(N.size):
             spent += 1
             if spent > budget:
                 raise BudgetExceeded("hom enumeration budget exhausted")
-            image[k] = v
-            if consistent(k):
-                rec(k + 1)
-        image[k] = 0
+            for e, t in define[j]:
+                image[t] = nadd[image[e]][v]
+            for e, x, t in check[j]:
+                if nadd[image[e]][image[x]] != image[t]:
+                    break
+            else:
+                rec(j + 1)
 
-    rec(1) if n > 1 else out.append(MonoidHom(M, N, (0,)))
+    rec(0)
     return out
 
 
@@ -510,24 +538,14 @@ def internal_direct_sum_check(M: FiniteCommMonoid,
 
     sum_is_all = all(decomps[m] for m in M.elements())
 
-    independent = True
-    for i in range(len(subs)):
-        rest = submonoid_generated(M, [m for j, s in enumerate(subs) if j != i for m in s])
-        if set(subs[i]) & set(rest) != {0}:
-            independent = False
-    for combo in decomps[0]:
-        if any(c != 0 for c in combo):
-            independent = False
+    # each subset meets the submonoid the others generate in 0 alone, and 0
+    # has only the zero decomposition
+    independent = decomps[0] == [(0,) * len(subs)] and all(
+        set(s) & set(submonoid_generated(M, chain(*subs[:i], *subs[i + 1:]))) == {0}
+        for i, s in enumerate(subs))
 
-    unique = True
-    witness = None
-    for m in M.elements():
-        if len(decomps[m]) > 1:
-            unique = False
-            witness = (decomps[m][0], decomps[m][1])
-            break
-
-    return DirectSumVerdict(sum_is_all, independent, unique, witness)
+    witness = next(((d[0], d[1]) for d in decomps.values() if len(d) > 1), None)
+    return DirectSumVerdict(sum_is_all, independent, witness is None, witness)
 
 
 @dataclass(frozen=True)
@@ -549,27 +567,13 @@ def direct_summand_analysis(N: FiniteCommMonoid, M: Sequence[int],
     if not N.is_submonoid(M):
         raise NotASubmonoid(f"{M} is not a submonoid")
 
-    complement = None
-    for S in all_submonoids(N, budget):
-        verdict = internal_direct_sum_check(N, [M, S])
-        if verdict.is_internal_direct_sum:
-            complement = S
-            break
-
-    Msub, incl = sub_as_monoid(N, M)
-    pos = {m: i for i, m in enumerate(M)}
-    retraction = None
-    for h in enumerate_homs(N, Msub, budget):
-        if all(h.image[m] == pos[m] for m in M):
-            retraction = h
-            break
-
-    idempotent = None
-    for h in enumerate_homs(N, N, budget):
-        if set(h.image) == set(M) and all(h.image[h.image[x]] == h.image[x] for x in N.elements()):
-            idempotent = h
-            break
-
+    complement = next((S for S in all_submonoids(N, budget)
+                       if internal_direct_sum_check(N, [M, S]).is_internal_direct_sum), None)
+    Msub, _ = sub_as_monoid(N, M)
+    retraction = next((h for h in enumerate_homs(N, Msub, budget)
+                       if all(h.image[m] == i for i, m in enumerate(M))), None)
+    idempotent = next((h for h in enumerate_homs(N, N, budget) if set(h.image) == set(M)
+                       and all(h.image[v] == v for v in h.image)), None)
     return SummandAnalysis(complement, retraction, idempotent)
 
 

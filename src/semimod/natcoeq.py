@@ -58,7 +58,8 @@ class CyclicMonoid:
 
     def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
         size = self.size
-        table = [[self.project(a + b) for b in range(size)] for a in range(size)]
+        seq = [self.project(s) for s in range(2 * size - 1)]   # row a is seq[a:a + size]
+        table = [seq[a:a + size] for a in range(size)]
         labs = tuple(f"{k}̄" for k in range(size)) if labels else None
         return validate_monoid(table, labs)
 

@@ -35,6 +35,7 @@ from .core import (
     MonoidHom,
     OutOfRange,
     SemimodError,
+    _additivity_failure,
     _out_of_range,
     enumerate_homs,
     validate_monoid,
@@ -267,11 +268,9 @@ def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
     image = [evaluate(rep) for rep in T.reps]
     if image[0] != 0:
         raise WellDefinednessFailure(f"g(0) = {image[0]}, not 0")
-    for x in T.monoid.gens:
-        gx = image[x]
-        for a, ax in enumerate(T.monoid.add[x]):
-            if image[ax] != A.add[image[a]][gx]:
-                raise WellDefinednessFailure(f"g({a} + {x}) != g({a}) + g({x})")
+    bad = _additivity_failure(T.monoid, A, image)
+    if bad is not None:
+        raise WellDefinednessFailure("g({0} + {1}) != g({0}) + g({1})".format(*bad))
     g = MonoidHom(T.monoid, A, tuple(image))
     for m in range(M.size):
         for n in range(N.size):
@@ -414,13 +413,8 @@ def hom_monoid(M: FiniteCommMonoid, N: FiniteCommMonoid,
     """Hom(M, N) as a monoid under pointwise addition; element 0 is the zero map."""
     homs = enumerate_homs(M, N, budget)
     pos = {h.image: i for i, h in enumerate(homs)}
-    table = []
-    for h in homs:
-        row = []
-        for h2 in homs:
-            s = tuple(N.add[h.image[m]][h2.image[m]] for m in M.elements())
-            row.append(pos[s])
-        table.append(row)
+    table = [[pos[tuple(N.add[a][b] for a, b in zip(h.image, h2.image))] for h2 in homs]
+             for h in homs]
     return validate_monoid(table), homs
 
 

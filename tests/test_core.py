@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from semimod import core
 from semimod.core import (
     BudgetExceeded,
+    IdentityNotPreserved,
     NatVec,
     NotAdditive,
     NotAssociative,
@@ -229,6 +232,145 @@ class TestHoms:
     def test_lexicographic_order(self):
         homs = enumerate_homs(cyclic_group(2), cyclic_group(2))
         assert [h.image for h in homs] == sorted(h.image for h in homs)
+
+    @pytest.mark.parametrize("image, message", [
+        ([0, 1.0], "image value 1.0 is not an integer in [0, 2)"),
+        ([0, "1"], "image value '1' is not an integer in [0, 2)"),
+        ([0, None], "image value None is not an integer in [0, 2)"),
+        ([0, True], "image value True is not an integer in [0, 2)"),
+        ([0, 2], "image value 2 is not an integer in [0, 2)"),
+        ([0, -1], "image value -1 is not an integer in [0, 2)"),
+        (5, "image must be a sequence, not int"),
+        ({0: 0, 1: 1}, "image must be a sequence, not dict"),
+    ])
+    def test_hom_check_refuses_malformed_images(self, image, message):
+        Z2 = cyclic_group(2)
+        with pytest.raises(OutOfRange) as e:
+            hom_check(Z2, Z2, image)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("image", [range(2), (0, 1), [0, 1]])
+    def test_hom_check_accepts_sequences(self, image):
+        Z2 = cyclic_group(2)
+        assert hom_check(Z2, Z2, image).image == (0, 1)
+
+    def test_not_additive_names_a_generator(self):
+        # Z/4 is generated by 1, and 1 + 1 is the first sum the identity map
+        # into Sat4 gets wrong
+        with pytest.raises(NotAdditive) as e:
+            hom_check(cyclic_group(4), saturating_monoid(4), [0, 1, 2, 3])
+        assert e.value.witness == (1, 1)
+
+    def test_cyclic_group_counts(self):
+        for m in range(1, 13):
+            for n in range(1, 13):
+                assert len(enumerate_homs(cyclic_group(m), cyclic_group(n))) == gcd(m, n)
+
+    def test_chain_counts(self):
+        # homs Sat_m -> Sat_n are the monotone maps of 1..m-1 into 0..n-1
+        for m in range(1, 7):
+            for n in range(1, 7):
+                homs = enumerate_homs(saturating_monoid(m), saturating_monoid(n))
+                assert len(homs) == comb(m + n - 2, m - 1)
+
+    def test_z24_into_z24_times_z4(self):
+        Z24 = cyclic_group(24)
+        assert len(enumerate_homs(Z24, biproduct(Z24, cyclic_group(4)).monoid)) == 96
+
+    def test_budget_counts_generator_images(self):
+        Z12 = cyclic_group(12)
+        assert len(enumerate_homs(Z12, Z12, budget=12)) == 12
+        with pytest.raises(BudgetExceeded, match="^hom enumeration budget exhausted$"):
+            enumerate_homs(Z12, Z12, budget=11)
+
+
+def enumerate_homs_oracle(M, N):
+    """Image tables of all homs M -> N, lexicographically: the backtracking
+    over every element that `enumerate_homs` replaced.  The image of k is
+    tested against every sum of elements up to k."""
+    n = M.size
+    image = [0] * n
+    out = []
+
+    def consistent(k):
+        for a in range(k + 1):
+            s = M.add[a][k]
+            if s <= k and image[s] != N.add[image[a]][image[k]]:
+                return False
+        for a in range(k):
+            for b in range(a, k):
+                if M.add[a][b] == k and image[k] != N.add[image[a]][image[b]]:
+                    return False
+        return True
+
+    def rec(k):
+        if k == n:
+            out.append(tuple(image))
+            return
+        for v in range(N.size):
+            image[k] = v
+            if consistent(k):
+                rec(k + 1)
+        image[k] = 0
+
+    rec(1) if n > 1 else out.append((0,))
+    return out
+
+
+def hom_check_oracle(M, N, image):
+    """The all-pairs verdict that `hom_check` replaced: None for a hom, else
+    the class of the failure."""
+    if image[0] != 0:
+        return IdentityNotPreserved
+    for a in range(M.size):
+        for b in range(a, M.size):
+            if image[M.add[a][b]] != N.add[image[a]][image[b]]:
+                return NotAdditive
+    return None
+
+
+def hom_sources():
+    return st.one_of(
+        st.sampled_from(small_monoid_corpus(3)),
+        commutative_tables().map(_validated).filter(lambda M: M is not None),
+        st.builds(relabelled_family_monoid, st.sampled_from(["Z", "Sat", "C"]),
+                  st.integers(2, 8), st.integers(0, 2**32)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hom_sources(), hom_sources(), st.integers(0, 2**32))
+def test_homs_match_the_all_element_oracles(M, N, seed):
+    P = M.presentation
+    # tree and relation edges are every Cayley edge once, and letters never
+    # decrease along a tree path
+    assert sorted((e, j) for e, j, _ in P.tree + P.edges) == sorted(
+        product(range(M.size), range(len(P.gens))))
+    last = {0: -1}
+    for e, j, t in P.tree:
+        assert M.add[e][P.gens[j]] == t and last[e] <= j
+        last[t] = j
+
+    homs = [h.image for h in enumerate_homs(M, N)]
+    assert homs == enumerate_homs_oracle(M, N)
+
+    rng = random.Random(seed)
+    images = [[rng.randrange(N.size) if m or rng.random() < 0.2 else 0 for m in range(M.size)]
+              for _ in range(8)]
+    for h in rng.sample(homs, min(len(homs), 8)):       # a hom with one cell perturbed
+        image = list(h)
+        image[rng.randrange(M.size)] = rng.randrange(N.size)
+        images.append(image)
+    for image in images + homs:
+        want = hom_check_oracle(M, N, image)
+        try:
+            f = hom_check(M, N, image)
+        except (IdentityNotPreserved, NotAdditive) as exc:
+            assert type(exc) is want
+            if want is NotAdditive:
+                a, x = exc.witness
+                assert x in M.gens and image[M.add[a][x]] != N.add[image[a]][image[x]]
+        else:
+            assert want is None and f.image == tuple(image)
 
 
 class TestBiproduct:

@@ -33,6 +33,16 @@ class TestCyclicMonoid:
         M = CyclicMonoid(0, 3).to_monoid(labels=False)
         assert [list(r) for r in M.add] == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
+    def test_table_matches_pairwise_projection(self):
+        # the n^2 projections that the row slices replaced
+        for i in range(21):
+            for p in range(1, 21):
+                c = CyclicMonoid(i, p)
+                table = [[c.project(a + b) for b in range(c.size)] for a in range(c.size)]
+                M = c.to_monoid()
+                assert [list(r) for r in M.add] == table
+                assert M.labels == tuple(f"{k}\u0304" for k in range(c.size))
+
     def test_projection_is_additive(self):
         c = CyclicMonoid(3, 4)
         for a in range(30):
