@@ -26,6 +26,7 @@ from .core import (
     NotASubmonoid,
     SemimodError,
     biproduct,
+    sub_as_monoid,
     validate_monoid,
 )
 
@@ -93,11 +94,12 @@ class Congruence:
         return True
 
     def contains(self, other: "Congruence") -> bool:
-        """Every class of `other` lies inside a class of self."""
-        return all(self.same(a, b)
-                   for a in self.carrier.elements()
-                   for b in self.carrier.elements()
-                   if other.same(a, b))
+        """Every class of `other` lies inside a class of self.
+
+        Each a is compared with other.rep[a], a member of its class in
+        `other`: if every a is self-related to it, so are any two members.
+        """
+        return all(self.rep[a] == self.rep[other.rep[a]] for a in self.carrier.elements())
 
     def to_json(self) -> dict:
         return {"classes": self.classes()}
@@ -164,12 +166,15 @@ def kernel_congruence(f: MonoidHom) -> Congruence:
 
 
 def factor_through(f: MonoidHom, C: Congruence) -> MonoidHom:
-    """The unique map on the quotient with f = f' o nu; fails loudly otherwise."""
+    """The unique map on the quotient with f = f' o nu; fails loudly otherwise.
+
+    f is constant on each class when it agrees on every a with the class's
+    representative rep[a]; a failure names (rep[a], a).
+    """
     M = f.source
-    for a in M.elements():
-        for b in M.elements():
-            if C.same(a, b) and f.image[a] != f.image[b]:
-                raise HypothesisFails(a, b)
+    for a, r in enumerate(C.rep):
+        if f.image[a] != f.image[r]:
+            raise HypothesisFails(r, a)
     Q, nu = quotient(M, C)
     reps = sorted(set(C.rep))
     return MonoidHom(Q, f.target, tuple(f.image[r] for r in reps))
@@ -259,11 +264,9 @@ class KernelPair:
 def kernel_pair_of_congruence(C: Congruence) -> KernelPair:
     M = C.carrier
     bp = biproduct(M, M)
-    members = tuple(bp.pair(a, b) for a in M.elements() for b in M.elements()
-                    if C.same(a, b))
-    pos = {x: i for i, x in enumerate(members)}
-    table = [[pos[bp.monoid.add[a][b]] for b in members] for a in members]
-    Rel = validate_monoid(table)
+    Rel, incl = sub_as_monoid(bp.monoid, [bp.pair(a, b) for a in M.elements()
+                                          for b in M.elements() if C.same(a, b)])
+    members = incl.image
     p1 = MonoidHom(Rel, M, tuple(bp.unpair(x)[0] for x in members))
     p2 = MonoidHom(Rel, M, tuple(bp.unpair(x)[1] for x in members))
     return KernelPair(Rel, members, p1, p2, bp)

@@ -1,24 +1,26 @@
 """Tensor products of finite commutative monoids.
 
-The tensor of M and N is built as a finitely presented commutative monoid
-over the kept generating sets X of M and Y of N (`FiniteCommMonoid.gens`):
-M (x) N = F(X x Y)/R, with one generator x (x) y per pair, the relations of
-M's presentation tensored with each y and those of N's with each x (right
-exactness), and a per-generator reduction rule taken from the shorter of
-the orbits of x and y.  Every exponent vector reduces into a finite box,
-and the shared `congruence.UnionFind`, saturated over integer codes of the
-box vectors, computes the generated congruence.  The pure tensor m (x) n is
-the class of nf(m) (x) nf(n), whose coordinate (x, y) is nf(m)[x] * nf(n)[y]
-for the normal forms of `core.Presentation`.
+The tensor is built from the paper's other two universal constructions.
+M (x) F(Y) is the coproduct M^Y, and M (x) - preserves the coequalizer
+F(R) => F(Y) -> N that presents N over its kept generating set Y
+(`FiniteCommMonoid.gens`, with the relations of `core.Presentation`).  So
+M (x) N is M^Y modulo the congruence generated by x.s ~ x.t for each
+relation s = t of N and each x in M's generating set X (enough, since
+a -> a.s is additive in a), where a.s is the vector (s_y a)_y.  The shared
+`congruence_closure` and `quotient` compute that coequalizer.  Of M^Y and
+N^X the smaller power is raised (M on a tie), and the bilinear table is
+transposed back when N was.  The pure tensor a (x) b is the class of
+(nf(b)_y a)_y, and each element is the sum of the pure tensors a_y (x) y
+read off the coordinates of its least member.
 
 Both sides of the universal property are checked over generating sets.
 A map f: M x N -> A is balanced when it satisfies the zero laws and is
 additive in each variable against X and Y (a word over X reaches every m,
 as in Light's test); the scalar-exchange law f(rm, n) = f(m, rn) follows
 from biadditivity, as both sides equal r f(m, n).  The factorization g of a
-balanced f is checked to be a hom out of the tensor, additive against its
-own generating set, that agrees with f on pure tensors; since each
-generator x (x) y is a pure tensor, that fixes g on every box vector.
+balanced f sends each element to the sum of f over its pure tensors, and is
+checked to be a hom out of the tensor, additive against its own generating
+set, that agrees with f on pure tensors.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .congruence import UnionFind
+from .congruence import congruence_closure, quotient
 from .core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -53,26 +55,15 @@ class WellDefinednessFailure(SemimodError):
 
 
 @dataclass(frozen=True)
-class PresentedCommMonoid:
-    """Generators with per-coordinate wrap rules plus relation pairs."""
+class PowerPresentation:
+    """The power A^k a tensor is a quotient of, and the pairs that seed it."""
 
-    generators: tuple[tuple[int, int], ...]       # (x, y) generator pairs
-    rules: tuple[tuple[int, int], ...]            # (index, period) per generator
-    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        out = []
-        for v, (i, p) in zip(vec, self.rules):
-            if v >= i + p:
-                v = i + (v - i) % p
-            out.append(v)
-        return tuple(out)
+    power: FiniteCommMonoid
+    seeds: tuple[tuple[int, int], ...]
 
     def box_volume(self) -> int:
-        vol = 1
-        for i, p in self.rules:
-            vol *= i + p
-        return vol
+        """The number of elements the closure runs over: |A|^k."""
+        return self.power.size
 
 
 @dataclass(frozen=True)
@@ -81,113 +72,59 @@ class TensorProduct:
     bilinear: tuple[tuple[int, ...], ...]         # (m, n) -> element of the quotient
     source_m: FiniteCommMonoid
     source_n: FiniteCommMonoid
-    presentation: PresentedCommMonoid
-    classes: tuple[int, ...]                      # element index of each box vector, lex order
-    reps: tuple[tuple[int, ...], ...]             # element index -> lex-least vector
+    presentation: PowerPresentation
+    terms: tuple[tuple[tuple[int, int], ...], ...]    # element -> pure tensors (m, n) summing to it
 
     def pure(self, m: int, n: int) -> int:
         return self.bilinear[m][n]
 
 
-def _outer(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
-    """The word of u (x) v over X x Y: coordinate (x, y) is u[x] * v[y]."""
-    return tuple(a * b for a in u for b in v)
+def _power(A: FiniteCommMonoid, k: int, budget: int) -> FiniteCommMonoid:
+    """A^k, an element coded in radix |A| with the first coordinate most
+    significant; A^1 is A (without its labels).
 
-
-def _presentation(M: FiniteCommMonoid, N: FiniteCommMonoid) -> PresentedCommMonoid:
-    """M (x) N = F(X x Y)/R over the presentations of M and N.
-
-    R holds u (x) y = v (x) y for each relation u = v of M and each y in Y,
-    and x (x) s = x (x) t for each relation s = t of N and each x in X: the
-    tensor is right exact in each variable, and the word of a generator is
-    its unit vector.
+    Raises `BudgetExceeded` before building when the |A|^(2k) cells of the
+    table exceed the budget.
     """
-    PM, PN = M.presentation, N.presentation
-    gens = tuple(product(PM.gens, PN.gens))
-    rules = []
-    for om, on in product([M.orbit(x) for x in PM.gens], [N.orbit(y) for y in PN.gens]):
-        # the smaller wrap bound gives the smaller sound box
-        if om.index + om.period <= on.index + on.period:
-            rules.append((om.index, om.period))
-        else:
-            rules.append((on.index, on.period))
-    xs = [PM.normal_forms[x] for x in PM.gens]
-    ys = [PN.normal_forms[y] for y in PN.gens]
-    relations = [(_outer(u, y), _outer(v, y)) for u, v in PM.relations for y in ys]
-    relations += [(_outer(x, s), _outer(x, t)) for s, t in PN.relations for x in xs]
-    # two commuting non-tree edges of a Cayley graph give one relation twice
-    return PresentedCommMonoid(gens, tuple(rules), tuple(dict.fromkeys(relations)))
+    cells = A.size ** (2 * k)
+    if cells > budget:
+        raise BudgetExceeded(f"power table of {cells} cells exceeds budget {budget}")
+    if k == 1:
+        return FiniteCommMonoid(A.size, A.add, gens=A.gens)
+    n, table = A.size, [[0]]
+    for _ in range(k):
+        table = [[s * n + t for s in ra for t in rb] for ra in table for rb in A.add]
+    return validate_monoid(table)
 
 
 def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
                    budget: int = DEFAULT_BUDGET) -> TensorProduct:
-    """M (x) N on the generators X x Y; m (x) n is the class of nf(m) (x) nf(n)."""
-    pres = _presentation(M, N)
-    T, classes, reps, gen_class = _saturate(pres, budget)
-    # m (x) n is the sum of nf(m)[x] nf(n)[y] (x (x) y), summed over y first
-    nf_m, nf_n = M.presentation.normal_forms, N.presentation.normal_forms
-    ky = len(N.gens)
-    right = [[T.sum(T.scalar(e, gen_class[i * ky + j]) for j, e in enumerate(nf_n[n]))
-              for n in N.elements()] for i in range(len(M.gens))]
-    bil = tuple(tuple(T.sum(T.scalar(e, right[i][n]) for i, e in enumerate(nf_m[m]))
-                      for n in N.elements()) for m in M.elements())
-    out = TensorProduct(T, bil, M, N, pres, classes, reps)
+    """M (x) N as the coequalizer M^Y / <x.s ~ x.t>, or N^X / <y.u ~ y.v>."""
+    swap = N.size ** len(M.gens) < M.size ** len(N.gens)
+    A, B = (N, M) if swap else (M, N)
+    PB = B.presentation
+    k = len(PB.gens)
+    P = _power(A, k, budget)
+    stride = [A.size ** (k - 1 - j) for j in range(k)]
+    # a (x) b in P: along the tree edge e -> e + y_j, a joins coordinate j
+    pure = [[0] * B.size for _ in range(A.size)]
+    for a, row in enumerate(pure):
+        for e, j, t in PB.tree:
+            row[t] = P.add[row[e]][a * stride[j]]
+    # the relation edge e -> t = e + y_j says nf(e) + y_j = nf(t)
+    seeds = tuple((P.add[pure[x][e]][x * stride[j]], pure[x][t])
+                  for x in A.gens for e, j, t in PB.edges)
+    C = congruence_closure(P, seeds)
+    T, nu = quotient(P, C)
+    bil = [[nu.image[c] for c in row] for row in pure]
+    coords = [[(r // s % A.size, y) for s, y in zip(stride, PB.gens)] for r in sorted(set(C.rep))]
+    terms = tuple(tuple((b, a) if swap else (a, b) for a, b in cs if a) for cs in coords)
+    out = TensorProduct(T, tuple(map(tuple, zip(*bil) if swap else bil)), M, N,
+                        PowerPresentation(P, seeds), terms)
     ok, witness = balanced_check(M, N, T, out.bilinear)
     if not ok:
         raise SemimodError(f"internal error: tensor table not balanced at {witness}")
     return out
-
-
-def _saturate(pres: PresentedCommMonoid, budget: int):
-    """The monoid pres presents, by saturating its box.
-
-    Returns the monoid, the class of each box vector in code order, the
-    lex-least vector of each class, and the class of each generator.
-    """
-    k = len(pres.generators)
-    vol = pres.box_volume()
-    if vol > budget:
-        raise BudgetExceeded(f"box volume {vol} exceeds budget {budget}")
-
-    # A box vector is coded in mixed radix i+p, first coordinate most
-    # significant, so code order is lexicographic order.  Adding generator j
-    # steps its digit up by one, or wraps it from i+p-1 back to i.
-    radix = [i + p for i, p in pres.rules]
-    stride = [1] * k
-    for j in range(k - 1, 0, -1):
-        stride[j - 1] = stride[j] * radix[j]
-    wrap = [(1 - p) * s for (_, p), s in zip(pres.rules, stride)]
-
-    def encode(vec) -> int:
-        return sum(v * s for v, s in zip(pres.reduce(vec), stride))
-
-    def step(c: int, j: int) -> int:
-        return c + (wrap[j] if c // stride[j] % radix[j] == radix[j] - 1 else stride[j])
-
-    # UnionFind keeps the smallest code of a class as its root, so the root
-    # is the class's lex-least vector
-    uf = UnionFind(vol)
-    work = [(encode(a), encode(b)) for a, b in pres.relations]
-    while work:
-        a, b = work.pop()
-        if uf.union(a, b):
-            work.extend((step(a, j), step(b, j)) for j in range(k))
-
-    # classes in order of their roots: the zero vector's class comes first
-    cls: list[int] = []
-    roots: list[int] = []
-    for c in range(vol):
-        r = uf.find(c)
-        if r == c:
-            cls.append(len(roots))
-            roots.append(c)
-        else:
-            cls.append(cls[r])
-    reps = tuple(tuple(r // s % d for s, d in zip(stride, radix)) for r in roots)
-
-    table = [[cls[encode([a + b for a, b in zip(u, v)])] for v in reps] for u in reps]
-    # every radix is at least 2, so the unit vector of generator j has code stride[j]
-    return validate_monoid(table), tuple(cls), reps, tuple(cls[s] for s in stride)
 
 
 def _check_map(M: FiniteCommMonoid, N: FiniteCommMonoid, A: FiniteCommMonoid,
@@ -243,29 +180,18 @@ def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
                             f: Sequence[Sequence[int]]) -> MonoidHom:
     """The unique hom g with g(m (x) n) = f(m, n), for a balanced f.
 
-    g sends each element to f evaluated on its representative vector.  It
-    is well defined when it is a hom out of T.monoid that agrees with f on
-    pure tensors: g(0) = 0, g(a + x) = g(a) + g(x) for x in the generating
-    set of T.monoid (enough, by induction on a word, as in Light's test),
-    and g(m (x) n) = f(m, n).  Each generator x (x) y of the presentation
-    is the pure tensor T.bilinear[x][y], so such a g sends every vector v
-    over the presentation's generators to f evaluated on v, which is what
-    checking every vector of the box would establish.
+    g sends each element to the sum of f over its pure tensors
+    (`TensorProduct.terms`).  It is well defined when it is a hom out of
+    T.monoid that agrees with f on pure tensors: g(0) = 0,
+    g(a + x) = g(a) + g(x) for x in the generating set of T.monoid (enough,
+    by induction on a word, as in Light's test), and g(m (x) n) = f(m, n).
+    Pure tensors generate T.monoid, so no other hom agrees with f on them.
     """
     M, N = T.source_m, T.source_n
     ok, witness = balanced_check(M, N, A, f)
     if not ok:
         raise NotBalanced(witness)
-
-    gens = T.presentation.generators
-
-    def evaluate(vec: tuple[int, ...]) -> int:
-        acc = 0
-        for (m, n), mult in zip(gens, vec):
-            acc = A.add[acc][A.scalar(mult, f[m][n])]
-        return acc
-
-    image = [evaluate(rep) for rep in T.reps]
+    image = [A.sum(f[m][n] for m, n in terms) for terms in T.terms]
     if image[0] != 0:
         raise WellDefinednessFailure(f"g(0) = {image[0]}, not 0")
     bad = _additivity_failure(T.monoid, A, image)
@@ -315,35 +241,13 @@ def tensor_with_free(M: FiniteCommMonoid, X: Sequence) -> tuple[FiniteCommMonoid
     Every element decomposes uniquely by coordinates.
     """
     X = list(X)
-    k = len(X)
-    if k == 0:
-        from .core import trivial_monoid
-        T = trivial_monoid()
-        return T, lambda m, x: (_ for _ in ()).throw(SemimodError("empty label set"))
-    size = M.size ** k
-
-    def pack(coords: Sequence[int]) -> int:
-        acc = 0
-        for c in coords:
-            acc = acc * M.size + c
-        return acc
-
-    def unpack(e: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(k):
-            e, c = divmod(e, M.size)
-            out.append(c)
-        return tuple(reversed(out))
-
-    table = [[pack([M.add[a][b] for a, b in zip(unpack(x), unpack(y))])
-              for y in range(size)] for x in range(size)]
-    P = validate_monoid(table)
-    xpos = {x: i for i, x in enumerate(X)}
+    P = _power(M, len(X), DEFAULT_BUDGET)
+    stride = {x: M.size ** (len(X) - 1 - j) for j, x in enumerate(X)}
 
     def pure(m: int, x) -> int:
-        coords = [0] * k
-        coords[xpos[x]] = m
-        return pack(coords)
+        if x not in stride:
+            raise SemimodError(f"{x!r} is not in the label set")
+        return m * stride[x]
 
     return P, pure
 

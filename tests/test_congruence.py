@@ -26,6 +26,7 @@ from semimod.core import (
     DEFAULT_BUDGET,
     SemimodError,
     all_submonoids,
+    biproduct,
     cyclic_group,
     enumerate_homs,
     hom_check,
@@ -61,6 +62,32 @@ def cubic_translation_closed(C) -> bool:
     return all(C.same(M.add[a][w], M.add[b][w])
                for a in M.elements() for b in M.elements() if C.same(a, b)
                for w in M.elements())
+
+
+def all_pairs_contains(C, D) -> bool:
+    """Reference containment: every pair related by D is related by C."""
+    M = C.carrier
+    return all(C.same(a, b) for a in M.elements() for b in M.elements() if D.same(a, b))
+
+
+def all_pairs_separated(f, C):
+    """Reference hypothesis of `factor_through`: the first pair a ~ b with
+    f(a) != f(b), or None when f is constant on every class."""
+    M = f.source
+    for a in M.elements():
+        for b in M.elements():
+            if C.same(a, b) and f.image[a] != f.image[b]:
+                return a, b
+    return None
+
+
+def relation_table(C):
+    """Reference relation monoid of C: its pairs in order, and their table."""
+    bp = biproduct(C.carrier, C.carrier)
+    members = tuple(bp.pair(a, b) for a in C.carrier.elements() for b in C.carrier.elements()
+                    if C.same(a, b))
+    pos = {x: i for i, x in enumerate(members)}
+    return members, tuple(tuple(pos[bp.monoid.add[a][b]] for b in members) for a in members)
 
 
 def coequalizer_universal_probe(f, g, targets, budget=DEFAULT_BUDGET) -> bool:
@@ -255,6 +282,24 @@ class TestFactorThrough:
         with pytest.raises(HypothesisFails):
             factor_through(f, C)
 
+    def test_contains_and_factor_through_against_all_pairs_on_corpus4(self):
+        # factor_through(nu_D, C) holds exactly when C lies inside D
+        for M in small_monoid_corpus(4):
+            congruences = enumerate_congruences(M)
+            for D in congruences:
+                nu = quotient(M, D)[1]
+                for C in congruences:
+                    assert C.contains(D) == all_pairs_contains(C, D)
+                    separated = all_pairs_separated(nu, C)
+                    assert (separated is None) == D.contains(C)
+                    if separated is None:
+                        assert factor_through(nu, C).compose(quotient(M, C)[1]).image == nu.image
+                        continue
+                    with pytest.raises(HypothesisFails) as e:
+                        factor_through(nu, C)
+                    a, b = e.value.witness
+                    assert C.same(a, b) and nu.image[a] != nu.image[b]
+
     def test_homomorphism_theorem_over_all_homs(self):
         for M in small_monoid_corpus(3):
             for N in small_monoid_corpus(3):
@@ -417,6 +462,12 @@ class TestKernelPair:
                 kp = kernel_pair(nu)
                 C2 = chain_congruence(kp.p1, kp.p2)
                 assert C2.rep == C.rep
+
+    def test_relation_monoid_matches_its_table_on_corpus4(self):
+        for M in small_monoid_corpus(4):
+            for C in enumerate_congruences(M):
+                kp = kernel_pair_of_congruence(C)
+                assert (kp.elements, kp.rel.add) == relation_table(C)
 
     def test_congruence_embeds_in_chain_of_projections(self):
         M = saturating_monoid(3)

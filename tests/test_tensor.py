@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import cache
 from itertools import product
 from math import comb, gcd
@@ -8,11 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semimod import tensor
+from semimod.congruence import UnionFind
 from semimod.core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     MonoidHom,
     OutOfRange,
+    SemimodError,
+    biproduct,
     cyclic_group,
     enumerate_homs,
     hom_check,
@@ -26,7 +29,6 @@ from semimod.core import (
 from semimod.natcoeq import CyclicMonoid
 from semimod.tensor import (
     NotBalanced,
-    PresentedCommMonoid,
     TensorProduct,
     WellDefinednessFailure,
     balanced_check,
@@ -47,17 +49,74 @@ SAT2 = saturating_monoid(2)
 SAT3 = saturating_monoid(3)
 
 
-def all_pairs_presentation(M, N) -> PresentedCommMonoid:
-    """Reference presentation: one generator m (x) n per pair of nonzero
-    elements, and every biadditivity relation between them."""
-    gens = tuple((m, n) for m in range(1, M.size) for n in range(1, N.size))
+@dataclass(frozen=True)
+class PresentedCommMonoid:
+    """Generators with per-coordinate wrap rules plus relation pairs."""
+
+    generators: tuple[tuple[int, int], ...]       # (x, y) generator pairs
+    rules: tuple[tuple[int, int], ...]            # (index, period) per generator
+    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    def reduce(self, vec):
+        out = []
+        for v, (i, p) in zip(vec, self.rules):
+            if v >= i + p:
+                v = i + (v - i) % p
+            out.append(v)
+        return tuple(out)
+
+    def box_volume(self) -> int:
+        vol = 1
+        for i, p in self.rules:
+            vol *= i + p
+        return vol
+
+
+@dataclass(frozen=True)
+class BoxTensor(TensorProduct):
+    """A tensor saturated on a box; `presentation` is a PresentedCommMonoid."""
+
+    classes: tuple[int, ...]                      # element index of each box vector, lex order
+    reps: tuple[tuple[int, ...], ...]             # element index -> lex-least vector
+
+
+def wrap_rules(M, N, pairs):
+    """Each generator m (x) n wraps at the shorter orbit of m and n."""
     rules = []
-    for m, n in gens:
+    for m, n in pairs:
         om, on = M.orbit(m), N.orbit(n)
+        # the smaller wrap bound gives the smaller sound box
         if om.index + om.period <= on.index + on.period:
             rules.append((om.index, om.period))
         else:
             rules.append((on.index, on.period))
+    return tuple(rules)
+
+
+def outer(u, v):
+    """The word of u (x) v over X x Y: coordinate (x, y) is u[x] * v[y]."""
+    return tuple(a * b for a in u for b in v)
+
+
+def product_presentation(M, N) -> PresentedCommMonoid:
+    """Reference presentation M (x) N = F(X x Y)/R over the presentations of
+    M and N: R holds u (x) y = v (x) y for each relation u = v of M and each
+    y in Y, and x (x) s = x (x) t for each relation s = t of N and each x in X
+    (right exactness); the word of a generator is its unit vector."""
+    PM, PN = M.presentation, N.presentation
+    gens = tuple(product(PM.gens, PN.gens))
+    xs = [PM.normal_forms[x] for x in PM.gens]
+    ys = [PN.normal_forms[y] for y in PN.gens]
+    relations = [(outer(u, y), outer(v, y)) for u, v in PM.relations for y in ys]
+    relations += [(outer(x, s), outer(x, t)) for s, t in PN.relations for x in xs]
+    # two commuting non-tree edges of a Cayley graph give one relation twice
+    return PresentedCommMonoid(gens, wrap_rules(M, N, gens), tuple(dict.fromkeys(relations)))
+
+
+def all_pairs_presentation(M, N) -> PresentedCommMonoid:
+    """Reference presentation: one generator m (x) n per pair of nonzero
+    elements, and every biadditivity relation between them."""
+    gens = tuple((m, n) for m in range(1, M.size) for n in range(1, N.size))
     pos = {g: i for i, g in enumerate(gens)}
 
     def elem(m, n):
@@ -77,20 +136,99 @@ def all_pairs_presentation(M, N) -> PresentedCommMonoid:
             for n2 in range(n, N.size):
                 lhs = tuple(a + b for a, b in zip(elem(m, n), elem(m, n2)))
                 relations.append((lhs, tuple(elem(m, N.add[n][n2]))))
-    return PresentedCommMonoid(gens, tuple(rules), tuple(relations))
+    return PresentedCommMonoid(gens, wrap_rules(M, N, gens), tuple(relations))
 
 
-def all_pairs_tensor(M, N, budget=DEFAULT_BUDGET) -> TensorProduct:
+def saturate(pres: PresentedCommMonoid, budget: int):
+    """The monoid pres presents, by saturating its box.
+
+    Returns the monoid, the class of each box vector in code order, the
+    lex-least vector of each class, and the class of each generator.
+    """
+    k = len(pres.generators)
+    vol = pres.box_volume()
+    if vol > budget:
+        raise BudgetExceeded(f"box volume {vol} exceeds budget {budget}")
+
+    # A box vector is coded in mixed radix i+p, first coordinate most
+    # significant, so code order is lexicographic order.  Adding generator j
+    # steps its digit up by one, or wraps it from i+p-1 back to i.
+    radix = [i + p for i, p in pres.rules]
+    stride = [1] * k
+    for j in range(k - 1, 0, -1):
+        stride[j - 1] = stride[j] * radix[j]
+    wrap = [(1 - p) * s for (_, p), s in zip(pres.rules, stride)]
+
+    def encode(vec) -> int:
+        return sum(v * s for v, s in zip(pres.reduce(vec), stride))
+
+    def step(c: int, j: int) -> int:
+        return c + (wrap[j] if c // stride[j] % radix[j] == radix[j] - 1 else stride[j])
+
+    # UnionFind keeps the smallest code of a class as its root, so the root
+    # is the class's lex-least vector
+    uf = UnionFind(vol)
+    work = [(encode(a), encode(b)) for a, b in pres.relations]
+    while work:
+        a, b = work.pop()
+        if uf.union(a, b):
+            work.extend((step(a, j), step(b, j)) for j in range(k))
+
+    # classes in order of their roots: the zero vector's class comes first
+    cls: list[int] = []
+    roots: list[int] = []
+    for c in range(vol):
+        r = uf.find(c)
+        if r == c:
+            cls.append(len(roots))
+            roots.append(c)
+        else:
+            cls.append(cls[r])
+    reps = tuple(tuple(r // s % d for s, d in zip(stride, radix)) for r in roots)
+
+    table = [[cls[encode([a + b for a, b in zip(u, v)])] for v in reps] for u in reps]
+    # every radix is at least 2, so the unit vector of generator j has code stride[j]
+    return validate_monoid(table), tuple(cls), reps, tuple(cls[s] for s in stride)
+
+
+def saturated_tensor(M, N, pres, bilinear, budget) -> BoxTensor:
+    """The box tensor of pres, with bilinear(T, gen_class) giving m (x) n."""
+    T, classes, reps, gen_class = saturate(pres, budget)
+    # a vector sums v (m (x) n) = m (x) vn over its generators
+    terms = tuple(tuple((m, N.scalar(v, n)) for (m, n), v in zip(pres.generators, rep) if v)
+                  for rep in reps)
+    return BoxTensor(T, bilinear(T, gen_class), M, N, pres, terms, classes, reps)
+
+
+def box_tensor(M, N, budget=DEFAULT_BUDGET) -> BoxTensor:
+    """The tensor saturated on the box of the product presentation; m (x) n
+    is the class of nf(m) (x) nf(n)."""
+    nf_m, nf_n, ky = M.presentation.normal_forms, N.presentation.normal_forms, len(N.gens)
+
+    def bilinear(T, gen_class):
+        # m (x) n is the sum of nf(m)[x] nf(n)[y] (x (x) y), summed over y first
+        right = [[T.sum(T.scalar(e, gen_class[i * ky + j]) for j, e in enumerate(nf_n[n]))
+                  for n in N.elements()] for i in range(len(M.gens))]
+        return tuple(tuple(T.sum(T.scalar(e, right[i][n]) for i, e in enumerate(nf_m[m]))
+                           for n in N.elements()) for m in M.elements())
+
+    return saturated_tensor(M, N, product_presentation(M, N), bilinear, budget)
+
+
+def all_pairs_tensor(M, N, budget=DEFAULT_BUDGET) -> BoxTensor:
     """The tensor saturated on the box of the all-pairs presentation."""
     pres = all_pairs_presentation(M, N)
-    T, classes, reps, gen_class = tensor._saturate(pres, budget)
-    bil = [[0] * N.size for _ in range(M.size)]
-    for (m, n), c in zip(pres.generators, gen_class):
-        bil[m][n] = c
-    return TensorProduct(T, tuple(map(tuple, bil)), M, N, pres, classes, reps)
+
+    def bilinear(T, gen_class):
+        bil = [[0] * N.size for _ in range(M.size)]
+        for (m, n), c in zip(pres.generators, gen_class):
+            bil[m][n] = c
+        return tuple(map(tuple, bil))
+
+    return saturated_tensor(M, N, pres, bilinear, budget)
 
 
-def box_vectors(T: TensorProduct):
+def box_vectors(T: BoxTensor):
     """Every vector of T's box, in lex order (the order of T.classes)."""
     return product(*(range(i + p) for i, p in T.presentation.rules))
 
@@ -156,6 +294,13 @@ def pool():
 @cache
 def pool_tensor(i, j):
     return tensor_product(pool()[i], pool()[j])
+
+
+@cache
+def pool_box(i, j):
+    """The box tensor of the pair, and its isomorphism onto the power tensor."""
+    box, T = box_tensor(pool()[i], pool()[j]), pool_tensor(i, j)
+    return box, universal_factorization(box, T.monoid, T.bilinear)
 
 
 class TestTensorProduct:
@@ -232,10 +377,31 @@ class TestKnownAnswers:
                 T = tensor_product(cyc[i, p], cyc[j, q])
                 assert T.monoid.size == min(i, j) + gcd(p, q), (i, p, j, q)
 
+    def test_saturating_tensors_beyond_the_box(self):
+        # the product presentation's boxes are 2^22, 2^21 and 2^29
+        for m, n in [(3, 12), (4, 8), (2, 30)]:
+            for a, b in [(m, n), (n, m)]:
+                T = tensor_product(saturating_monoid(a), saturating_monoid(b))
+                assert T.monoid.size == comb(m + n - 2, m - 1), (a, b)
+
+    def test_the_smaller_power_is_raised(self):
+        # |Sat4|^7 > |Sat8|^3, so Sat8 is raised whichever side it is on;
+        # on a tie the left factor is
+        for M, N in [(saturating_monoid(4), saturating_monoid(8)),
+                     (saturating_monoid(8), saturating_monoid(4))]:
+            assert tensor_product(M, N).presentation.power.size == 8 ** 3
+        T = tensor_product(Z2, cyclic_group(4))
+        assert T.presentation.power.add == Z2.add
+        assert T.presentation.seeds == ((0, 0),)      # 1.(4) ~ 1.(0): both are 0 in Z/2
+        # a tie: Z/2 (x) V and V (x) Z/2 for V = Z/2 x Z/2 raise the left
+        # factor, seeded by 1 x 5 and 2 x 1 generators x relation edges
+        V = biproduct(Z2, Z2).monoid
+        assert [len(tensor_product(*pair).presentation.seeds) for pair in [(Z2, V), (V, Z2)]] == [5, 2]
+
     def test_reps_are_lex_least_in_their_class(self):
         for M, N in [(Z2, cyclic_group(4)), (cyclic_group(4), Z2), (Z3, SAT2),
                      (saturating_monoid(3), saturating_monoid(3)), (Z3, Z3)]:
-            T = tensor_product(M, N)
+            T = box_tensor(M, N)
             least = {}
             for v, cls in zip(box_vectors(T), T.classes):
                 if cls not in least or v < least[cls]:
@@ -247,7 +413,7 @@ class TestKnownAnswers:
         # two commuting non-tree Cayley edges of Sat_n give the same relation
         for m, n, count in [(4, 4, 27), (3, 6, 35), (5, 5, 64)]:
             M, N = saturating_monoid(m), saturating_monoid(n)
-            relations = tensor._presentation(M, N).relations
+            relations = product_presentation(M, N).relations
             assert len(relations) == len(set(relations)) == count, (m, n)
             assert tensor_product(M, N).monoid.size == comb(m + n - 2, m - 1), (m, n)
 
@@ -261,9 +427,17 @@ class TestAllPairsOracle:
                 assert g.is_bijective()
                 assert universal_factorization(new, old.monoid, old.bilinear).is_bijective()
 
+    def test_isomorphic_to_box_tensor_on_corpus4(self):
+        corpus = small_monoid_corpus(4)
+        for M in corpus:
+            for N in corpus:
+                box, new = box_tensor(M, N), tensor_product(M, N)
+                assert universal_factorization(box, new.monoid, new.bilinear).is_bijective()
+                assert universal_factorization(new, box.monoid, box.bilinear).is_bijective()
+
     def test_box_is_the_product_of_generating_sets(self):
         M, N = cyclic_group(4), saturating_monoid(4)
-        T = tensor_product(M, N)
+        T = box_tensor(M, N)
         assert T.presentation.generators == tuple((1, y) for y in (1, 2, 3))
         assert T.presentation.box_volume() == 2 ** 3
         assert all_pairs_tensor(M, N).presentation.box_volume() == 2 ** 9
@@ -271,7 +445,7 @@ class TestAllPairsOracle:
 
 class TestBudgets:
     def test_tensor_budget(self):
-        with pytest.raises(BudgetExceeded, match="box volume 33554432"):   # 2^25
+        with pytest.raises(BudgetExceeded, match="power table of 60466176 cells"):   # 6^10
             tensor_product(saturating_monoid(6), saturating_monoid(6))
 
     def test_balanced_maps_budget(self, monkeypatch):
@@ -360,17 +534,17 @@ class TestUniversalFactorization:
 
     def test_rejects_a_representative_off_zero(self):
         T = tensor_product(Z2, Z2)
-        bad = replace(T, reps=(T.reps[1],) + T.reps[1:])
+        bad = replace(T, terms=(T.terms[1],) + T.terms[1:])
         with pytest.raises(WellDefinednessFailure, match=r"g\(0\) = 1, not 0"):
             universal_factorization(bad, T.monoid, T.bilinear)
 
     def test_g_must_be_a_hom_out_of_the_tensor_table(self):
-        # Sat2 (x) Sat3 is the chain 0 < 2 < 1.  In the swapped table 2 + 2 = 1
+        # Sat2 (x) Sat3 is the chain 0 < 1 < 2.  In the other table 2 + 2 = 1
         # and only that sum differs, so only the last generator 2 sees that
         # the identity is not a hom out of it.
         T = tensor_product(SAT2, SAT3)
-        assert T.monoid.add == ((0, 1, 2), (1, 1, 1), (2, 1, 2))
-        swapped = validate_monoid([[0, 1, 2], [1, 1, 1], [2, 1, 1]])
+        assert T.monoid.add == ((0, 1, 2), (1, 1, 2), (2, 2, 2))
+        swapped = validate_monoid([[0, 1, 2], [1, 1, 2], [2, 2, 1]])
         assert swapped.gens == (1, 2)
         with pytest.raises(WellDefinednessFailure, match=r"g\(2 \+ 2\)"):
             universal_factorization(replace(T, monoid=swapped), T.monoid, T.bilinear)
@@ -429,9 +603,12 @@ def assert_checks_agree(i, j, A, f):
     (ok, witness), (old_ok, _) = balanced_check(M, N, A, f), all_pairs_balanced_check(M, N, A, f)
     assert ok == old_ok
     assert ok or violates(M, N, A, f, witness), witness
-    T = pool_tensor(i, j)
-    assert (factor(universal_factorization, T, A, f)
-            == factor(box_universal_factorization, T, A, f))
+    box, iso = pool_box(i, j)
+    new = factor(universal_factorization, pool_tensor(i, j), A, f)
+    # carried over to the box tensor along the isomorphism
+    if not isinstance(new, type):
+        new = tuple(new[e] for e in iso.image)
+    assert new == factor(box_universal_factorization, box, A, f)
 
 
 pool_pair = st.tuples(st.integers(0, 9), st.integers(0, 9))
@@ -440,7 +617,7 @@ target = st.integers(0, 7)          # an index into corpus(<=3)
 
 class TestCheckOracles:
     """The generator-based checks against the all-pairs balanced check and
-    the box-vector factorization, on corpus(<=3) + {Z/4, Sat4}."""
+    the box-vector factorization on the box tensor, on corpus(<=3) + {Z/4, Sat4}."""
 
     @settings(max_examples=300, deadline=None)
     @given(pool_pair, target, st.data())
@@ -522,8 +699,16 @@ class TestTensorWithFree:
             assert [pure(m, "x") for m in M.elements()] == list(M.elements())
 
     def test_rank_zero(self):
-        P, _ = tensor_with_free(Z3, [])
+        P, pure = tensor_with_free(Z3, [])
         assert P.size == 1
+        with pytest.raises(SemimodError, match="'x' is not in the label set"):
+            pure(1, "x")
+
+    def test_power_is_coded_first_coordinate_most_significant(self):
+        P, pure = tensor_with_free(Z3, ["x", "y"])
+        assert [pure(m, "x") for m in Z3.elements()] == [0, 3, 6]
+        assert [pure(m, "y") for m in Z3.elements()] == [0, 1, 2]
+        assert P.plus(5, 7) == 3 * ((1 + 2) % 3) + (2 + 1) % 3
 
     def test_z2_rank_two(self):
         P, pure = tensor_with_free(Z2, ["x", "y"])
