@@ -4,7 +4,7 @@ A congruence is an equivalence relation closed under translation by every
 element, so the quotient carries a well-defined addition.  Translation by
 a sum is a composite of translations by its terms, so an equivalence
 closed under translation by a generating set X is already a congruence.
-Everything here uses the X that `validate_monoid` keeps on the monoid
+Everything here uses the greedy generating set X every monoid keeps
 (`FiniteCommMonoid.gens`): the generated closure runs a union-find
 worklist that, whenever two classes merge, re-examines their translates
 by X only; the translation-closure test compares each element with one
@@ -15,10 +15,11 @@ f, g seeds f(y) ~ g(y) for y in the source's X only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    DEFAULT_BUDGET,
     Biproduct,
     BudgetExceeded,
     FiniteCommMonoid,
@@ -276,11 +277,14 @@ def kernel_pair(f: MonoidHom) -> KernelPair:
     return kernel_pair_of_congruence(kernel_congruence(f))
 
 
-def enumerate_congruences(M: FiniteCommMonoid, max_size: int = 6) -> list[Congruence]:
-    """All congruences of a small monoid, by filtering set partitions."""
+def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> list[Congruence]:
+    """All congruences of a small monoid, by filtering its B(n) set partitions."""
     n = M.size
-    if n > max_size:
-        raise BudgetExceeded(f"monoid size {n} exceeds the cap {max_size}")
+    row = [1]                 # a row of the Bell triangle; row r ends in B(r) <= B(n)
+    while len(row) < n and row[-1] <= budget:
+        row = list(accumulate(row, initial=row[-1]))
+    if row[-1] > budget:
+        raise BudgetExceeded(f"B({n}) set partitions exceed budget {budget}")
     out = []
     # restricted growth strings enumerate the set partitions
     def rec(i: int, assign: list[int], nblocks: int):

@@ -1,18 +1,16 @@
 """Finite commutative monoids given by addition tables.
 
-Element 0 is always the identity.  Every table, given or built here, goes
-through `validate_monoid`, which checks associativity by Light's test over
-a greedy generating set (O(n^2 |X|) for a generating set X, instead of the
-O(n^3) scan over all triples).  Tables of at most 256 elements are checked
-on byte rows, where `bytes.translate` composes a whole row at C speed; the
-rows also give the range check, since `bytes()` rejects entries outside
-[0, 256).  Larger tables use tuple rows gathered by `itemgetter`.  The
-validated monoid keeps X as `gens`, and builds a `Presentation` over it on
-first use; congruences, tensor products and homs work over X instead of
-over every element (a hom is its images of X).  A validated monoid doubles
-as a module over the nonnegative integers via the repeated-addition action:
-`scalar` computes k*m by doubling, and `orbit` walks m, 2m, ... when asked,
-so a monoid keeps nothing but its table, labels and generating set.
+Element 0 is always the identity.  A table from outside goes through
+`validate_monoid`, which checks associativity by Light's test over a greedy
+generating set X (O(n^2 |X|), not O(n^3)); one derived from validated
+monoids or checked integer arguments is a monoid by construction and is
+built by `_built` unchecked.  Every monoid keeps X as `gens`, and builds a
+`Presentation` over it on first use; congruences, tensor products and homs
+work over X instead of over every element (a hom is its images of X).  A
+monoid doubles as a module over the nonnegative integers via the
+repeated-addition action: `scalar` computes k*m by doubling, and `orbit`
+walks m, 2m, ... when asked, so a monoid keeps nothing but its table,
+labels and generating set.
 """
 
 from __future__ import annotations
@@ -132,7 +130,7 @@ class FiniteCommMonoid:
     size: int
     add: tuple[tuple[int, ...], ...]
     labels: Optional[tuple[str, ...]] = None
-    # the greedy generating set X that validate_monoid ran Light's test over
+    # the greedy generating set X (`validate_monoid` runs Light's test over it)
     gens: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
@@ -187,10 +185,10 @@ class FiniteCommMonoid:
         return acc
 
     def is_submonoid(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        if 0 not in s:
-            return False
-        return all(self.add[a][b] in s for a in s for b in s)
+        members = list(subset)     # distinct ints in [0, size), with 0, closed under +
+        s = set(members)
+        return (len(s) == len(members) and all(type(m) is int and 0 <= m < self.size for m in s)
+                and 0 in s and all(self.add[a][b] in s for a in s for b in s))
 
 
 def _generating_set(table: Sequence[Sequence[int]]) -> list[int]:
@@ -323,6 +321,24 @@ def validate_monoid(table: Sequence[Sequence[int]],
     )
 
 
+def _built(rows: Iterable[Sequence[int]], labels=None) -> FiniteCommMonoid:
+    """A table derived from validated monoids or checked arguments, not validated."""
+    rows = tuple(map(tuple, rows))
+    if not rows:
+        raise OutOfRange("empty table")
+    return FiniteCommMonoid(len(rows), rows, labels)
+
+
+def _product(factors: Sequence[FiniteCommMonoid]) -> FiniteCommMonoid:
+    """Mixed radix, first factor most significant; one factor is itself, unlabelled."""
+    if len(factors) == 1:
+        return FiniteCommMonoid(factors[0].size, factors[0].add, gens=factors[0].gens)
+    table = [[0]]
+    for A in factors:
+        table = [[s * A.size + t for s in ra for t in rb] for ra in table for rb in A.add]
+    return _built(table)
+
+
 @dataclass(frozen=True)
 class MonoidHom:
     source: FiniteCommMonoid
@@ -445,7 +461,6 @@ class Biproduct:
 def biproduct(M: FiniteCommMonoid, N: FiniteCommMonoid) -> Biproduct:
     """M x N with componentwise addition; injections and projections."""
     nN = N.size
-    size = M.size * nN
 
     def pair(a: int, b: int) -> int:
         return a * nN + b
@@ -453,15 +468,11 @@ def biproduct(M: FiniteCommMonoid, N: FiniteCommMonoid) -> Biproduct:
     def unpair(x: int) -> tuple[int, int]:
         return divmod(x, nN)
 
-    table = [[0] * size for _ in range(size)]
-    for a, b in product(M.elements(), N.elements()):
-        for a2, b2 in product(M.elements(), N.elements()):
-            table[pair(a, b)][pair(a2, b2)] = pair(M.add[a][a2], N.add[b][b2])
-    P = validate_monoid(table)
+    P = _product([M, N])
     i1 = MonoidHom(M, P, tuple(pair(a, 0) for a in M.elements()))
     i2 = MonoidHom(N, P, tuple(pair(0, b) for b in N.elements()))
-    p1 = MonoidHom(P, M, tuple(unpair(x)[0] for x in range(size)))
-    p2 = MonoidHom(P, N, tuple(unpair(x)[1] for x in range(size)))
+    p1 = MonoidHom(P, M, tuple(unpair(x)[0] for x in P.elements()))
+    p2 = MonoidHom(P, N, tuple(unpair(x)[1] for x in P.elements()))
     return Biproduct(P, (i1, i2), (p1, p2), pair, unpair)
 
 
@@ -503,7 +514,7 @@ def sub_as_monoid(M: FiniteCommMonoid, subset: Sequence[int]) -> tuple[FiniteCom
     pos = {m: i for i, m in enumerate(subset)}
     table = [[pos[M.add[a][b]] for b in subset] for a in subset]
     labels = tuple(M.label(m) for m in subset) if M.labels else None
-    S = validate_monoid(table, labels)
+    S = _built(table, labels)
     incl = MonoidHom(S, M, subset)
     return S, incl
 
@@ -713,13 +724,13 @@ def load_monoid(path: str) -> FiniteCommMonoid:
 # --- handy standard tables -------------------------------------------------
 
 def trivial_monoid() -> FiniteCommMonoid:
-    return validate_monoid([[0]])
+    return _built([[0]])
 
 
 def cyclic_group(n: int) -> FiniteCommMonoid:
-    return validate_monoid([[(a + b) % n for b in range(n)] for a in range(n)])
+    return _built([[(a + b) % n for b in range(n)] for a in range(n)])
 
 
 def saturating_monoid(n: int) -> FiniteCommMonoid:
     """{0, 1, ..., n-1} under a + b = max(a, b); every element is idempotent."""
-    return validate_monoid([[max(a, b) for b in range(n)] for a in range(n)])
+    return _built([[max(a, b) for b in range(n)] for a in range(n)])

@@ -27,7 +27,8 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .congruence import UnionFind
-from .core import DEFAULT_BUDGET, BudgetExceeded, FiniteCommMonoid, SemimodError, validate_monoid
+from .core import (DEFAULT_BUDGET, BudgetExceeded, FiniteCommMonoid, OutOfRange, SemimodError,
+                   validate_monoid)
 from . import semiideal as _semiideal
 from .semiideal import EmptyIdeal
 
@@ -57,6 +58,8 @@ class CyclicMonoid:
         return self.index + (n - self.index) % self.period
 
     def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
+        if self.index < 0 or self.period < 1:
+            raise OutOfRange(f"C({self.index},{self.period}) needs index >= 0 and period >= 1")
         size = self.size
         seq = [self.project(s) for s in range(2 * size - 1)]   # row a is seq[a:a + size]
         table = [seq[a:a + size] for a in range(size)]

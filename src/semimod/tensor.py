@@ -38,9 +38,10 @@ from .core import (
     OutOfRange,
     SemimodError,
     _additivity_failure,
+    _built,
     _out_of_range,
+    _product,
     enumerate_homs,
-    validate_monoid,
 )
 
 
@@ -80,21 +81,12 @@ class TensorProduct:
 
 
 def _power(A: FiniteCommMonoid, k: int, budget: int) -> FiniteCommMonoid:
-    """A^k, an element coded in radix |A| with the first coordinate most
-    significant; A^1 is A (without its labels).
-
-    Raises `BudgetExceeded` before building when the |A|^(2k) cells of the
-    table exceed the budget.
-    """
+    """A^k by `_product`; raises `BudgetExceeded` before building when the
+    |A|^(2k) cells of the table exceed the budget."""
     cells = A.size ** (2 * k)
     if cells > budget:
         raise BudgetExceeded(f"power table of {cells} cells exceeds budget {budget}")
-    if k == 1:
-        return FiniteCommMonoid(A.size, A.add, gens=A.gens)
-    n, table = A.size, [[0]]
-    for _ in range(k):
-        table = [[s * n + t for s in ra for t in rb] for ra in table for rb in A.add]
-    return validate_monoid(table)
+    return _product([A] * k)
 
 
 def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
@@ -241,8 +233,10 @@ def tensor_with_free(M: FiniteCommMonoid, X: Sequence) -> tuple[FiniteCommMonoid
     Every element decomposes uniquely by coordinates.
     """
     X = list(X)
-    P = _power(M, len(X), DEFAULT_BUDGET)
     stride = {x: M.size ** (len(X) - 1 - j) for j, x in enumerate(X)}
+    if len(stride) < len(X):
+        raise SemimodError(f"label {max(X, key=X.count)!r} is repeated")
+    P = _power(M, len(X), DEFAULT_BUDGET)
 
     def pure(m: int, x) -> int:
         if x not in stride:
@@ -314,12 +308,12 @@ def symmetry_iso(M: FiniteCommMonoid, N: FiniteCommMonoid,
 
 def hom_monoid(M: FiniteCommMonoid, N: FiniteCommMonoid,
                budget: int = DEFAULT_BUDGET) -> tuple[FiniteCommMonoid, list[MonoidHom]]:
-    """Hom(M, N) as a monoid under pointwise addition; element 0 is the zero map."""
+    """Hom(M, N) under pointwise addition; element 0, the zero map, is the first hom."""
     homs = enumerate_homs(M, N, budget)
     pos = {h.image: i for i, h in enumerate(homs)}
     table = [[pos[tuple(N.add[a][b] for a, b in zip(h.image, h2.image))] for h2 in homs]
              for h in homs]
-    return validate_monoid(table), homs
+    return _built(table), homs
 
 
 def hom_adjunction_check(P: FiniteCommMonoid, M: FiniteCommMonoid,

@@ -1,0 +1,96 @@
+"""Tables the library builds without `validate_monoid`, against it.
+
+Products, powers, submonoids, hom monoids, Z/n and Sat_n are monoids by
+construction, so the library skips re-validating them.  Here each one is
+validated anyway, and must come back equal, with the same generating set
+(`gens` is not compared by ==).  C(i, p) is still validated when built;
+its test is ready for the day it is built by construction too.
+"""
+
+import pytest
+
+from semimod.core import (
+    OutOfRange,
+    _product,
+    all_submonoids,
+    biproduct,
+    cyclic_group,
+    saturating_monoid,
+    small_monoid_corpus,
+    sub_as_monoid,
+    validate_monoid,
+)
+from semimod.natcoeq import CyclicMonoid
+from semimod.tensor import _power, hom_monoid
+
+CORPUS3 = small_monoid_corpus(3)
+FACTORS = CORPUS3 + [cyclic_group(4), saturating_monoid(4),
+                     CyclicMonoid(2, 3).to_monoid(labels=False)]
+
+
+def assert_as_validated(X):
+    V = validate_monoid([list(r) for r in X.add], X.labels)
+    assert V == X
+    assert V.gens == X.gens
+
+
+def test_biproducts():
+    for M in FACTORS:
+        for N in FACTORS:
+            assert_as_validated(biproduct(M, N).monoid)
+
+
+def test_products_of_three_factors_are_iterated_biproducts():
+    A, B, C = cyclic_group(2), saturating_monoid(3), CyclicMonoid(1, 2).to_monoid(labels=False)
+    P = _product([A, B, C])
+    assert_as_validated(P)
+    assert P == biproduct(biproduct(A, B).monoid, C).monoid
+
+
+def test_powers():
+    for A in FACTORS:
+        for k in range(4):
+            assert_as_validated(_power(A, k, 10**7))
+
+
+def test_the_first_power_is_the_monoid_itself():
+    A = cyclic_group(5)
+    P = _power(A, 1, 100)
+    assert P.add is A.add and P.gens is A.gens
+
+
+def test_submonoids():
+    for M in small_monoid_corpus(4):
+        for K in all_submonoids(M):
+            assert_as_validated(sub_as_monoid(M, K)[0])
+
+
+def test_hom_monoids():
+    for M in CORPUS3:
+        for N in CORPUS3:
+            assert_as_validated(hom_monoid(M, N)[0])
+
+
+def test_cyclic_groups_and_saturating_monoids():
+    for n in range(1, 41):
+        assert_as_validated(cyclic_group(n))
+        assert_as_validated(saturating_monoid(n))
+
+
+def test_cyclic_monoids():
+    for size in range(1, 41):
+        for i in range(size):
+            for labels in (False, True):
+                assert_as_validated(CyclicMonoid(i, size - i).to_monoid(labels=labels))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group(0),
+    lambda: saturating_monoid(-1),
+    lambda: CyclicMonoid(0, 0).to_monoid(),
+    lambda: CyclicMonoid(2, 0).to_monoid(),
+    lambda: CyclicMonoid(-1, 3).to_monoid(),
+])
+def test_empty_or_malformed_families_are_out_of_range(build):
+    with pytest.raises(OutOfRange):
+        build()

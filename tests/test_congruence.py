@@ -24,6 +24,7 @@ from semimod.congruence import (
 )
 from semimod.core import (
     DEFAULT_BUDGET,
+    BudgetExceeded,
     SemimodError,
     all_submonoids,
     biproduct,
@@ -489,6 +490,16 @@ class TestEnumerateCongruences:
 
     def test_z4_matches_subgroups(self):
         assert len(enumerate_congruences(cyclic_group(4))) == 3
+
+    def test_budget_is_the_bell_number(self):
+        # Z/7 is simple; it has B(7) = 877 set partitions
+        assert len(enumerate_congruences(cyclic_group(7))) == 2
+        assert len(enumerate_congruences(cyclic_group(7), budget=877)) == 2
+        with pytest.raises(BudgetExceeded, match=r"B\(7\) .* budget 876"):
+            enumerate_congruences(cyclic_group(7), budget=876)
+        # B(20) is not computed in full once a smaller Bell number passes the budget
+        with pytest.raises(BudgetExceeded, match=r"B\(20\) .* budget 10000"):
+            enumerate_congruences(cyclic_group(20), budget=10**4)
 
     def test_all_outputs_are_congruences(self):
         for M in small_monoid_corpus(4):

@@ -14,6 +14,7 @@ from semimod.core import (
     NotAdditive,
     NotAssociative,
     NotCommutative,
+    NotASubmonoid,
     NotIdentity,
     Orbit,
     OutOfRange,
@@ -31,11 +32,13 @@ from semimod.core import (
     monoid_to_json,
     saturating_monoid,
     small_monoid_corpus,
+    sub_as_monoid,
     submonoid_generated,
     trivial_monoid,
     validate_monoid,
     zero_hom,
 )
+from semimod.congruence import bourne_congruence
 from semimod.natcoeq import CyclicMonoid
 
 from test_validation import commutative_tables, family_table, relabel
@@ -420,6 +423,20 @@ class TestSubmonoids:
     def test_generated_counterexample(self):
         M = validate_monoid(M4_TABLE)
         assert submonoid_generated(M, [1, 2]) == (0, 1, 2, 3)
+
+    @pytest.mark.parametrize("n, subset", [(3, [0, -3]), (3, [0, 5]), (3, [0, True]),
+                                           (2, [0, True]), (3, [0, 0])])
+    def test_members_outside_the_monoid_are_refused(self, n, subset):
+        # -3 would reach element 0 of Z/3 through negative indexing, and
+        # True would pass for 1 in Z/2; a repeated member would be counted twice
+        M = cyclic_group(n)
+        assert not M.is_submonoid(subset)
+        with pytest.raises(NotASubmonoid):
+            sub_as_monoid(M, subset)
+        with pytest.raises(NotASubmonoid):
+            bourne_congruence(M, subset)
+        with pytest.raises(NotASubmonoid):
+            internal_direct_sum_check(M, [subset, list(M.elements())])
 
 
 class TestDirectSums:

@@ -704,6 +704,10 @@ class TestTensorWithFree:
         with pytest.raises(SemimodError, match="'x' is not in the label set"):
             pure(1, "x")
 
+    def test_repeated_label_is_refused(self):
+        with pytest.raises(SemimodError, match="label 'x' is repeated"):
+            tensor_with_free(Z3, ["x", "y", "x"])
+
     def test_power_is_coded_first_coordinate_most_significant(self):
         P, pure = tensor_with_free(Z3, ["x", "y"])
         assert [pure(m, "x") for m in Z3.elements()] == [0, 3, 6]
