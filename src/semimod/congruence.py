@@ -5,18 +5,19 @@ element, so the quotient carries a well-defined addition.  Translation by
 a sum is a composite of translations by its terms, so an equivalence
 closed under translation by a generating set X is already a congruence.
 Everything here uses the greedy generating set X every monoid keeps
-(`FiniteCommMonoid.gens`): the generated closure runs a union-find
-worklist that, whenever two classes merge, re-examines their translates
-by X only; the translation-closure test compares each element with one
-member of its class under each x in X, O(n |X|); and the coequalizer of
-f, g seeds f(y) ~ g(y) for y in the source's X only.
+(`FiniteCommMonoid.gens`): every generated congruence, Bourne's included,
+comes from one union-find worklist that, whenever two classes merge,
+re-examines their translates by X only; one closure test compares each
+element with one member of its class under each x in X, O(n |X|), and
+`quotient` runs it instead of validating the table it builds; and the
+coequalizer of f, g seeds f(y) ~ g(y) for y in the source's X only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -25,10 +26,11 @@ from .core import (
     FiniteCommMonoid,
     MonoidHom,
     NotASubmonoid,
+    OutOfRange,
     SemimodError,
+    _built,
     biproduct,
     sub_as_monoid,
-    validate_monoid,
 )
 
 
@@ -36,6 +38,12 @@ class HypothesisFails(SemimodError):
     def __init__(self, m: int, m2: int):
         super().__init__(f"{m} ~ {m2} but the map separates them")
         self.witness = (m, m2)
+
+
+class NotACongruence(SemimodError):
+    def __init__(self, a: int, x: int):
+        super().__init__(f"{a} + {x} is not related to rep[{a}] + {x}: not a congruence")
+        self.witness = (a, x)
 
 
 class UnionFind:
@@ -62,7 +70,8 @@ class UnionFind:
 @dataclass(frozen=True)
 class Congruence:
     carrier: FiniteCommMonoid
-    rep: tuple[int, ...]                       # element -> smallest member of its class
+    # element -> smallest member of its class: rep[a] <= a and rep[rep[a]] == rep[a]
+    rep: tuple[int, ...]
     generators: tuple[tuple[int, int], ...] = ()
 
     def same(self, a: int, b: int) -> bool:
@@ -74,25 +83,12 @@ class Congruence:
             buckets.setdefault(r, []).append(m)
         return [buckets[r] for r in sorted(buckets)]
 
-    def class_of(self, m: int) -> list[int]:
-        return [x for x in self.carrier.elements() if self.rep[x] == self.rep[m]]
-
     def num_classes(self) -> int:
         return len(set(self.rep))
 
     def is_translation_closed(self) -> bool:
-        """a + x ~ b + x for all a ~ b and x in the carrier's gens.
-
-        Each a is compared with its representative rep[a], a member of its
-        class: if every a agrees with it under x, any two members agree.
-        """
-        M, rep = self.carrier, self.rep
-        for x in M.gens:
-            row = M.add[x]
-            for a, r in enumerate(rep):
-                if rep[row[a]] != rep[row[r]]:
-                    return False
-        return True
+        """a + x ~ b + x for all a ~ b and x in the carrier's gens."""
+        return _translation_failure(self.carrier, self.rep) is None
 
     def contains(self, other: "Congruence") -> bool:
         """Every class of `other` lies inside a class of self.
@@ -106,10 +102,15 @@ class Congruence:
         return {"classes": self.classes()}
 
 
-def _from_uf(M: FiniteCommMonoid, uf: UnionFind,
-             generators: Iterable[tuple[int, int]] = ()) -> Congruence:
-    rep = tuple(uf.find(m) for m in M.elements())
-    return Congruence(M, rep, tuple(generators))
+def _translation_failure(M: FiniteCommMonoid, rep: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first (a, x), x in M.gens, with a + x not related to rep[a] + x, or None:
+    if every a agrees with a member of its class under x, any two members agree."""
+    for x in M.gens:
+        row = M.add[x]
+        for a, r in enumerate(rep):
+            if rep[row[a]] != rep[row[r]]:
+                return a, x
+    return None
 
 
 def identity_congruence(M: FiniteCommMonoid) -> Congruence:
@@ -125,9 +126,10 @@ def congruence_closure(M: FiniteCommMonoid,
     the least congruence, and each class keeps its smallest member as
     representative.
     """
-    for a, b in pairs:
-        if not (0 <= a < M.size and 0 <= b < M.size):
-            raise SemimodError(f"pair ({a},{b}) out of range")
+    for p in pairs:
+        if not (isinstance(p, (tuple, list)) and len(p) == 2
+                and all(type(v) is int and 0 <= v < M.size for v in p)):
+            raise OutOfRange(f"pair {p!r} is not two integers in [0, {M.size})")
     uf = UnionFind(M.size)
     rows = [M.add[x] for x in M.gens]
     work = list(pairs)
@@ -136,31 +138,37 @@ def congruence_closure(M: FiniteCommMonoid,
         if uf.union(a, b):
             # a pair of equal translates merges nothing
             work.extend((row[a], row[b]) for row in rows if row[a] != row[b])
-    return _from_uf(M, uf, pairs)
+    return Congruence(M, tuple(map(uf.find, M.elements())), tuple(pairs))
 
 
 def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, MonoidHom]:
-    """The quotient monoid and its projection; class of 0 is element 0."""
-    reps = sorted(set(C.rep))
+    """The quotient monoid and its projection; class of 0 is element 0.
+
+    C.rep must be a smallest-member map on M (else `OutOfRange`), closed
+    under translation by M.gens (else `NotACongruence`).  Then the quotient
+    is a monoid and nu a hom by construction, so the table is not validated.
+    """
+    rep = C.rep
+    if len(rep) != M.size or not all(type(r) is int and 0 <= r <= a and rep[r] == r
+                                     for a, r in enumerate(rep)):
+        raise OutOfRange(f"{rep!r} is not the smallest-member map of a partition of {M.size}")
+    if (bad := _translation_failure(M, rep)) is not None:
+        raise NotACongruence(*bad)
+    classes = C.classes()
+    reps = [c[0] for c in classes]
     index = {r: i for i, r in enumerate(reps)}
-    table = [[index[C.rep[M.add[a][b]]] for b in reps] for a in reps]
-    labels = None
-    if M.labels is not None:
-        labels = tuple("{" + ",".join(M.label(m) for m in C.class_of(r)) + "}" for r in reps)
-    Q = validate_monoid(table, labels)
-    nu = MonoidHom(M, Q, tuple(index[C.rep[m]] for m in M.elements()))
-    return Q, nu
+    nu = [index[r] for r in rep]
+    table = [[nu[row[b]] for b in reps] for row in map(M.add.__getitem__, reps)]
+    labels = None if M.labels is None else tuple(
+        "{" + ",".join(map(M.label, c)) + "}" for c in classes)
+    Q = _built(table, labels)
+    return Q, MonoidHom(M, Q, tuple(nu))
 
 
 def kernel_congruence(f: MonoidHom) -> Congruence:
     """Partition of the source by the fibers of f."""
     first: dict[int, int] = {}
-    rep = []
-    for m in f.source.elements():
-        v = f.image[m]
-        first.setdefault(v, m)
-        rep.append(first[v])
-    C = Congruence(f.source, tuple(rep))
+    C = Congruence(f.source, tuple(first.setdefault(v, m) for m, v in enumerate(f.image)))
     if not C.is_translation_closed():
         raise SemimodError("internal error: the relation is not translation-closed")
     return C
@@ -216,30 +224,26 @@ def naive_congruence(f: MonoidHom, g: MonoidHom) -> Congruence:
                     rhs = M.sum([m2, f.image[n2], g.image[n]])
                     if lhs == rhs:
                         uf.union(m, m2)
-    C = _from_uf(M, uf)
+    C = Congruence(M, tuple(map(uf.find, M.elements())))
     if not C.is_translation_closed():
         raise SemimodError("internal error: the relation is not translation-closed")
     return C
 
 
 def bourne_congruence(M: FiniteCommMonoid, K: Sequence[int]) -> Congruence:
-    """m ~ m' iff m + a = m' + b for some a, b in the submonoid K."""
+    """m ~ m' iff m + a = m' + b for some a, b in the submonoid K.
+
+    It is the congruence the pairs k ~ 0 generate: any congruence with
+    k ~ 0 on K relates m ~ m + a = m' + b ~ m'.
+    """
     K = tuple(sorted(K))
     if not M.is_submonoid(K):
         raise NotASubmonoid(f"{K} is not a submonoid")
-    uf = UnionFind(M.size)
-    for m in M.elements():
-        for m2 in M.elements():
-            if any(M.add[m][a] == M.add[m2][b] for a in K for b in K):
-                uf.union(m, m2)
-    C = _from_uf(M, uf)
-    if not C.is_translation_closed():
-        raise SemimodError("internal error: the relation is not translation-closed")
-    return C
+    return congruence_closure(M, [(k, 0) for k in K])
 
 
 def zero_class(C: Congruence) -> tuple[int, ...]:
-    return tuple(C.class_of(0))
+    return tuple(C.classes()[0])
 
 
 @dataclass(frozen=True)
@@ -290,12 +294,8 @@ def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> 
     def rec(i: int, assign: list[int], nblocks: int):
         if i == n:
             # block ids -> smallest member representative
-            first = {}
-            rep = []
-            for m, b in enumerate(assign):
-                first.setdefault(b, m)
-                rep.append(first[b])
-            C = Congruence(M, tuple(rep))
+            first: dict[int, int] = {}
+            C = Congruence(M, tuple(first.setdefault(b, m) for m, b in enumerate(assign)))
             if C.is_translation_closed():
                 out.append(C)
             return

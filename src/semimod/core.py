@@ -3,14 +3,14 @@
 Element 0 is always the identity.  A table from outside goes through
 `validate_monoid`, which checks associativity by Light's test over a greedy
 generating set X (O(n^2 |X|), not O(n^3)); one derived from validated
-monoids or checked integer arguments is a monoid by construction and is
-built by `_built` unchecked.  Every monoid keeps X as `gens`, and builds a
-`Presentation` over it on first use; congruences, tensor products and homs
-work over X instead of over every element (a hom is its images of X).  A
-monoid doubles as a module over the nonnegative integers via the
-repeated-addition action: `scalar` computes k*m by doubling, and `orbit`
-walks m, 2m, ... when asked, so a monoid keeps nothing but its table,
-labels and generating set.
+monoids, checked integer arguments or a checked congruence (a quotient) is
+a monoid by construction and is built by `_built` unchecked.  Every monoid
+keeps X as `gens`, and builds a `Presentation` over it on first use;
+congruences, tensor products and homs work over X instead of over every
+element (a hom is its images of X).  A monoid doubles as a module over the
+nonnegative integers via the repeated-addition action: `scalar` computes
+k*m by doubling, and `orbit` walks m, 2m, ... when asked, so a monoid
+keeps nothing but its table, labels and generating set.
 """
 
 from __future__ import annotations
@@ -322,10 +322,8 @@ def validate_monoid(table: Sequence[Sequence[int]],
 
 
 def _built(rows: Iterable[Sequence[int]], labels=None) -> FiniteCommMonoid:
-    """A table derived from validated monoids or checked arguments, not validated."""
+    """A table derived from validated monoids and checked arguments or congruences, unchecked."""
     rows = tuple(map(tuple, rows))
-    if not rows:
-        raise OutOfRange("empty table")
     return FiniteCommMonoid(len(rows), rows, labels)
 
 
@@ -728,9 +726,13 @@ def trivial_monoid() -> FiniteCommMonoid:
 
 
 def cyclic_group(n: int) -> FiniteCommMonoid:
+    if type(n) is not int or n < 1:
+        raise OutOfRange(f"Z/n needs an integer n >= 1, not {n!r}")
     return _built([[(a + b) % n for b in range(n)] for a in range(n)])
 
 
 def saturating_monoid(n: int) -> FiniteCommMonoid:
     """{0, 1, ..., n-1} under a + b = max(a, b); every element is idempotent."""
+    if type(n) is not int or n < 1:
+        raise OutOfRange(f"Sat_n needs an integer n >= 1, not {n!r}")
     return _built([[max(a, b) for b in range(n)] for a in range(n)])

@@ -58,8 +58,9 @@ class CyclicMonoid:
         return self.index + (n - self.index) % self.period
 
     def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
-        if self.index < 0 or self.period < 1:
-            raise OutOfRange(f"C({self.index},{self.period}) needs index >= 0 and period >= 1")
+        if not (type(self.index) is int and type(self.period) is int
+                and self.index >= 0 and self.period >= 1):
+            raise OutOfRange(f"C({self.index!r},{self.period!r}) needs integers i >= 0, p >= 1")
         size = self.size
         seq = [self.project(s) for s in range(2 * size - 1)]   # row a is seq[a:a + size]
         table = [seq[a:a + size] for a in range(size)]

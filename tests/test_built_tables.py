@@ -1,20 +1,23 @@
 """Tables the library builds without `validate_monoid`, against it.
 
-Products, powers, submonoids, hom monoids, Z/n and Sat_n are monoids by
-construction, so the library skips re-validating them.  Here each one is
-validated anyway, and must come back equal, with the same generating set
-(`gens` is not compared by ==).  C(i, p) is still validated when built;
-its test is ready for the day it is built by construction too.
+Products, powers, submonoids, hom monoids, Z/n, Sat_n and quotients by a
+checked congruence are monoids by construction, so the library skips
+re-validating them.  Here each one is validated anyway, and must come back
+equal, with the same generating set (`gens` is not compared by ==).  C(i, p)
+is still validated when built; its test is ready for the day it is built by
+construction too.
 """
 
 import pytest
 
+from semimod.congruence import congruence_closure, enumerate_congruences, quotient
 from semimod.core import (
     OutOfRange,
     _product,
     all_submonoids,
     biproduct,
     cyclic_group,
+    hom_check,
     saturating_monoid,
     small_monoid_corpus,
     sub_as_monoid,
@@ -32,6 +35,17 @@ def assert_as_validated(X):
     V = validate_monoid([list(r) for r in X.add], X.labels)
     assert V == X
     assert V.gens == X.gens
+
+
+def labelled(M):
+    return validate_monoid(M.add, [f"m{a}" for a in M.elements()])
+
+
+def assert_quotient_as_validated(M, C):
+    Q, nu = quotient(M, C)
+    assert_as_validated(Q)
+    hom_check(M, Q, nu.image)
+    assert nu.image == tuple(sorted(set(C.rep)).index(r) for r in C.rep)
 
 
 def test_biproducts():
@@ -71,6 +85,23 @@ def test_hom_monoids():
             assert_as_validated(hom_monoid(M, N)[0])
 
 
+def test_quotients_by_every_congruence_of_corpus4():
+    for M in small_monoid_corpus(4):
+        for X in (M, labelled(M)):
+            for C in enumerate_congruences(X):
+                assert_quotient_as_validated(X, C)
+
+
+@pytest.mark.parametrize("M, pair", [
+    (cyclic_group(112), (3, 59)),
+    (saturating_monoid(100), (20, 80)),
+    (biproduct(cyclic_group(10), cyclic_group(9)).monoid, (1, 12)),
+])
+def test_quotients_by_closures(M, pair):
+    for X in (M, labelled(M)):
+        assert_quotient_as_validated(X, congruence_closure(X, [pair]))
+
+
 def test_cyclic_groups_and_saturating_monoids():
     for n in range(1, 41):
         assert_as_validated(cyclic_group(n))
@@ -90,6 +121,15 @@ def test_cyclic_monoids():
     lambda: CyclicMonoid(0, 0).to_monoid(),
     lambda: CyclicMonoid(2, 0).to_monoid(),
     lambda: CyclicMonoid(-1, 3).to_monoid(),
+    lambda: cyclic_group(2.5),
+    lambda: cyclic_group(True),
+    lambda: cyclic_group("3"),
+    lambda: saturating_monoid(0),
+    lambda: saturating_monoid(3.0),
+    lambda: saturating_monoid(None),
+    lambda: CyclicMonoid(1.5, 2).to_monoid(),
+    lambda: CyclicMonoid(1, 2.0).to_monoid(),
+    lambda: CyclicMonoid(False, 2).to_monoid(),
 ])
 def test_empty_or_malformed_families_are_out_of_range(build):
     with pytest.raises(OutOfRange):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from semimod.congruence import (
     Congruence,
     HypothesisFails,
+    NotACongruence,
     UnionFind,
     bourne_congruence,
     chain_congruence,
@@ -25,10 +27,12 @@ from semimod.congruence import (
 from semimod.core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    OutOfRange,
     SemimodError,
     all_submonoids,
     biproduct,
     cyclic_group,
+    enumerate_comm_monoid_tables,
     enumerate_homs,
     hom_check,
     identity_hom,
@@ -44,6 +48,17 @@ from semimod.natcoeq import CyclicMonoid
 from test_validation import commutative_tables, family_table, relabel
 
 C42 = CyclicMonoid(4, 2).to_monoid(labels=False)
+# every labelled commutative monoid table of order <= 4
+TABLES4 = [M for n in range(1, 5) for M in enumerate_comm_monoid_tables(n)]
+
+
+def set_partitions(n, rep=()):
+    """Every partition of range(n), as its smallest-member map."""
+    if len(rep) == n:
+        yield rep
+        return
+    for r in sorted(set(rep)) + [len(rep)]:
+        yield from set_partitions(n, rep + (r,))
 
 
 def closure_over_all_elements(M, pairs) -> tuple[int, ...]:
@@ -63,6 +78,16 @@ def cubic_translation_closed(C) -> bool:
     return all(C.same(M.add[a][w], M.add[b][w])
                for a in M.elements() for b in M.elements() if C.same(a, b)
                for w in M.elements())
+
+
+def bourne_by_pairs(M, K) -> tuple[int, ...]:
+    """Reference Bourne relation: union m, m' whenever m + a = m' + b for a, b in K."""
+    uf = UnionFind(M.size)
+    for m in M.elements():
+        for m2 in M.elements():
+            if any(M.add[m][a] == M.add[m2][b] for a in K for b in K):
+                uf.union(m, m2)
+    return tuple(uf.find(m) for m in M.elements())
 
 
 def all_pairs_contains(C, D) -> bool:
@@ -145,6 +170,12 @@ class TestClosure:
         C = congruence_closure(M, [])
         assert C.num_classes() == 4
 
+    @pytest.mark.parametrize("pair", [(True, 2), (1, False), (0.0, 1), (1, 2, 3), (1,), (0, 4),
+                                      (-1, 0), "ab", 3, None])
+    def test_rejects_anything_but_a_pair_of_elements(self, pair):
+        with pytest.raises(OutOfRange, match=re.escape(repr(pair))):
+            congruence_closure(cyclic_group(4), [(0, 0), pair])
+
     def test_c42_tail_merge(self):
         C = congruence_closure(C42, [(4, 5)])
         assert C.num_classes() == 5
@@ -218,15 +249,9 @@ class TestTranslationClosed:
         assert C.is_translation_closed() == cubic_translation_closed(C)
 
     def test_matches_cubic_check_on_every_partition_of_small_tables(self):
-        def partitions(M, rep=()):
-            if len(rep) == M.size:
-                yield Congruence(M, rep)
-                return
-            for r in sorted(set(rep)) + [len(rep)]:
-                yield from partitions(M, rep + (r,))
-
         for M in small_monoid_corpus(4):
-            for C in partitions(M):
+            for rep in set_partitions(M.size):
+                C = Congruence(M, rep)
                 assert C.is_translation_closed() == cubic_translation_closed(C)
 
 
@@ -247,6 +272,38 @@ class TestQuotient:
         C = congruence_closure(C42, [(0, 2)])
         Q, nu = quotient(C42, C)
         assert nu.image[0] == 0
+
+    def test_rejects_every_non_congruence_of_small_tables(self):
+        # the table is not validated, so the congruence is checked instead;
+        # each witness (a, x) separates a from its representative under + x
+        rejected = 0
+        for M in TABLES4:
+            for rep in set_partitions(M.size):
+                C = Congruence(M, rep)
+                if cubic_translation_closed(C):
+                    quotient(M, C)
+                    continue
+                with pytest.raises(NotACongruence) as e:
+                    quotient(M, C)
+                a, x = e.value.witness
+                assert x in M.gens and not C.same(M.add[a][x], M.add[rep[a]][x])
+                rejected += 1
+        assert rejected == 883
+
+    def test_z2_with_a_zero_by_a_non_congruence(self):
+        # {0, z} ~ and {1}: the classes do not add, though the table Z/2 they
+        # would give is a monoid
+        M = validate_monoid([[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+        with pytest.raises(NotACongruence) as e:
+            quotient(M, Congruence(M, (0, 1, 0)))
+        assert e.value.witness == (2, 1)
+
+    @pytest.mark.parametrize("rep", [(0, 1), (0, 5, 2), (1, 1, 2), (0, 2, 2), (0, 0, 1),
+                                     (0, 1, 2.0), (0, 1, True)])
+    def test_rep_must_be_the_smallest_member_map(self, rep):
+        # (0, 2, 2) is a congruence of Sat3, but 2 is not the smallest of {1, 2}
+        with pytest.raises(OutOfRange):
+            quotient(saturating_monoid(3), Congruence(saturating_monoid(3), rep))
 
 
 class TestKernelCongruence:
@@ -275,6 +332,12 @@ class TestFactorThrough:
         f = hom_check(C42, cyclic_group(2), [m % 2 for m in range(6)])
         f2 = factor_through(f, kernel_congruence(f))
         assert f2.is_injective()
+
+    def test_non_congruence_fails(self):
+        # the zero map is constant on every class, so the partition is what fails
+        M = validate_monoid([[0, 1, 2], [1, 0, 2], [2, 2, 2]])
+        with pytest.raises(NotACongruence):
+            factor_through(zero_hom(M, M), Congruence(M, (0, 1, 0)))
 
     def test_coarser_fails(self):
         M = cyclic_group(4)
@@ -390,6 +453,14 @@ class TestBourne:
     def test_whole_monoid(self):
         M = C42
         assert bourne_congruence(M, tuple(M.elements())).num_classes() == 1
+
+    def test_closure_equals_the_pairwise_relation_on_every_table_of_order_4(self):
+        pairs = 0
+        for M in TABLES4:
+            for K in all_submonoids(M):
+                assert bourne_congruence(M, K).rep == bourne_by_pairs(M, K)
+                pairs += 1
+        assert pairs == 562
 
     def test_equals_chain_of_inclusion_and_zero(self):
         for M in small_monoid_corpus(4):

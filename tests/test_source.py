@@ -16,3 +16,31 @@ def test_no_assert_statements_in_library():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+# validation stays at the boundary: tables from outside, the enumerator's
+# fillings, C(i, p) (ROADMAP item 1) and the acceptance literals; a table the
+# library builds from validated monoids or a checked congruence is not re-validated
+VALIDATING = {"core.monoid_from_json", "core.enumerate_comm_monoid_tables",
+              "natcoeq.CyclicMonoid.to_monoid", "acceptance.direct_sum_counterexamples"}
+
+
+def _scopes(tree):
+    """Each top-level function and method by qualified name; other statements too."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield f"{node.name}.{getattr(item, 'name', '<body>')}", item
+        else:
+            yield getattr(node, "name", "<module>"), node
+
+
+def test_only_the_boundary_calls_validate_monoid():
+    callers = {f"{path.stem}.{name}"
+               for path in SOURCES
+               for name, scope in _scopes(ast.parse(path.read_text(), str(path)))
+               for node in ast.walk(scope)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == "validate_monoid"}
+    assert "core.monoid_from_json" in callers
+    assert callers <= VALIDATING
