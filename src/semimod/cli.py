@@ -41,17 +41,16 @@ def _budget(args) -> int:
 
 
 def render_table(M: FiniteCommMonoid, ascii_labels: bool = False) -> str:
+    """The addition table as text, every label right-aligned in one column width."""
     if ascii_labels or M.labels is None:
         labels = [f"c{m}" if ascii_labels else str(m) for m in M.elements()]
     else:
         labels = list(M.labels)
     width = max(len(l) for l in labels) + 1
-    lines = ["+".rjust(width) + " |" + "".join(l.rjust(width) for l in labels)]
-    lines.append("-" * len(lines[0]))
-    for a in M.elements():
-        row = labels[a].rjust(width) + " |"
-        row += "".join(labels[M.add[a][b]].rjust(width) for b in M.elements())
-        lines.append(row)
+    cell = [l.rjust(width) for l in labels]
+    head = "+".rjust(width) + " |" + "".join(cell)
+    lines = [head, "-" * len(head)]
+    lines += [cell[a] + " |" + "".join(map(cell.__getitem__, row)) for a, row in enumerate(M.add)]
     return "\n".join(lines)
 
 

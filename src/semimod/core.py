@@ -273,6 +273,16 @@ def validate_monoid(table: Sequence[Sequence[int]],
     (`_light_rows`).  Both report the first failing (a, b) in the order a,
     then b, so the witness does not depend on n.  The returned monoid keeps
     X as its `gens`.
+
+    Before Light's test come the entries, the identity and commutativity.
+    Every entry must be an `int` by an exact type test, which stays a
+    per-entry pass because `bytes()` also accepts bools and any object
+    with `__index__`.  For n <= 256 the byte rows are joined once: an
+    entry is out of range when deleting the bytes 0..n-1 leaves anything
+    (`bytes.translate`), and the table is commutative when it equals its
+    byte transpose, column j being every n-th byte from j.  Only a failed
+    comparison runs the row-by-column scan that names the witness, so the
+    exceptions are those of the scan at every n.
     """
     if not isinstance(table, (list, tuple)):
         raise OutOfRange(f"table is a {type(table).__name__}, not a list of rows")
@@ -297,17 +307,21 @@ def validate_monoid(table: Sequence[Sequence[int]],
         try:
             rb = list(map(bytes, rows))
         except ValueError:                 # an entry outside [0, 256)
-            rb = None
-        if rb is None or max(map(max, rb)) >= n:
+            raise _out_of_range(rows, n) from None
+        whole = b"".join(rb)
+        if whole.translate(None, bytes(range(n))):     # an entry in [n, 256)
             raise _out_of_range(rows, n)
     elif min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
         raise _out_of_range(rows, n)
     if rows[0] != tuple(range(n)):
         raise NotIdentity(next(m for m in range(n) if rows[0][m] != m))
-    for m, col in enumerate(zip(*rows)):
-        if rows[m] != col:
-            # the first asymmetric row differs first right of the diagonal
-            raise NotCommutative(m, next(m2 for m2 in range(m + 1, n) if rows[m][m2] != col[m2]))
+    # column j of the byte table is whole[j::n]; the scan finds the witness
+    if n > 256 or b"".join([whole[j::n] for j in range(n)]) != whole:
+        for m, col in enumerate(zip(*rows)):
+            if rows[m] != col:
+                # the first asymmetric row differs first right of the diagonal
+                raise NotCommutative(m, next(m2 for m2 in range(m + 1, n)
+                                             if rows[m][m2] != col[m2]))
     gens = _generating_set(rows)
     if n <= 256:
         _light_bytes(rb, gens)

@@ -152,9 +152,10 @@ def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
     The chain climbs from i, each time by the largest difference of a seed
     that applies, to a floor at or above every seed's smaller member, from
     where every seed applies in both directions.  A Bezout combination of
-    the seed differences then walks from the floor to the floor + p: down
-    steps whenever one stays at or above the floor, up steps otherwise.
-    The climb, shifted by p and reversed, brings the walk down to i + p.
+    the seed differences then walks from the floor to the floor + p: a down
+    step whenever one stays at or above the floor, else an up step, each by
+    the first seed in seed order with such steps left.  The climb, shifted
+    by p and reversed, brings the walk down to i + p.
     """
     seeds = sorted(set(seeds))
     top = max(a for a, _ in seeds)
@@ -168,17 +169,26 @@ def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
         at += b - a
     floor = peak = at
     walk: list[ChainStep] = []
-    todo = {s: c for s, c in zip(seeds, _bezout([b - a for a, b in seeds])) if c}
-    while todo:
-        seed = next((s for s, c in todo.items() if c < 0 and at - (s[1] - s[0]) >= floor),
-                    None) or next(s for s, c in todo.items() if c > 0)
-        sign = 1 if todo[seed] > 0 else -1
-        to = at + sign * (seed[1] - seed[0])
-        walk.append((at, to, seed, min(at, to) - seed[0]))
-        at, peak = to, max(peak, to)
-        todo[seed] -= sign
-        if not todo[seed]:
-            del todo[seed]
+    # [seed, difference, steps left] in seed order, by the sign of the seed's coefficient
+    downs, ups = [], []
+    for s, c in zip(seeds, _bezout([b - a for a, b in seeds])):
+        if c:
+            (ups if c > 0 else downs).append([s, s[1] - s[0], abs(c)])
+    while downs or ups:
+        for j, todo in enumerate(downs):
+            if at - todo[1] >= floor:
+                side, to = downs, at - todo[1]
+                walk.append((at, to, todo[0], to - todo[0][0]))
+                break
+        else:
+            j, todo = 0, ups[0]
+            side, to = ups, at + todo[1]
+            walk.append((at, to, todo[0], at - todo[0][0]))
+            peak = max(peak, to)
+        at = to
+        todo[2] -= 1
+        if not todo[2]:
+            del side[j]
     if peak > bound_cap:
         raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
     descent = [(v + p, u + p, s, k + p) for u, v, s, k in reversed(climb)]

@@ -113,8 +113,8 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     terms = tuple(tuple((b, a) if swap else (a, b) for a, b in cs if a) for cs in coords)
     out = TensorProduct(T, tuple(map(tuple, zip(*bil) if swap else bil)), M, N,
                         PowerPresentation(P, seeds), terms)
-    ok, witness = balanced_check(M, N, T, out.bilinear)
-    if not ok:
+    witness = _balanced_failure(M, N, T, out.bilinear)
+    if witness is not None:
         raise SemimodError(f"internal error: tensor table not balanced at {witness}")
     return out
 
@@ -146,26 +146,33 @@ def balanced_check(M: FiniteCommMonoid, N: FiniteCommMonoid,
     Raises `OutOfRange` when f is not an |M| x |N| table of elements of A.
     """
     _check_map(M, N, A, f)
+    witness = _balanced_failure(M, N, A, f)
+    return witness is None, witness
+
+
+def _balanced_failure(M: FiniteCommMonoid, N: FiniteCommMonoid, A: FiniteCommMonoid,
+                      f: Sequence[Sequence[int]]) -> Optional[tuple]:
+    """The first failing law of `balanced_check` on a map of elements of A, or None."""
     for n in range(N.size):
         if f[0][n] != 0:
-            return False, ("zero-left", n)
+            return "zero-left", n
     for m in range(M.size):
         if f[m][0] != 0:
-            return False, ("zero-right", m)
+            return "zero-right", m
     for x in M.gens:
         fx = f[x]
         for m, mx in enumerate(M.add[x]):
             fm, fmx = f[m], f[mx]
             for n in range(N.size):
                 if fmx[n] != A.add[fm[n]][fx[n]]:
-                    return False, ("add-left", m, x, n)
+                    return "add-left", m, x, n
     for y in N.gens:
         for m, fm in enumerate(f):
             fy = fm[y]
             for n, ny in enumerate(N.add[y]):
                 if fm[ny] != A.add[fm[n]][fy]:
-                    return False, ("add-right", m, n, y)
-    return True, None
+                    return "add-right", m, n, y
+    return None
 
 
 def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
@@ -198,18 +205,18 @@ def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
 
 
 def enumerate_balanced_maps(M: FiniteCommMonoid, N: FiniteCommMonoid,
-                            A: FiniteCommMonoid) -> list[tuple[tuple[int, ...], ...]]:
+                            A: FiniteCommMonoid,
+                            budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[int, ...], ...]]:
     """All balanced maps M x N -> A, by filtering the full function space."""
     cells = [(m, n) for m in range(1, M.size) for n in range(1, N.size)]
-    if A.size ** len(cells) > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"{A.size}^{len(cells)} candidate maps exceed budget {DEFAULT_BUDGET}")
+    if A.size ** len(cells) > budget:
+        raise BudgetExceeded(f"{A.size}^{len(cells)} candidate maps exceed budget {budget}")
     out = []
     for values in product(range(A.size), repeat=len(cells)):
         f = [[0] * N.size for _ in range(M.size)]
         for (m, n), v in zip(cells, values):
             f[m][n] = v
-        if balanced_check(M, N, A, f)[0]:
+        if _balanced_failure(M, N, A, f) is None:
             out.append(tuple(tuple(row) for row in f))
     return out
 

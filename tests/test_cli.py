@@ -3,8 +3,10 @@ import json
 import pytest
 
 from semimod import acceptance
-from semimod.cli import main
-from semimod.core import monoid_to_json, validate_monoid
+from semimod.cli import main, render_table
+from semimod.congruence import enumerate_congruences, quotient
+from semimod.core import monoid_to_json, small_monoid_corpus, validate_monoid
+from semimod.natcoeq import CyclicMonoid
 
 
 def run(capsys, *argv):
@@ -103,6 +105,54 @@ def test_tensor_budget_exit_2(tmp_path, capsys):
     p.write_text(json.dumps(monoid_to_json(cyclic_group(4))))
     code, _, err = run(capsys, "tensor", str(p), str(p), "--budget", "2")
     assert code == 2
+
+
+def render_table_by_cells(M, ascii_labels=False):
+    """Reference rendering: each cell's label padded as it is written."""
+    if ascii_labels or M.labels is None:
+        labels = [f"c{m}" if ascii_labels else str(m) for m in M.elements()]
+    else:
+        labels = list(M.labels)
+    width = max(len(l) for l in labels) + 1
+    lines = ["+".rjust(width) + " |" + "".join(l.rjust(width) for l in labels)]
+    lines.append("-" * len(lines[0]))
+    for a in M.elements():
+        row = labels[a].rjust(width) + " |"
+        row += "".join(labels[M.add[a][b]].rjust(width) for b in M.elements())
+        lines.append(row)
+    return "\n".join(lines)
+
+
+def render_cases():
+    """corpus(3) plain and labelled, the labelled quotients of those and of C(2, 4),
+    and C(i, p) up to 120 elements: every split of i + p <= 40, three of each larger size."""
+    labelled = [validate_monoid(M.add, [f"m{a}" for a in M.elements()])
+                for M in small_monoid_corpus(3) + [CyclicMonoid(2, 4).to_monoid()]]
+    yield from small_monoid_corpus(3)
+    for L in labelled:
+        yield L
+        for C in enumerate_congruences(L):
+            yield quotient(L, C)[0]
+    for size in range(1, 121):
+        for i in range(size) if size <= 40 else sorted({0, size // 3, size - 1}):
+            yield CyclicMonoid(i, size - i).to_monoid()
+
+
+def test_render_table_matches_the_cell_by_cell_rendering():
+    cases = 0
+    for M in render_cases():
+        for ascii_labels in (False, True):
+            assert render_table(M, ascii_labels) == render_table_by_cells(M, ascii_labels)
+        cases += 1
+    assert cases > 1000
+
+
+def test_coeq_text_renders_the_table(capsys):
+    for argv in (("coeq", "7", "95"), ("coeq", "95", "7", "--ascii"), ("coeq", "0", "1")):
+        code, out, _ = run(capsys, *argv)
+        c = CyclicMonoid(7, 88) if argv[1] != "0" else CyclicMonoid(0, 1)
+        want = render_table_by_cells(c.to_monoid(), ascii_labels="--ascii" in argv)
+        assert code == 0 and out.splitlines()[1:-2] == want.splitlines()
 
 
 def test_json_round_trip_through_cli(tmp_path, capsys):

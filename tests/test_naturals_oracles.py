@@ -6,8 +6,12 @@ pairs over [0, bound] in a proof-recording union-find, doubling the bound
 until i and i + p merge, and reads index and period off the classes.
 Both cost time linear in the size of the numbers, so they serve only as
 oracles for the residue-based ``Semiideal`` and ``nat_congruence_quotient``.
+``certificate_b_by_generators`` is the Bezout walk choosing each step by a
+scan over a dict of remaining coefficients, the reference for the walk over
+two step lists in ``_certificate_b``.
 """
 
+import random
 from collections import Counter
 from math import gcd
 
@@ -19,6 +23,8 @@ from semimod.natcoeq import (
     BoundCapExceeded,
     CyclicMonoid,
     NatQuotient,
+    _bezout,
+    _certificate_b,
     nat_congruence_quotient,
 )
 from semimod.semiideal import Semiideal
@@ -162,6 +168,65 @@ def forest_quotient(pairs):
     period = next(q for q in range(1, bound - index + 1) if roots[index + q] == roots[index])
     return NatQuotient(tuple(norm), CyclicMonoid(index, period), cert_a=True,
                        cert_b=tuple(forest.chain(index, index + period)), bound_used=bound)
+
+
+def certificate_b_by_generators(seeds, i, p, bound_cap):
+    """Reference for `_certificate_b`: each walk step taken by the first
+    remaining seed, in seed order, that steps down to at or above the floor,
+    else by the first with steps up left."""
+    seeds = sorted(set(seeds))
+    top = max(a for a, _ in seeds)
+    if top + p > bound_cap:
+        raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
+    climb = []
+    at = i
+    while at < top:
+        a, b = max((s for s in seeds if s[0] <= at), key=lambda s: s[1] - s[0])
+        climb.append((at, at + b - a, (a, b), at - a))
+        at += b - a
+    floor = peak = at
+    walk = []
+    todo = {s: c for s, c in zip(seeds, _bezout([b - a for a, b in seeds])) if c}
+    while todo:
+        seed = next((s for s, c in todo.items() if c < 0 and at - (s[1] - s[0]) >= floor),
+                    None) or next(s for s, c in todo.items() if c > 0)
+        sign = 1 if todo[seed] > 0 else -1
+        to = at + sign * (seed[1] - seed[0])
+        walk.append((at, to, seed, min(at, to) - seed[0]))
+        at, peak = to, max(peak, to)
+        todo[seed] -= sign
+        if not todo[seed]:
+            del todo[seed]
+    if peak > bound_cap:
+        raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
+    descent = [(v + p, u + p, s, k + p) for u, v, s, k in reversed(climb)]
+    return climb + walk + descent, peak
+
+
+def certificate_outcome(certify, seeds, i, p, bound_cap):
+    try:
+        return certify(seeds, i, p, bound_cap)
+    except BoundCapExceeded as e:
+        return type(e), str(e), e.candidate, e.cap
+
+
+def test_certificate_b_walk_matches_the_generator_scan():
+    rng = random.Random(2024)
+    long_walks = 0
+    for _ in range(200):
+        seeds = []
+        for _ in range(rng.randint(1, 4)):
+            b = rng.randint(1, 60000)
+            seeds.append((rng.randrange(b), b))
+        i, p = min(a for a, _ in seeds), gcd(*(b - a for a, b in seeds))
+        chain, peak = certificate_b_by_generators(seeds, i, p, 10**6)
+        long_walks += len(chain) > 500
+        # below the climb's top + p, below the walk's peak, and at it
+        top = max(a for a, _ in seeds)
+        for cap in (top + p - 1, peak - 1, peak):
+            assert (certificate_outcome(_certificate_b, seeds, i, p, cap)
+                    == certificate_outcome(certificate_b_by_generators, seeds, i, p, cap))
+    assert long_walks > 10
 
 
 @st.composite

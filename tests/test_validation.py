@@ -1,6 +1,7 @@
 """validate_monoid (Light's test) against the cubic scan over all triples."""
 
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -8,10 +9,14 @@ from hypothesis import strategies as st
 
 from semimod.core import (
     NotAssociative,
+    NotCommutative,
+    NotIdentity,
+    OutOfRange,
     SemimodError,
     _generating_set,
     _light_bytes,
     _light_rows,
+    _out_of_range,
     cyclic_group,
     enumerate_comm_monoid_tables,
     saturating_monoid,
@@ -208,3 +213,77 @@ def test_both_sides_of_the_byte_row_cutoff(family, n):
         validate_monoid(table)
     a, x, b = e.value.witness
     assert table[table[a][x]][b] != table[a][table[x][b]]
+
+
+def prelude_by_scans(table):
+    """Reference for the checks before Light's test: the type pass, the range
+    by the largest byte, identity, and commutativity by a row-by-column scan."""
+    n = len(table)
+    rows = tuple(map(tuple, table))
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        raise _out_of_range(rows, n)
+    if n <= 256:
+        try:
+            rb = list(map(bytes, rows))
+        except ValueError:
+            rb = None
+        if rb is None or max(map(max, rb)) >= n:
+            raise _out_of_range(rows, n)
+    elif min(map(min, rows)) < 0 or max(map(max, rows)) >= n:
+        raise _out_of_range(rows, n)
+    if rows[0] != tuple(range(n)):
+        raise NotIdentity(next(m for m in range(n) if rows[0][m] != m))
+    for m, col in enumerate(zip(*rows)):
+        if rows[m] != col:
+            raise NotCommutative(m, next(m2 for m2 in range(m + 1, n) if rows[m][m2] != col[m2]))
+
+
+def outcome(check, table):
+    """None if the check passes, else its exception's class, witness and message."""
+    try:
+        check(table)
+    except SemimodError as e:
+        return type(e), getattr(e, "witness", None), str(e)
+    return None
+
+
+def corrupted_copies(table, rng):
+    """The table with one cell set to -1, n, True, 2.0 or "1", one cell made
+    asymmetric, or a broken identity row, at a few positions each."""
+    n = len(table)
+    cells = [(0, 0), (n - 1, n - 1), (n // 2, n - 1)] + [
+        (rng.randrange(n), rng.randrange(n)) for _ in range(3)]
+    for v in (-1, n, True, 2.0, "1"):
+        for a, b in cells:
+            copy = [list(r) for r in table]
+            copy[a][b] = v
+            yield copy
+    for _ in range(4 if n > 1 else 0):
+        a, b = rng.sample(range(n), 2)
+        copy = [list(r) for r in table]
+        copy[a][b] = (copy[a][b] + 1 + rng.randrange(n - 1)) % n
+        yield copy
+        copy = [list(r) for r in table]
+        copy[0][b] = a                   # a != b: the identity row is broken
+        yield copy
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 255, 256, 257])
+def test_prelude_matches_the_scans_on_corrupted_tables(n):
+    rng = random.Random(n)
+    tables = [family_table(family, n) for family in ("Z", "Sat", "C")]
+    if n <= 6:
+        tables += [relabel(t, [0] + rng.sample(range(1, n), n - 1)) for t in tables]
+    seen = set()
+    for table in tables:
+        assert outcome(prelude_by_scans, table) is None
+        assert outcome(validate_monoid, table) is None
+        for copy in corrupted_copies(table, rng):
+            expected = outcome(prelude_by_scans, copy)
+            got = outcome(validate_monoid, copy)
+            if expected is None:     # the corruption kept the table commutative with identity
+                assert got is None or got[0] is NotAssociative
+            else:
+                assert got == expected
+                seen.add(got[0])
+    assert seen == ({OutOfRange, NotIdentity, NotCommutative} if n > 1 else {OutOfRange})
