@@ -205,12 +205,12 @@ def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
 
 
 def enumerate_balanced_maps(M: FiniteCommMonoid, N: FiniteCommMonoid,
-                            A: FiniteCommMonoid,
-                            budget: int = DEFAULT_BUDGET) -> list[tuple[tuple[int, ...], ...]]:
+                            A: FiniteCommMonoid) -> list[tuple[tuple[int, ...], ...]]:
     """All balanced maps M x N -> A, by filtering the full function space."""
     cells = [(m, n) for m in range(1, M.size) for n in range(1, N.size)]
-    if A.size ** len(cells) > budget:
-        raise BudgetExceeded(f"{A.size}^{len(cells)} candidate maps exceed budget {budget}")
+    if A.size ** len(cells) > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"{A.size}^{len(cells)} candidate maps exceed budget {DEFAULT_BUDGET}")
     out = []
     for values in product(range(A.size), repeat=len(cells)):
         f = [[0] * N.size for _ in range(M.size)]

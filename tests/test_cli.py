@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semimod import acceptance
 from semimod.cli import main, render_table
@@ -145,6 +147,16 @@ def test_render_table_matches_the_cell_by_cell_rendering():
             assert render_table(M, ascii_labels) == render_table_by_cells(M, ascii_labels)
         cases += 1
     assert cases > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 119).flatmap(lambda i: st.tuples(st.just(i), st.integers(1, 120 - i))),
+       st.booleans())
+def test_render_table_matches_on_cyclic_monoids_up_to_120(ip, ascii_labels):
+    """Any C(i, p) with i + p <= 120; rendering every one of those 7,260 tables
+    by cells takes about 10 s, so the grid is sampled past `render_cases`."""
+    M = CyclicMonoid(*ip).to_monoid()
+    assert render_table(M, ascii_labels) == render_table_by_cells(M, ascii_labels)
 
 
 def test_coeq_text_renders_the_table(capsys):

@@ -323,20 +323,14 @@ class TestTensorProduct:
                 ok, witness = balanced_check(M, N, T.monoid, T.bilinear)
                 assert ok, witness
 
-    def test_built_bilinear_map_is_not_rechecked_at_the_boundary(self, monkeypatch):
-        """tensor_product runs the balanced laws on its own map without the
-        shape and range check of `balanced_check`; the map still passes it."""
-        def refuse(*args):
-            raise AssertionError("balanced_check called on a library-built map")
-
+    def test_bilinear_maps_pass_the_boundary_check(self):
+        """tensor_product checks its own map by the balanced laws alone; every
+        map it builds on corpus(3)^2 also passes the boundary's shape and range check."""
         corpus = small_monoid_corpus(3)
-        monkeypatch.setattr(tensor, "balanced_check", refuse)
-        tensors = {(i, j): tensor_product(M, N)
-                   for i, M in enumerate(corpus) for j, N in enumerate(corpus)}
-        monkeypatch.undo()
-        for (i, j), T in tensors.items():
-            assert balanced_check(corpus[i], corpus[j], T.monoid, T.bilinear) == (True, None)
-            assert tensor._balanced_failure(corpus[i], corpus[j], T.monoid, T.bilinear) is None
+        for M in corpus:
+            for N in corpus:
+                T = tensor_product(M, N)
+                assert balanced_check(M, N, T.monoid, T.bilinear) == (True, None)
 
     def test_generation_by_pure_tensors(self):
         # every element is a sum of pure tensors
@@ -463,10 +457,13 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded, match="power table of 60466176 cells"):   # 6^10
             tensor_product(saturating_monoid(6), saturating_monoid(6))
 
-    def test_balanced_maps_budget(self):
-        assert enumerate_balanced_maps(Z3, Z3, saturating_monoid(3), budget=81)   # 3^4 maps: at the cap
+    def test_balanced_maps_budget(self, monkeypatch):
+        monkeypatch.setattr(tensor, "DEFAULT_BUDGET", 81)   # 3^4 maps: exactly at the cap
+        assert enumerate_balanced_maps(Z3, Z3, saturating_monoid(3))
+        monkeypatch.setattr(tensor, "DEFAULT_BUDGET", 80)
         with pytest.raises(BudgetExceeded):
-            enumerate_balanced_maps(Z3, Z3, saturating_monoid(3), budget=80)
+            enumerate_balanced_maps(Z3, Z3, saturating_monoid(3))
+        monkeypatch.undo()
         with pytest.raises(BudgetExceeded):     # 5^16 maps: refused before the search
             enumerate_balanced_maps(cyclic_group(5), cyclic_group(5), cyclic_group(5))
 
