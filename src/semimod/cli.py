@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Commands: semiideal, coeq, quotient, tensor, monoid-check, verify.
-Exit codes: 0 success, 1 input/validation error, 2 budget or bound exceeded.
+Exit codes: 0 success, 1 input/validation error, 2 budget exhausted.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .core import (
     load_monoid,
     monoid_to_json,
 )
-from .natcoeq import BoundCapExceeded
 
 
 def _budget(args) -> int:
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceeded, BoundCapExceeded) as e:
+    except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 2
     except (SemimodError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as e:

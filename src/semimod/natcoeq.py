@@ -33,7 +33,7 @@ from . import semiideal as _semiideal
 from .semiideal import EmptyIdeal
 
 
-class BoundCapExceeded(SemimodError):
+class BoundCapExceeded(BudgetExceeded):
     def __init__(self, candidate: "CyclicMonoid", cap: int):
         super().__init__(
             f"certificate B would touch numbers above the bound cap {cap}; "
@@ -58,14 +58,19 @@ class CyclicMonoid:
         return self.index + (n - self.index) % self.period
 
     def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
-        if not (type(self.index) is int and type(self.period) is int
-                and self.index >= 0 and self.period >= 1):
+        if not _well_formed(self):
             raise OutOfRange(f"C({self.index!r},{self.period!r}) needs integers i >= 0, p >= 1")
         size = self.size
         seq = [self.project(s) for s in range(2 * size - 1)]   # row a is seq[a:a + size]
         table = [seq[a:a + size] for a in range(size)]
         labs = tuple(f"{k}̄" for k in range(size)) if labels else None
         return validate_monoid(table, labs)
+
+
+def _well_formed(c) -> bool:
+    """Whether c is C(i, p) with integers i >= 0 and p >= 1."""
+    return (isinstance(c, CyclicMonoid) and type(c.index) is int and type(c.period) is int
+            and c.index >= 0 and c.period >= 1)
 
 
 # one chain step: the endpoints u, v with {u, v} = {a + k, b + k}
@@ -88,20 +93,20 @@ class NatQuotient:
         if self.result is None:
             return all(a == b for a, b in self.pairs)
         c = self.result
-        return all(c.project(a) == c.project(b) for a, b in self.pairs)
+        return _well_formed(c) and all(c.project(a) == c.project(b) for a, b in self.pairs)
 
     def verify_certificate_b(self) -> bool:
         """Replay the merge chain from i to i+p through translated seeds."""
         if self.result is None:
             return not self.cert_b
         c = self.result
-        if c.index == 0 and c.period == 0:
+        if not _well_formed(c):
             return False
+        pairs = set(self.pairs)
         at = c.index
         for u, v, (a, b), k in self.cert_b:
-            if k < 0 or {u, v} != {a + k, b + k} or (a, b) not in self.pairs:
-                return False
-            if u != at:
+            if (u != at or k < 0 or (a, b) not in pairs
+                    or (u, v) != (a + k, b + k) and (u, v) != (b + k, a + k)):
                 return False
             at = v
         return at == c.index + c.period

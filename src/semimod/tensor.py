@@ -21,6 +21,12 @@ from biadditivity, as both sides equal r f(m, n).  The factorization g of a
 balanced f sends each element to the sum of f over its pure tensors, and is
 checked to be a hom out of the tensor, additive against its own generating
 set, that agrees with f on pure tensors.
+
+Only maps from callers (`universal_factorization`, `induced_map`) pass the
+boundary check `balanced_check`.  The symmetry and associativity isos and
+the adjunction transport give the maps they build to `_factor` alone: if
+f = g o (x) with g a hom, f is balanced, since `tensor_product` checks that
+(x) is.  Associativity is two comparison maps, one out of each bracketing.
 """
 
 from __future__ import annotations
@@ -119,17 +125,6 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     return out
 
 
-def _check_map(M: FiniteCommMonoid, N: FiniteCommMonoid, A: FiniteCommMonoid,
-               f: Sequence[Sequence[int]]) -> None:
-    """Reject f unless it is an |M| x |N| table of ints in [0, |A|)."""
-    if (not isinstance(f, (list, tuple)) or len(f) != M.size
-            or any(not isinstance(row, (list, tuple)) or len(row) != N.size for row in f)):
-        raise OutOfRange(f"map is not a {M.size} x {N.size} table")
-    cells = [v for row in f for v in row]
-    if set(map(type, cells)) != {int} or min(cells) < 0 or max(cells) >= A.size:
-        raise _out_of_range(f, A.size)
-
-
 def balanced_check(M: FiniteCommMonoid, N: FiniteCommMonoid,
                    A: FiniteCommMonoid,
                    f: Sequence[Sequence[int]]) -> tuple[bool, Optional[tuple]]:
@@ -145,7 +140,12 @@ def balanced_check(M: FiniteCommMonoid, N: FiniteCommMonoid,
     no check of its own: biadditivity gives r f(m, n) for both sides.
     Raises `OutOfRange` when f is not an |M| x |N| table of elements of A.
     """
-    _check_map(M, N, A, f)
+    if (not isinstance(f, (list, tuple)) or len(f) != M.size
+            or any(not isinstance(row, (list, tuple)) or len(row) != N.size for row in f)):
+        raise OutOfRange(f"map is not a {M.size} x {N.size} table")
+    cells = [v for row in f for v in row]
+    if set(map(type, cells)) != {int} or min(cells) < 0 or max(cells) >= A.size:
+        raise _out_of_range(f, A.size)
     witness = _balanced_failure(M, N, A, f)
     return witness is None, witness
 
@@ -177,7 +177,17 @@ def _balanced_failure(M: FiniteCommMonoid, N: FiniteCommMonoid, A: FiniteCommMon
 
 def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
                             f: Sequence[Sequence[int]]) -> MonoidHom:
-    """The unique hom g with g(m (x) n) = f(m, n), for a balanced f.
+    """The unique hom g with g(m (x) n) = f(m, n), by `_factor` once f passes
+    `balanced_check`; raises `OutOfRange` or `NotBalanced` if it does not."""
+    ok, witness = balanced_check(T.source_m, T.source_n, A, f)
+    if not ok:
+        raise NotBalanced(witness)
+    return _factor(T, A, f)
+
+
+def _factor(T: TensorProduct, A: FiniteCommMonoid,
+            f: Sequence[Sequence[int]]) -> MonoidHom:
+    """`universal_factorization` after the boundary check, for maps the library builds.
 
     g sends each element to the sum of f over its pure tensors
     (`TensorProduct.terms`).  It is well defined when it is a hom out of
@@ -186,10 +196,6 @@ def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
     by induction on a word, as in Light's test), and g(m (x) n) = f(m, n).
     Pure tensors generate T.monoid, so no other hom agrees with f on them.
     """
-    M, N = T.source_m, T.source_n
-    ok, witness = balanced_check(M, N, A, f)
-    if not ok:
-        raise NotBalanced(witness)
     image = [A.sum(f[m][n] for m, n in terms) for terms in T.terms]
     if image[0] != 0:
         raise WellDefinednessFailure(f"g(0) = {image[0]}, not 0")
@@ -197,9 +203,9 @@ def universal_factorization(T: TensorProduct, A: FiniteCommMonoid,
     if bad is not None:
         raise WellDefinednessFailure("g({0} + {1}) != g({0}) + g({1})".format(*bad))
     g = MonoidHom(T.monoid, A, tuple(image))
-    for m in range(M.size):
-        for n in range(N.size):
-            if g.image[T.bilinear[m][n]] != f[m][n]:
+    for m, row in enumerate(T.bilinear):
+        for n, t in enumerate(row):
+            if g.image[t] != f[m][n]:
                 raise WellDefinednessFailure(f"g((x)) != f at ({m},{n})")
     return g
 
@@ -267,31 +273,23 @@ class IsoWitness:
 def associativity_iso(M: FiniteCommMonoid, N: FiniteCommMonoid,
                       P: FiniteCommMonoid,
                       budget: int = DEFAULT_BUDGET) -> IsoWitness:
-    """(M (x) N) (x) P ~ M (x) (N (x) P) on pure tensors, both directions."""
+    """(M (x) N) (x) P ~ M (x) (N (x) P) by two comparison maps, each factored
+    from sums over the pure tensors of its inner factor.  The forward map is
+    checked on pure tensors; the round trips make the backward map its inverse."""
     TMN = tensor_product(M, N, budget)
     L = tensor_product(TMN.monoid, P, budget)
     TNP = tensor_product(N, P, budget)
     R = tensor_product(M, TNP.monoid, budget)
 
-    # forward: (t, p) -> beta_p(t) with beta_p(m (x) n) = m (x) (n (x) p)
-    beta = []
-    for p in range(P.size):
-        f = [[R.bilinear[m][TNP.bilinear[n][p]] for n in range(N.size)]
-             for m in range(M.size)]
-        beta.append(universal_factorization(TMN, R.monoid, f))
-    fwd_table = [[beta[p].image[t] for p in range(P.size)]
-                 for t in range(TMN.monoid.size)]
-    fwd = universal_factorization(L, R.monoid, fwd_table)
-
-    gamma = []
-    for m in range(M.size):
-        f = [[L.bilinear[TMN.bilinear[m][n]][p] for p in range(P.size)]
-             for n in range(N.size)]
-        gamma.append(universal_factorization(TNP, L.monoid, f))
-    bwd_table = [[gamma[m].image[u] for u in range(TNP.monoid.size)]
-                 for m in range(M.size)]
-    bwd = universal_factorization(R, L.monoid, bwd_table)
-
+    fwd = _factor(L, R.monoid, [[R.monoid.sum(R.bilinear[m][TNP.bilinear[n][p]] for m, n in terms)
+                                 for p in range(P.size)] for terms in TMN.terms])
+    bwd = _factor(R, L.monoid, [[L.monoid.sum(L.bilinear[TMN.bilinear[m][n]][p] for n, p in terms)
+                                 for terms in TNP.terms] for m in range(M.size)])
+    for m, row in enumerate(TMN.bilinear):
+        for n, t in enumerate(row):
+            for p, u in enumerate(TNP.bilinear[n]):
+                if fwd.image[L.bilinear[t][p]] != R.bilinear[m][u]:
+                    raise SemimodError(f"(m (x) n) (x) p -> m (x) (n (x) p) fails at {(m, n, p)}")
     iso = IsoWitness(fwd, bwd)
     if not iso.verify():
         raise SemimodError("associativity comparison maps are not mutually inverse")
@@ -303,10 +301,8 @@ def symmetry_iso(M: FiniteCommMonoid, N: FiniteCommMonoid,
     """The twist m (x) n -> n (x) m and its inverse."""
     T = tensor_product(M, N, budget)
     S = tensor_product(N, M, budget)
-    tau = universal_factorization(
-        T, S.monoid, [[S.bilinear[n][m] for n in range(N.size)] for m in range(M.size)])
-    tau2 = universal_factorization(
-        S, T.monoid, [[T.bilinear[m][n] for m in range(M.size)] for n in range(N.size)])
+    tau = _factor(T, S.monoid, tuple(zip(*S.bilinear)))
+    tau2 = _factor(S, T.monoid, tuple(zip(*T.bilinear)))
     iso = IsoWitness(tau, tau2)
     if not iso.verify():
         raise SemimodError("the twist maps are not mutually inverse")
@@ -347,9 +343,7 @@ def hom_adjunction_check(P: FiniteCommMonoid, M: FiniteCommMonoid,
         return MonoidHom(P, H, tuple(image))
 
     def psi(g: MonoidHom) -> MonoidHom:
-        table = [[homs_mn[g.image[p]].image[m] for m in range(M.size)]
-                 for p in range(P.size)]
-        return universal_factorization(T, N, table)
+        return _factor(T, N, [homs_mn[h].image for h in g.image])
 
     if len(left) != len(right):
         return False

@@ -38,6 +38,12 @@ def test_coeq_naive(capsys):
     assert len(json.loads(out)["naive_classes"]) == 2
 
 
+def test_coeq_bound_cap_exit_2(capsys):
+    code, out, err = run(capsys, "coeq", "10", "30", "--bound-cap", "12")
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: certificate B would touch numbers above")
+
+
 def test_coeq_naive_budget_exit_2(capsys):
     code, out, err = run(capsys, "coeq", "3", "2000", "--naive")
     assert code == 2 and out == "" and "budget" in err

@@ -86,6 +86,15 @@ class TestCoequalizerNat:
         forged = NatQuotient(((4, 6),), CyclicMonoid(0, 2), True, ((0, 2, (4, 6), -4),))
         assert not forged.verify_certificate_b()
 
+    @pytest.mark.parametrize("result", [CyclicMonoid(5, 0), CyclicMonoid(0, 0), CyclicMonoid(-1, 2),
+                                        CyclicMonoid(1, -2), CyclicMonoid(True, 1),
+                                        CyclicMonoid(1, 2.0), (1, 6)])
+    def test_forged_result_fails_both_replays(self, result):
+        # an empty chain would "merge" i with i + 0, and project would divide by 0
+        assert not NatQuotient(((1, 2),), result, True, ()).verify_certificate_b()
+        assert not NatQuotient(((1, 7),), result, True, ()).verify()
+        assert not NatQuotient(((1, 7),), result, True, ()).verify_certificate_a()
+
     def test_large_single_pair_is_one_step(self):
         q = coequalizer_nat(12345, 1000003, bound_cap=2 * 10**6)
         assert q.result == CyclicMonoid(12345, 987658)
@@ -126,6 +135,7 @@ class TestGeneratedQuotient:
             assert q1.result == q2.result
 
     def test_bound_cap_raises(self):
+        assert issubclass(BoundCapExceeded, BudgetExceeded)
         with pytest.raises(BoundCapExceeded):
             nat_congruence_quotient([(10, 30)], bound_cap=12)
 

@@ -8,11 +8,14 @@ Both cost time linear in the size of the numbers, so they serve only as
 oracles for the residue-based ``Semiideal`` and ``nat_congruence_quotient``.
 ``certificate_b_by_generators`` is the Bezout walk choosing each step by a
 scan over a dict of remaining coefficients, the reference for the walk over
-two step lists in ``_certificate_b``.
+two step lists in ``_certificate_b``.  ``replay_by_sets`` replays a chain
+with a set of endpoints per step and a scan of the seed tuple, the
+reference for ``NatQuotient.verify_certificate_b``.
 """
 
 import random
 from collections import Counter
+from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -299,3 +302,49 @@ class TestQuotientAgainstProofForest:
             assert (q.result.index, q.result.period) == (oracle.result.index,
                                                          oracle.result.period)
             assert len(q.cert_b) <= len(oracle.cert_b)
+
+
+def replay_by_sets(q):
+    """Reference replay of certificate B, for a well-formed C(i, p)."""
+    c = q.result
+    at = c.index
+    for u, v, (a, b), k in q.cert_b:
+        if k < 0 or {u, v} != {a + k, b + k} or (a, b) not in q.pairs:
+            return False
+        if u != at:
+            return False
+        at = v
+    return at == c.index + c.period
+
+
+def forge(draw, chain):
+    """The chain with one step forged, or cut short."""
+    chain = list(chain)
+    j = draw(st.integers(0, len(chain) - 1))
+    u, v, (a, b), k = chain[j]
+    kind = draw(st.sampled_from(["shift", "negative", "reversed", "unseeded", "short"]))
+    if kind == "shift":
+        d = draw(st.integers(-3, 3).filter(bool))
+        chain[j] = (u + d, v, (a, b), k) if draw(st.booleans()) else (u, v + d, (a, b), k)
+    elif kind == "negative":
+        k2 = draw(st.integers(-5, -1))
+        chain[j] = (a + k2, b + k2, (a, b), k2)
+    elif kind == "reversed":
+        chain[j] = (u, v, (b, a), k)
+    elif kind == "unseeded":         # same endpoints from a pair that is no seed
+        chain[j] = (u, v, (a + 1, b + 1), k - 1) if k else (u, v, (a - 1, b - 1), 1)
+    else:
+        del chain[j:]
+    return tuple(chain)
+
+
+class TestReplayAgainstSets:
+    @given(pair_lists, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_on_real_and_forged_chains(self, pairs, data):
+        q = nat_congruence_quotient(pairs)
+        if q.is_symbolic_nat:
+            return
+        assert q.verify_certificate_b() and replay_by_sets(q)
+        forged = replace(q, cert_b=forge(data.draw, q.cert_b))
+        assert forged.verify_certificate_b() == replay_by_sets(forged)

@@ -1,6 +1,7 @@
+import random
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import product
+from itertools import count, product
 from math import comb, gcd
 
 import pytest
@@ -28,6 +29,7 @@ from semimod.core import (
 )
 from semimod.natcoeq import CyclicMonoid
 from semimod.tensor import (
+    IsoWitness,
     NotBalanced,
     TensorProduct,
     WellDefinednessFailure,
@@ -42,6 +44,7 @@ from semimod.tensor import (
     tensor_with_free,
     universal_factorization,
 )
+from test_validation import relabel
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -733,6 +736,115 @@ class TestTensorWithFree:
             assert len(decomps) == 1
 
 
+def associativity_by_families(M, N, P, budget=DEFAULT_BUDGET):
+    """Reference for `associativity_iso`: the forward map factored from the
+    homs beta_p: m (x) n -> m (x) (n (x) p) out of M (x) N, one per p, and
+    the backward map from gamma_m: n (x) p -> (m (x) n) (x) p, one per m,
+    every map through the boundary check of `universal_factorization`."""
+    TMN = tensor.tensor_product(M, N, budget)
+    L = tensor.tensor_product(TMN.monoid, P, budget)
+    TNP = tensor.tensor_product(N, P, budget)
+    R = tensor.tensor_product(M, TNP.monoid, budget)
+    beta = [universal_factorization(TMN, R.monoid, [[R.bilinear[m][TNP.bilinear[n][p]]
+                                                     for n in range(N.size)] for m in range(M.size)])
+            for p in range(P.size)]
+    fwd = universal_factorization(L, R.monoid, [[beta[p].image[t] for p in range(P.size)]
+                                                for t in range(TMN.monoid.size)])
+    gamma = [universal_factorization(TNP, L.monoid, [[L.bilinear[TMN.bilinear[m][n]][p]
+                                                      for p in range(P.size)] for n in range(N.size)])
+             for m in range(M.size)]
+    bwd = universal_factorization(R, L.monoid, [[gamma[m].image[u] for u in range(TNP.monoid.size)]
+                                                for m in range(M.size)])
+    iso = IsoWitness(fwd, bwd)
+    if not iso.verify():
+        raise SemimodError("associativity comparison maps are not mutually inverse")
+    return iso
+
+
+def twist_by_boundary(M, N, budget=DEFAULT_BUDGET):
+    """Reference for `symmetry_iso`: both twists through `universal_factorization`."""
+    T = tensor.tensor_product(M, N, budget)
+    S = tensor.tensor_product(N, M, budget)
+    tau = universal_factorization(
+        T, S.monoid, [[S.bilinear[n][m] for n in range(N.size)] for m in range(M.size)])
+    tau2 = universal_factorization(
+        S, T.monoid, [[T.bilinear[m][n] for m in range(M.size)] for n in range(N.size)])
+    iso = IsoWitness(tau, tau2)
+    if not iso.verify():
+        raise SemimodError("the twist maps are not mutually inverse")
+    return iso
+
+
+def images(check, *args):
+    """The forward and backward images of an iso, or the fact that the check raised."""
+    try:
+        iso = check(*args)
+    except SemimodError:
+        return SemimodError
+    return iso.forward.image, iso.backward.image
+
+
+@cache
+def relabelled_mixes():
+    """Z/2 x Sat2, Z/3 x Sat2 and Z/2 x Z/3, each with its nonzero elements shuffled."""
+    rng, out = random.Random(7), []
+    for A, B in ((Z2, SAT2), (Z3, SAT2), (Z2, Z3)):
+        table = biproduct(A, B).monoid.add
+        rest = list(range(1, len(table)))
+        rng.shuffle(rest)
+        out.append(validate_monoid(relabel(table, [0, *rest])))
+    return out
+
+
+def swap_terms(T, rng):
+    """T with the pure-tensor rows of two elements swapped, or None if no two differ."""
+    rows = [(r, s) for r in range(T.monoid.size) for s in range(r) if T.terms[r] != T.terms[s]]
+    if not rows:
+        return None
+    r, s = rng.choice(rows)
+    terms = list(T.terms)
+    terms[r], terms[s] = terms[s], terms[r]
+    return replace(T, terms=tuple(terms))
+
+
+def change_cell(T, rng):
+    """T with one cell of its bilinear table changed, or None on a one-element tensor."""
+    if T.monoid.size < 2:
+        return None
+    m, n = rng.randrange(T.source_m.size), rng.randrange(T.source_n.size)
+    table = [list(row) for row in T.bilinear]
+    table[m][n] = rng.choice([v for v in T.monoid.elements() if v != table[m][n]])
+    return replace(T, bilinear=tuple(map(tuple, table)))
+
+
+def with_corrupt_tensor(monkeypatch, k, corrupted, check, *args):
+    """`images` of the check while its k-th `tensor_product` call returns `corrupted`."""
+    real, calls = tensor.tensor_product, count()
+
+    def patched(M, N, budget=DEFAULT_BUDGET):
+        T = real(M, N, budget)
+        return corrupted if next(calls) == k else T
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor, "tensor_product", patched)
+        return images(check, *args)
+
+
+def corrupt_cases(args, builds, seed):
+    """(k, corrupted tensor) for each tensor the check builds and each corruption."""
+    rng = random.Random(seed)
+    for k, (M, N) in enumerate(builds(*args)):
+        for corrupt in (swap_terms, change_cell):
+            T = corrupt(tensor_product(M, N), rng)
+            if T is not None:
+                yield k, T
+
+
+def assoc_builds(M, N, P):
+    MN, NP = tensor_product(M, N).monoid, tensor_product(N, P).monoid
+    return (M, N), (MN, P), (N, P), (M, NP)
+
+
 class TestCoherence:
     def test_symmetry_involution(self):
         M = saturating_monoid(3)
@@ -773,7 +885,37 @@ class TestCoherence:
         for M in corpus:
             for N in corpus:
                 for P in corpus:
-                    assert associativity_iso(M, N, P).verify()
+                    iso = associativity_iso(M, N, P)
+                    assert iso.verify()
+                    assert (iso.forward.image, iso.backward.image) == images(
+                        associativity_by_families, M, N, P)
+
+    def test_associativity_and_twist_match_the_oracles_on_relabelled_mixes(self):
+        mixes = relabelled_mixes() + [Z2, Z3, SAT2]
+        for M, N in product(mixes, repeat=2):
+            assert images(symmetry_iso, M, N) == images(twist_by_boundary, M, N)
+            for P in mixes:
+                assert images(associativity_iso, M, N, P) == images(
+                    associativity_by_families, M, N, P)
+
+    def test_corrupt_inner_tensors_fail_where_the_oracles_fail(self, monkeypatch):
+        """With one tensor's pure-tensor rows swapped or one bilinear cell
+        changed, each check raises exactly when its oracle does, and
+        otherwise returns the same maps."""
+        corpus = small_monoid_corpus(3)
+        raised = 0
+        for seed, (M, N, P) in enumerate(product(corpus[1:5], repeat=3)):
+            for k, T in corrupt_cases((M, N, P), assoc_builds, seed):
+                new = with_corrupt_tensor(monkeypatch, k, T, associativity_iso, M, N, P)
+                assert new == with_corrupt_tensor(monkeypatch, k, T,
+                                                  associativity_by_families, M, N, P)
+                raised += new is SemimodError
+        for seed, (M, N) in enumerate(product(corpus + relabelled_mixes(), repeat=2)):
+            for k, T in corrupt_cases((M, N), lambda M, N: ((M, N), (N, M)), seed):
+                new = with_corrupt_tensor(monkeypatch, k, T, symmetry_iso, M, N)
+                assert new == with_corrupt_tensor(monkeypatch, k, T, twist_by_boundary, M, N)
+                raised += new is SemimodError
+        assert raised > 100
 
     def test_triangle_on_rank_one_free(self):
         # (A (x) free_1) (x) B vs A (x) (free_1 (x) B): the unit laws collapse
@@ -809,6 +951,17 @@ class TestAdjunction:
             for M in corpus:
                 for N in corpus:
                     assert hom_adjunction_check(P, M, N)
+
+    def test_transport_factors_as_at_the_boundary(self):
+        """psi's tables, built from Hom(P, Hom(M, N)), factor by `_factor`
+        to the same homs as through `universal_factorization`."""
+        corpus = small_monoid_corpus(3)
+        for P, M, N in product(corpus[1:5], repeat=3):
+            T = tensor_product(P, M)
+            H, homs_mn = hom_monoid(M, N)
+            for g in enumerate_homs(P, H):
+                table = [homs_mn[h].image for h in g.image]
+                assert tensor._factor(T, N, table) == universal_factorization(T, N, table)
 
 
 class TestUniquenessUpToIso:
