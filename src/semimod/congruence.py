@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
@@ -118,14 +118,18 @@ def identity_congruence(M: FiniteCommMonoid) -> Congruence:
 
 
 def congruence_closure(M: FiniteCommMonoid,
-                       pairs: Sequence[tuple[int, int]]) -> Congruence:
+                       pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Smallest congruence containing the given pairs.
 
-    Every merge pushes the translates of its pair by each x in M.gens.  The
-    result is the least equivalence closed under those translations, hence
-    the least congruence, and each class keeps its smallest member as
-    representative.
+    Every merge of a pair (a, b) pushes its translates (a + x, b + x) by
+    each x in M.gens, except those that merge nothing: a pair of equal
+    translates, and the pair itself (a + x = a and b + x = b), which most
+    translates of a merge in Sat_n are.  The result is the least
+    equivalence closed under those translations, hence the least
+    congruence, and each class keeps its smallest member as representative.
+    The pairs may be any iterable; they are read once.
     """
+    pairs = tuple(pairs)
     for p in pairs:
         if not (isinstance(p, (tuple, list)) and len(p) == 2
                 and all(type(v) is int and 0 <= v < M.size for v in p)):
@@ -136,9 +140,9 @@ def congruence_closure(M: FiniteCommMonoid,
     while work:
         a, b = work.pop()
         if uf.union(a, b):
-            # a pair of equal translates merges nothing
-            work.extend((row[a], row[b]) for row in rows if row[a] != row[b])
-    return Congruence(M, tuple(map(uf.find, M.elements())), tuple(pairs))
+            work.extend((row[a], row[b]) for row in rows
+                        if row[a] != row[b] and (row[a] != a or row[b] != b))
+    return Congruence(M, tuple(map(uf.find, M.elements())), pairs)
 
 
 def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, MonoidHom]:

@@ -2,12 +2,16 @@
 
 Element 0 is always the identity.  A table from outside goes through
 `validate_monoid`, which checks associativity by Light's test over a greedy
-generating set X (O(n^2 |X|), not O(n^3)); one derived from validated
-monoids, checked integer arguments or a checked congruence (a quotient) is
-a monoid by construction and is built by `_built` unchecked.  Every monoid
-keeps X as `gens`, and builds a `Presentation` over it on first use;
-congruences, tensor products and homs work over X instead of over every
-element (a hom is its images of X).  A monoid doubles as a module over the
+generating set X (O(n^2 |X|), not O(n^3)).  Up to 256 elements it decides
+by left translations, one `bytes.translate` per x in X: the x with
+(x + a) + b = x + (a + b) for all a, b contain 0 and are closed under +,
+so they are every element once X is among them; `_light_bytes` scans
+only a failing table, to name the witness.  A table derived from
+validated monoids, checked integer arguments or a checked congruence (a
+quotient) is a monoid by construction and is built by `_built` unchecked.
+Every monoid keeps X as `gens`, and builds a `Presentation` over it on
+first use; congruences, tensor products and homs work over X instead of
+over every element (a hom is its images of X).  A monoid doubles as a module over the
 nonnegative integers via the repeated-addition action: `scalar` computes
 k*m by doubling, and `orbit` walks m, 2m, ... when asked, so a monoid
 keeps nothing but its table, labels and generating set.
@@ -199,8 +203,43 @@ def _generating_set(table: Sequence[Sequence[int]]) -> list[int]:
     closure grows by a worklist: a popped element is added to every member
     present at that time, and a later member meets it when that member is
     popped, so each pair is summed at most twice, O(n^2) in total.  The
-    walk stops as soon as the closure holds every element.
+    walk stops as soon as the closure holds every element.  The closure of
+    the kept ones does not depend on the order of the worklist, so neither
+    does X.  Up to 256 elements the members are bytes (`_generating_set_bytes`),
+    above that a set (`_generating_set_sets`).
     """
+    if len(table) <= 256:
+        return _generating_set_bytes(table)
+    return _generating_set_sets(table)
+
+
+def _generating_set_bytes(rows: Sequence[Sequence[int]]) -> list[int]:
+    """`_generating_set` on bytes (n <= 256), each popped element at C speed.
+
+    The members are a bytearray: translating it through the popped
+    element's row, as bytes padded to 256, gives its sums with every
+    member, and deleting the members from those leaves the new ones.  Only
+    popped rows become bytes; a row that already is one is not copied.
+    """
+    n = len(rows)
+    members = bytearray(1)                 # b"\0": the identity
+    gens = []
+    for e in range(1, n):
+        if e in members:
+            continue
+        gens.append(e)
+        members.append(e)
+        work = [e]
+        while work and len(members) < n:
+            row = bytes(rows[work.pop()]).ljust(256, b"\0")
+            fresh = set(members.translate(row).translate(None, members))
+            members.extend(fresh)
+            work.extend(fresh)
+    return gens
+
+
+def _generating_set_sets(table: Sequence[Sequence[int]]) -> list[int]:
+    """`_generating_set` with the members in a set: the path for n > 256."""
     n = len(table)
     inside = {0}
     members = [0]
@@ -237,6 +276,20 @@ def _light_rows(rows: Sequence[Sequence[int]], gens: Iterable[int]) -> None:
                 raise NotAssociative(a, x, next(b for b in range(n) if lhs[b] != rhs[b]))
 
 
+def _left_translates_associate(rb: Sequence[bytes], whole: bytes, gens: Iterable[int]) -> bool:
+    """Whether (x + a) + b = x + (a + b) for every x in gens and all a, b (n <= 256).
+
+    Both sides are n*n-byte blobs in the order a*n + b: the left joins the
+    rows x + a, the right is the whole table `whole` translated through
+    row x padded to 256 bytes, one translate per x.  For a table with
+    identity 0 and a generating set gens, this holds exactly when the
+    table is associative: the x that pass contain 0 and are closed under +,
+    ((x + y) + a) + b = x + ((y + a) + b) = x + (y + (a + b)) = (x + y) + (a + b).
+    """
+    return all(b"".join(map(rb.__getitem__, rb[x])) == whole.translate(rb[x].ljust(256, b"\0"))
+               for x in gens)
+
+
 def _light_bytes(rb: Sequence[bytes], gens: Iterable[int]) -> None:
     """Light's test over gens on byte rows (n <= 256), one blob per x.
 
@@ -244,6 +297,8 @@ def _light_bytes(rb: Sequence[bytes], gens: Iterable[int]) -> None:
     n*n-byte blobs in the order a*n + b: the left by joining rows a + x, the
     right by translating row x through each row a padded to 256 bytes.  The
     first differing byte gives the same witness as `_light_rows`.
+    `validate_monoid` runs it only on a table that
+    `_left_translates_associate` has refused, to name the witness.
     """
     n = len(rb)
     tabs = [r.ljust(256, b"\0") for r in rb]
@@ -265,14 +320,18 @@ def validate_monoid(table: Sequence[Sequence[int]],
     is Light's test (Clifford-Preston 1961, section 1.2): the elements x
     with (a + x) + b = a + (x + b) for all a, b form a submonoid, so it is
     enough to check x in a generating set X, at O(n^2 |X|) instead of
-    O(n^3).  For n <= 256 the rows are byte strings and each x costs one
-    comparison of two n*n-byte blobs built at C speed (`_light_bytes`:
-    a + (x + b) for all a, b is row x translated through each row a).
-    Larger tables gather the whole row of a + (x + b) over b by one
-    itemgetter call per (x, a) and compare it with the row of a + x
-    (`_light_rows`).  Both report the first failing (a, b) in the order a,
-    then b, so the witness does not depend on n.  The returned monoid keeps
-    X as its `gens`.
+    O(n^3).  For n <= 256 the rows are byte strings, and the decision
+    uses left translations instead: the x with (x + a) + b = x + (a + b)
+    for all a, b also form a submonoid, and x + (a + b) for all a, b is
+    the whole table translated through row x, one `bytes.translate` per x
+    (`_left_translates_associate`).  Only a table that fails it runs
+    `_light_bytes`, which compares (a + x) + b with a + (x + b) per x in
+    one blob each, and names the witness.  Larger tables gather the whole
+    row of a + (x + b) over b by one itemgetter call per (x, a) and
+    compare it with the row of a + x (`_light_rows`).  Both witness scans
+    report the first failing x, then the first (a, b) in the order a,
+    then b, so the witness does not depend on n.  The returned monoid
+    keeps X as its `gens`.
 
     Before Light's test come the entries, the identity and commutativity.
     Every entry must be an `int` by an exact type test, which stays a
@@ -322,10 +381,13 @@ def validate_monoid(table: Sequence[Sequence[int]],
                 # the first asymmetric row differs first right of the diagonal
                 raise NotCommutative(m, next(m2 for m2 in range(m + 1, n)
                                              if rows[m][m2] != col[m2]))
-    gens = _generating_set(rows)
     if n <= 256:
-        _light_bytes(rb, gens)
+        gens = _generating_set_bytes(rb)
+        if not _left_translates_associate(rb, whole, gens):
+            _light_bytes(rb, gens)         # raises NotAssociative with the witness
+            raise SemimodError("internal error: Light's test fails on left translations alone")
     else:
+        gens = _generating_set_sets(rows)
         _light_rows(rows, gens)
     return FiniteCommMonoid(
         size=n,

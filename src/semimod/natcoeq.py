@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .congruence import UnionFind
 from .core import (DEFAULT_BUDGET, BudgetExceeded, FiniteCommMonoid, OutOfRange, SemimodError,
@@ -200,22 +200,28 @@ def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
     return climb + walk + descent, peak
 
 
-def nat_congruence_quotient(pairs: Sequence[tuple[int, int]],
+def _check_bound_cap(bound_cap) -> None:
+    if type(bound_cap) is not int or bound_cap < 0:
+        raise OutOfRange(f"bound cap {bound_cap!r} is not an integer >= 0")
+
+
+def nat_congruence_quotient(pairs: Iterable[tuple[int, int]],
                             bound_cap: int = 10**6) -> NatQuotient:
     """Quotient of the naturals by the congruence generated by the pairs.
 
-    Certificate B touches no number above bound_cap; if it would, this
-    raises BoundCapExceeded.
+    The pairs may be any iterable; they are read once.  Certificate B
+    touches no number above bound_cap, an integer >= 0 (else `OutOfRange`);
+    if it would, this raises BoundCapExceeded.
     """
-    norm = []
+    _check_bound_cap(bound_cap)
+    all_pairs = []
     for a, b in pairs:
         if a < 0 or b < 0:
             raise SemimodError("pairs must be nonnegative")
-        if a != b:
-            norm.append((min(a, b), max(a, b)))
-    all_pairs = tuple((min(a, b), max(a, b)) for a, b in pairs)
+        all_pairs.append((min(a, b), max(a, b)))
+    norm = [(a, b) for a, b in all_pairs if a != b]
     if not norm:
-        return NatQuotient(all_pairs, None)
+        return NatQuotient(tuple(all_pairs), None)
 
     i = min(a for a, b in norm)
     p = gcd(*(b - a for a, b in norm))
@@ -235,6 +241,7 @@ def coequalizer_nat(a: int, b: int, bound_cap: int = 10**6) -> NatQuotient:
     """
     if a < 0 or b < 0:
         raise SemimodError("multipliers must be nonnegative")
+    _check_bound_cap(bound_cap)
     if a == b:
         return NatQuotient(((a, b),), None)
     lo, hi = min(a, b), max(a, b)

@@ -44,6 +44,15 @@ def test_coeq_bound_cap_exit_2(capsys):
     assert err.startswith("budget exceeded: certificate B would touch numbers above")
 
 
+def test_coeq_negative_bound_cap_exit_1(capsys):
+    for a in ("5", "0"):            # also when the multipliers are equal
+        code, out, err = run(capsys, "coeq", "0", a, "--bound-cap", "-1")
+        assert (code, out, err) == (1, "", "error: bound cap -1 is not an integer >= 0\n")
+    code, out, err = run(capsys, "coeq", "0", "5", "--bound-cap", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("budget exceeded: certificate B would touch numbers above the bound cap 0")
+
+
 def test_coeq_naive_budget_exit_2(capsys):
     code, out, err = run(capsys, "coeq", "3", "2000", "--naive")
     assert code == 2 and out == "" and "budget" in err

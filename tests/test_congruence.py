@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -70,6 +71,19 @@ def closure_over_all_elements(M, pairs) -> tuple[int, ...]:
         if uf.union(a, b):
             work.extend((M.add[a][w], M.add[b][w]) for w in M.elements())
     return tuple(uf.find(m) for m in M.elements())
+
+
+def closure_over_all_translates(M, pairs) -> tuple[int, ...]:
+    """Reference closure: every merge pushes every unequal translate by M.gens,
+    the pair itself included."""
+    uf = UnionFind(M.size)
+    rows = [M.add[x] for x in M.gens]
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        if uf.union(a, b):
+            work.extend((row[a], row[b]) for row in rows if row[a] != row[b])
+    return tuple(map(uf.find, M.elements()))
 
 
 def cubic_translation_closed(C) -> bool:
@@ -220,6 +234,34 @@ class TestClosure:
                                 new.append(key[k])
                             meet_rep = new
                 assert tuple(meet_rep) == closed.rep
+
+    def test_matches_both_oracles_on_every_small_seed(self):
+        for M in small_monoid_corpus(4):
+            pairs = list(itertools.product(range(M.size), repeat=2))
+            for seeds in itertools.chain(([p] for p in pairs), itertools.combinations(pairs, 2)):
+                rep = congruence_closure(M, seeds).rep
+                assert rep == closure_over_all_elements(M, seeds)
+                assert rep == closure_over_all_translates(M, seeds)
+
+    @pytest.mark.parametrize("n", [2, 7, 30, 100])
+    @pytest.mark.parametrize("family", ["Z", "Sat", "C"])
+    def test_matches_both_oracles_on_relabelled_families(self, family, n):
+        rng = random.Random(n)
+        M = validate_monoid(relabel(family_table(family, n), [0] + rng.sample(range(1, n), n - 1)))
+        for _ in range(12):
+            seeds = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.choice([1, 2]))]
+            rep = congruence_closure(M, seeds).rep
+            assert rep == closure_over_all_elements(M, seeds)
+            assert rep == closure_over_all_translates(M, seeds)
+
+    def test_pairs_may_be_any_iterable(self):
+        M = cyclic_group(6)
+        for pairs in (zip([0], [3]), ((a, a + 3) for a in [0]), iter([[0, 3]])):
+            C = congruence_closure(M, pairs)
+            assert C.classes() == [[0, 3], [1, 4], [2, 5]]
+            assert list(map(tuple, C.generators)) == [(0, 3)]
+        with pytest.raises(OutOfRange, match=re.escape("(0, 6)")):
+            congruence_closure(M, ((0, b) for b in (3, 6)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

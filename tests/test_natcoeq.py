@@ -1,7 +1,7 @@
 import pytest
 
 from semimod.congruence import congruence_closure
-from semimod.core import BudgetExceeded, SemimodError
+from semimod.core import BudgetExceeded, OutOfRange, SemimodError
 from semimod.natcoeq import (
     BoundCapExceeded,
     BourneNatQuotient,
@@ -138,6 +138,27 @@ class TestGeneratedQuotient:
         assert issubclass(BoundCapExceeded, BudgetExceeded)
         with pytest.raises(BoundCapExceeded):
             nat_congruence_quotient([(10, 30)], bound_cap=12)
+
+    @pytest.mark.parametrize("cap", [-1, -10**6, True, 1.0, "12", None])
+    def test_bound_cap_must_be_an_integer_at_least_zero(self, cap):
+        # checked before the pairs: a bad pair list does not hide it
+        for pairs in ([(10, 30)], [(3, 3)], [(-1, 2)]):
+            with pytest.raises(OutOfRange, match="bound cap"):
+                nat_congruence_quotient(pairs, bound_cap=cap)
+        for a, b in ((10, 30), (3, 3)):
+            with pytest.raises(OutOfRange, match="bound cap"):
+                coequalizer_nat(a, b, bound_cap=cap)
+
+    def test_bound_cap_zero(self):
+        assert nat_congruence_quotient([(3, 3)], bound_cap=0).is_symbolic_nat
+        with pytest.raises(BoundCapExceeded):
+            nat_congruence_quotient([(0, 5)], bound_cap=0)
+
+    def test_pairs_may_be_any_iterable(self):
+        assert nat_congruence_quotient(p for p in [(2, 2), (5, 5)]).pairs == ((2, 2), (5, 5))
+        q = nat_congruence_quotient([(30, 10), (4, 12)])
+        assert nat_congruence_quotient(zip([30, 4], [10, 12])) == q
+        assert nat_congruence_quotient(p for p in [(30, 10), (4, 12)]) == q
 
     def test_chain_climbs_then_walks_bezout(self):
         # i = 2 climbs by 3 to the floor 8 >= 7, walks 8 -> 11 -> 14 -> 9

@@ -14,6 +14,9 @@ from semimod.core import (
     OutOfRange,
     SemimodError,
     _generating_set,
+    _generating_set_bytes,
+    _generating_set_sets,
+    _left_translates_associate,
     _light_bytes,
     _light_rows,
     _out_of_range,
@@ -287,3 +290,86 @@ def test_prelude_matches_the_scans_on_corrupted_tables(n):
                 assert got == expected
                 seen.add(got[0])
     assert seen == ({OutOfRange, NotIdentity, NotCommutative} if n > 1 else {OutOfRange})
+
+
+def has_two_sided_identity(table):
+    return all(table[0][m] == m and table[m][0] == m for m in range(len(table)))
+
+
+def is_commutative(table):
+    return all(table[a][b] == table[b][a] for a in range(len(table)) for b in range(a))
+
+
+def check_left_translation_decision(table):
+    """The one-translate-per-x decision over the set-based greedy X against
+    associativity over all triples.  On a commutative table it must also
+    agree with `_light_rows` (which compares (x + a) + b with a + (x + b),
+    so decides nothing without commutativity), the byte-based X must be the
+    same, and `validate_monoid` must raise the witness of `_light_rows`."""
+    n = len(table)
+    rows = tuple(map(tuple, table))
+    rb = list(map(bytes, rows))
+    gens = _generating_set_sets(rows)
+    verdict = _left_translates_associate(rb, b"".join(rb), gens)
+    if n <= 30:
+        assert verdict == all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
+                              for a in range(n) for b in range(n) for c in range(n))
+    if is_commutative(table):
+        expected = light_outcome(_light_rows, rows, gens)
+        assert verdict == (expected is None)
+        assert _generating_set_bytes(rb) == gens
+        assert outcome(validate_monoid, table) == expected
+    return verdict
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(commutative_tables(), corrupted_family_tables()).filter(has_two_sided_identity))
+def test_left_translation_decision_matches_light_rows(table):
+    check_left_translation_decision(table)
+
+
+def test_left_translation_decision_on_every_small_table():
+    for n in range(1, 5):
+        cells = [(a, b) for a in range(1, n) for b in range(a, n)]
+        accepted = 0
+        for code in range(n ** len(cells)):
+            table = [[max(a, b) if min(a, b) == 0 else 0 for b in range(n)] for a in range(n)]
+            for a, b in cells:
+                table[a][b] = table[b][a] = code % n
+                code //= n
+            accepted += check_left_translation_decision(table)
+        assert accepted == len(enumerate_comm_monoid_tables(n))
+
+
+def product_table(n):
+    """Z/m x Z/k with m * k = n, the pair (a, b) stored at a*k + b."""
+    m = {100: 4, 150: 10, 255: 15, 256: 16}[n]
+    k = n // m
+    return [[((x // k + y // k) % m) * k + (x % k + y % k) % k for y in range(n)]
+            for x in range(n)]
+
+
+@pytest.mark.parametrize("n", [100, 150, 255, 256, 257])
+@pytest.mark.parametrize("family", ["Z", "Sat", "C", "ZxZ"])
+def test_left_translation_decision_on_relabelled_families(family, n):
+    """Relabelled families, intact and with one diagonal cell changed (still
+    commutative with identity 0); n = 257 compares the generating sets only."""
+    if family == "ZxZ" and n == 257:
+        return
+    rng = random.Random(n)
+    table = product_table(n) if family == "ZxZ" else family_table(family, n)
+    table = relabel(table, [0] + rng.sample(range(1, n), n - 1))
+    d = rng.randrange(1, n)
+    corrupt = [list(r) for r in table]
+    corrupt[d][d] = rng.choice([v for v in range(n) if v != table[d][d]])
+    for t in (table, corrupt):
+        rows = tuple(map(tuple, t))
+        gens = _generating_set_sets(rows)
+        assert _generating_set(t) == gens
+        if n <= 256:
+            assert check_left_translation_decision(t) == (t is table)
+        else:
+            expected = light_outcome(_light_rows, rows, gens)
+            assert outcome(validate_monoid, t) == expected and (expected is None) == (t is table)
+        if t is table:
+            assert validate_monoid(t).gens == tuple(gens)
