@@ -14,6 +14,7 @@ from typing import Callable
 
 from .congruence import congruence_closure, enumerate_congruences
 from .core import (
+    biproduct,
     cyclic_group,
     direct_summand_analysis,
     enumerate_comm_monoid_tables,
@@ -232,6 +233,23 @@ def coherence() -> bool:
     return True
 
 
+def semilattice_tensor_sizes() -> bool:
+    """|L (x) N| = |Hom(N, L)| for products L, N of chains, past the power table's reach.
+
+    For semilattices, L (x) N is the semilattice of bi-ideals, in bijection with
+    Hom(N, L^op) (Graetzer-Wehrung 1999); a product of chains is self-dual, so
+    L^op ~ L.  The count is by `enumerate_homs`, which shares no code with the
+    tensor.  The last pair needs 1296^2 quotient cells, so it gets budget 10^7.
+    """
+    S3x3 = biproduct(saturating_monoid(3), saturating_monoid(3)).monoid
+    S4x4 = biproduct(saturating_monoid(4), saturating_monoid(4)).monoid
+    pairs = [(saturating_monoid(m), saturating_monoid(n)) for m in range(1, 6) for n in range(1, 6)]
+    pairs += [(saturating_monoid(6), saturating_monoid(6)), (S4x4, saturating_monoid(4)),
+              (S3x3, S3x3)]
+    return all(tensor_product(L, N, budget=10**7).monoid.size == len(enumerate_homs(N, L))
+               for L, N in pairs)
+
+
 def certificate_replay() -> bool:
     """Both certificates of the naturals coequalizer replay on a spread of pairs."""
     for a, b in [(4, 6), (0, 3), (2, 5), (1, 2), (3, 12), (5, 5)]:
@@ -254,6 +272,7 @@ CRITERIA: dict[str, Callable[[], bool]] = {
     "tensor_universal_property": tensor_universal_property,
     "coherence": coherence,
     "certificate_replay": certificate_replay,
+    "semilattice_tensor_sizes": semilattice_tensor_sizes,
 }
 
 SUITES: dict[str, tuple[str, ...]] = {
@@ -262,5 +281,5 @@ SUITES: dict[str, tuple[str, ...]] = {
     "oracles": ("naive_vs_coequalizer_gap", "footing_formula_vs_dp",
                 "bezout_characterization", "minimal_generators_recovery",
                 "structure_constants", "closure_minimality_oracle"),
-    "coherence": ("tensor_universal_property", "coherence"),
+    "coherence": ("tensor_universal_property", "coherence", "semilattice_tensor_sizes"),
 }

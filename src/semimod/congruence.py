@@ -88,7 +88,8 @@ class Congruence:
 
     def is_translation_closed(self) -> bool:
         """a + x ~ b + x for all a ~ b and x in the carrier's gens."""
-        return _translation_failure(self.carrier, self.rep) is None
+        M = self.carrier
+        return _translation_failure([M.add[x] for x in M.gens], self.rep) is None
 
     def contains(self, other: "Congruence") -> bool:
         """Every class of `other` lies inside a class of self.
@@ -102,15 +103,44 @@ class Congruence:
         return {"classes": self.classes()}
 
 
-def _translation_failure(M: FiniteCommMonoid, rep: Sequence[int]) -> Optional[tuple[int, int]]:
-    """The first (a, x), x in M.gens, with a + x not related to rep[a] + x, or None:
-    if every a agrees with a member of its class under x, any two members agree."""
-    for x in M.gens:
-        row = M.add[x]
+def _translation_failure(rows: Sequence[Sequence[int]],
+                        rep: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The first (a, j) with rows[j][a] not related to rows[j][rep[a]], or None.
+
+    Each row is a translation a -> a + x by a generator x; if every a agrees
+    with a member of its class under x, any two members agree.
+    """
+    for j, row in enumerate(rows):
         for a, r in enumerate(rep):
             if rep[row[a]] != rep[row[r]]:
-                return a, x
+                return a, j
     return None
+
+
+def _closure(size: int, rows: Sequence[Sequence[int]],
+             pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The smallest-member map of the least equivalence on range(size) that
+    contains the pairs and is closed under each row (a translation by a
+    generator).
+
+    Every merge of a pair (a, b) pushes its translates (row[a], row[b]),
+    except those that merge nothing: a pair of equal translates, and the
+    pair itself (row[a] = a and row[b] = b), which most translates of a
+    merge in Sat_n are.
+    """
+    uf = UnionFind(size)
+    work = list(pairs)
+    while work:
+        a, b = work.pop()
+        if uf.union(a, b):
+            work.extend((row[a], row[b]) for row in rows
+                        if row[a] != row[b] and (row[a] != a or row[b] != b))
+    # roots are the smallest members and parents never exceed their children,
+    # so in increasing order each parent already points at its root
+    rep = uf.parent
+    for a, p in enumerate(rep):
+        rep[a] = rep[p]
+    return tuple(rep)
 
 
 def identity_congruence(M: FiniteCommMonoid) -> Congruence:
@@ -119,30 +149,17 @@ def identity_congruence(M: FiniteCommMonoid) -> Congruence:
 
 def congruence_closure(M: FiniteCommMonoid,
                        pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Smallest congruence containing the given pairs.
-
-    Every merge of a pair (a, b) pushes its translates (a + x, b + x) by
-    each x in M.gens, except those that merge nothing: a pair of equal
-    translates, and the pair itself (a + x = a and b + x = b), which most
-    translates of a merge in Sat_n are.  The result is the least
-    equivalence closed under those translations, hence the least
-    congruence, and each class keeps its smallest member as representative.
-    The pairs may be any iterable; they are read once.
+    """Smallest congruence containing the given pairs, by `_closure` over the
+    rows of M.gens: the least equivalence closed under those translations is
+    the least congruence, and each class keeps its smallest member as
+    representative.  The pairs may be any iterable; they are read once.
     """
     pairs = tuple(pairs)
     for p in pairs:
         if not (isinstance(p, (tuple, list)) and len(p) == 2
                 and all(type(v) is int and 0 <= v < M.size for v in p)):
             raise OutOfRange(f"pair {p!r} is not two integers in [0, {M.size})")
-    uf = UnionFind(M.size)
-    rows = [M.add[x] for x in M.gens]
-    work = list(pairs)
-    while work:
-        a, b = work.pop()
-        if uf.union(a, b):
-            work.extend((row[a], row[b]) for row in rows
-                        if row[a] != row[b] and (row[a] != a or row[b] != b))
-    return Congruence(M, tuple(map(uf.find, M.elements())), pairs)
+    return Congruence(M, _closure(M.size, [M.add[x] for x in M.gens], pairs), pairs)
 
 
 def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, MonoidHom]:
@@ -156,8 +173,9 @@ def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, Mono
     if len(rep) != M.size or not all(type(r) is int and 0 <= r <= a and rep[r] == r
                                      for a, r in enumerate(rep)):
         raise OutOfRange(f"{rep!r} is not the smallest-member map of a partition of {M.size}")
-    if (bad := _translation_failure(M, rep)) is not None:
-        raise NotACongruence(*bad)
+    if (bad := _translation_failure([M.add[x] for x in M.gens], rep)) is not None:
+        a, j = bad
+        raise NotACongruence(a, M.gens[j])
     classes = C.classes()
     reps = [c[0] for c in classes]
     index = {r: i for i, r in enumerate(reps)}
@@ -286,28 +304,26 @@ def kernel_pair(f: MonoidHom) -> KernelPair:
 
 
 def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> list[Congruence]:
-    """All congruences of a small monoid, by filtering its B(n) set partitions."""
+    """All congruences of a small monoid, by filtering its B(n) set partitions,
+    in lexicographic order of their smallest-member maps."""
     n = M.size
     row = [1]                 # a row of the Bell triangle; row r ends in B(r) <= B(n)
     while len(row) < n and row[-1] <= budget:
         row = list(accumulate(row, initial=row[-1]))
     if row[-1] > budget:
         raise BudgetExceeded(f"B({n}) set partitions exceed budget {budget}")
+    # smallest-member maps depth first, each prefix with its representatives:
+    # element i joins a representative, in increasing order, or opens its own class
+    rows = [M.add[x] for x in M.gens]
     out = []
-    # restricted growth strings enumerate the set partitions
-    def rec(i: int, assign: list[int], nblocks: int):
+    stack = [((0,), (0,))]
+    while stack:
+        rep, reps = stack.pop()
+        i = len(rep)
         if i == n:
-            # block ids -> smallest member representative
-            first: dict[int, int] = {}
-            C = Congruence(M, tuple(first.setdefault(b, m) for m, b in enumerate(assign)))
-            if C.is_translation_closed():
-                out.append(C)
-            return
-        for b in range(nblocks + 1):
-            assign.append(b)
-            rec(i + 1, assign, max(nblocks, b + 1))
-            assign.pop()
-
-    rec(0, [], 0)
+            if _translation_failure(rows, rep) is None:
+                out.append(Congruence(M, rep))
+            continue
+        stack.append((rep + (i,), reps + (i,)))
+        stack.extend((rep + (r,), reps) for r in reversed(reps))
     return out
-

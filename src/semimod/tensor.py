@@ -6,12 +6,23 @@ F(R) => F(Y) -> N that presents N over its kept generating set Y
 (`FiniteCommMonoid.gens`, with the relations of `core.Presentation`).  So
 M (x) N is M^Y modulo the congruence generated by x.s ~ x.t for each
 relation s = t of N and each x in M's generating set X (enough, since
-a -> a.s is additive in a), where a.s is the vector (s_y a)_y.  The shared
-`congruence_closure` and `quotient` compute that coequalizer.  Of M^Y and
+a -> a.s is additive in a), where a.s is the vector (s_y a)_y.  Of M^Y and
 N^X the smaller power is raised (M on a tie), and the bilinear table is
 transposed back when N was.  The pure tensor a (x) b is the class of
 (nf(b)_y a)_y, and each element is the sum of the pure tensors a_y (x) y
 read off the coordinates of its least member.
+
+The power A^k is never built.  It is coded in mixed radix |A|, first
+coordinate most significant, as `core._product` codes it, and it is
+generated by "x at coordinate j" for x in A's generating set and j < k; a
+congruence closed under translation by those k |X_A| elements is closed
+under all of A^k.  So the closure kernel that `congruence_closure` runs
+(`congruence._closure`) runs on those k |X_A| rows alone, each built from
+row x of A without touching any other digit, and the same translation check
+that `quotient` runs is applied to the result.  The quotient table is built
+on the class representatives only, adding them digit by digit through A's
+table.  The budget counts the k |X_A| |A|^k row cells before building them,
+and the |T|^2 table cells before building the table.
 
 Both sides of the universal property are checked over generating sets.
 A map f: M x N -> A is balanced when it satisfies the zero laws and is
@@ -32,10 +43,12 @@ f = g o (x) with g a hom, f is balanced, since `tensor_product` checks that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import product
+from operator import add, getitem
 from typing import Callable, Optional, Sequence
 
-from .congruence import congruence_closure, quotient
+from .congruence import _closure, _translation_failure
 from .core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -63,14 +76,16 @@ class WellDefinednessFailure(SemimodError):
 
 @dataclass(frozen=True)
 class PowerPresentation:
-    """The power A^k a tensor is a quotient of, and the pairs that seed it."""
+    """The power A^k a tensor is a quotient of, as its base A and exponent k
+    (the table of A^k is never built), and the pairs that seed it."""
 
-    power: FiniteCommMonoid
+    base: FiniteCommMonoid
+    k: int
     seeds: tuple[tuple[int, int], ...]
 
     def box_volume(self) -> int:
         """The number of elements the closure runs over: |A|^k."""
-        return self.power.size
+        return self.base.size ** self.k
 
 
 @dataclass(frozen=True)
@@ -86,39 +101,80 @@ class TensorProduct:
         return self.bilinear[m][n]
 
 
-def _power(A: FiniteCommMonoid, k: int, budget: int) -> FiniteCommMonoid:
-    """A^k by `_product`; raises `BudgetExceeded` before building when the
-    |A|^(2k) cells of the table exceed the budget."""
-    cells = A.size ** (2 * k)
-    if cells > budget:
-        raise BudgetExceeded(f"power table of {cells} cells exceeds budget {budget}")
-    return _product([A] * k)
+def _generator_rows(A: FiniteCommMonoid, stride: Sequence[int]) -> list[Sequence[int]]:
+    """The rows of A^k at its generators "x at coordinate j", for j < k and x
+    in A.gens in that order, over the radix code of `_product` (coordinate j
+    has place value stride[j]).  Adding x changes only digit j, through row x
+    of A: each block of n * stride[j] codes that agree above digit j is
+    translated alike.  For k = 1 the rows are A's own."""
+    n = A.size
+    size = n * stride[0] if stride else 1
+    rows = []
+    for s in stride:
+        for x in A.gens:
+            block = A.add[x] if s == 1 else [v * s + l for v in A.add[x] for l in range(s)]
+            rows.append(block if n * s == size else
+                        [h + b for h in range(0, size, n * s) for b in block])
+    return rows
 
 
 def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
                    budget: int = DEFAULT_BUDGET) -> TensorProduct:
-    """M (x) N as the coequalizer M^Y / <x.s ~ x.t>, or N^X / <y.u ~ y.v>."""
+    """M (x) N as the coequalizer M^Y / <x.s ~ x.t>, or N^X / <y.u ~ y.v>,
+    over the generator rows of the power A^k, whose table is never built.
+
+    Raises `BudgetExceeded` before building the rows when their
+    k |X_A| |A|^k cells exceed the budget, and before building the quotient
+    table when its |T|^2 cells do.
+    """
     swap = N.size ** len(M.gens) < M.size ** len(N.gens)
     A, B = (N, M) if swap else (M, N)
     PB = B.presentation
-    k = len(PB.gens)
-    P = _power(A, k, budget)
-    stride = [A.size ** (k - 1 - j) for j in range(k)]
-    # a (x) b in P: along the tree edge e -> e + y_j, a joins coordinate j
-    pure = [[0] * B.size for _ in range(A.size)]
+    n, k = A.size, len(PB.gens)
+    cells = k * len(A.gens) * n ** k
+    if cells > budget:
+        raise BudgetExceeded(f"generator rows of {cells} cells exceed budget {budget}")
+    stride = [n ** (k - 1 - j) for j in range(k)]
+    rows = _generator_rows(A, stride)
+
+    # a (x) b in A^k: along the tree edge e -> e + y_j, a joins coordinate j
+    pure = [[0] * B.size for _ in range(n)]
     for a, row in enumerate(pure):
+        ra = A.add[a]
         for e, j, t in PB.tree:
-            row[t] = P.add[row[e]][a * stride[j]]
-    # the relation edge e -> t = e + y_j says nf(e) + y_j = nf(t)
-    seeds = tuple((P.add[pure[x][e]][x * stride[j]], pure[x][t])
-                  for x in A.gens for e, j, t in PB.edges)
-    C = congruence_closure(P, seeds)
-    T, nu = quotient(P, C)
-    bil = [[nu.image[c] for c in row] for row in pure]
-    coords = [[(r // s % A.size, y) for s, y in zip(stride, PB.gens)] for r in sorted(set(C.rep))]
-    terms = tuple(tuple((b, a) if swap else (a, b) for a, b in cs if a) for cs in coords)
+            c, s = row[e], stride[j]
+            d = c // s % n
+            row[t] = c + (ra[d] - d) * s
+    # the relation edge e -> t = e + y_j says nf(e) + y_j = nf(t): seed
+    # pure[x][e] + (x at coordinate j) ~ pure[x][t], reading x's row at j
+    g = len(A.gens)
+    seeds = tuple((rows[j * g + i][pure[x][e]], pure[x][t])
+                  for i, x in enumerate(A.gens) for e, j, t in PB.edges)
+    rep = _closure(n ** k, rows, seeds)
+    if (bad := _translation_failure(rows, rep)) is not None:
+        raise SemimodError(f"internal error: tensor congruence not closed at {bad}")
+    reps = sorted(set(rep))
+    cells = len(reps) ** 2
+    if cells > budget:
+        raise BudgetExceeded(f"quotient table of {cells} cells exceeds budget {budget}")
+    index = {r: i for i, r in enumerate(reps)}
+    nu = list(map(index.__getitem__, rep))
+    digits = [[r // s % n for s in stride] for r in reps]
+    # place[j][a][i] = (a + digit j of reps[i]) * stride[j], so the code of
+    # reps[h] + reps[i] is the sum over j of place[j][digit j of reps[h]][i];
+    # with no coordinate (B trivial) the one code is 0
+    place = [[[ra[d] * s for d in column] for ra in A.add]
+             for s, column in zip(stride, zip(*digits))]
+    table = []
+    for ds in digits:
+        codes = reduce(partial(map, add), map(getitem, place, ds)) if ds else [0]
+        table.append(list(map(nu.__getitem__, codes)))
+    T = _built(table)
+    bil = [list(map(nu.__getitem__, row)) for row in pure]
+    terms = tuple(tuple((b, a) if swap else (a, b) for a, b in zip(ds, PB.gens) if a)
+                  for ds in digits)
     out = TensorProduct(T, tuple(map(tuple, zip(*bil) if swap else bil)), M, N,
-                        PowerPresentation(P, seeds), terms)
+                        PowerPresentation(A, k, seeds), terms)
     witness = _balanced_failure(M, N, T, out.bilinear)
     if witness is not None:
         raise SemimodError(f"internal error: tensor table not balanced at {witness}")
@@ -249,7 +305,10 @@ def tensor_with_free(M: FiniteCommMonoid, X: Sequence) -> tuple[FiniteCommMonoid
     stride = {x: M.size ** (len(X) - 1 - j) for j, x in enumerate(X)}
     if len(stride) < len(X):
         raise SemimodError(f"label {max(X, key=X.count)!r} is repeated")
-    P = _power(M, len(X), DEFAULT_BUDGET)
+    cells = M.size ** (2 * len(X))
+    if cells > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"power table of {cells} cells exceeds budget {DEFAULT_BUDGET}")
+    P = _product([M] * len(X))
 
     def pure(m: int, x) -> int:
         if x not in stride:

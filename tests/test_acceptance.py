@@ -29,5 +29,5 @@ for _number, (_name, _check) in enumerate(CRITERIA.items(), 1):
 
 def test_suites_partition_the_criteria():
     names = [name for suite in SUITES.values() for name in suite]
-    assert len(CRITERIA) == 12
+    assert len(CRITERIA) == 13
     assert sorted(names) == sorted(CRITERIA)

@@ -116,6 +116,16 @@ def test_tensor_command(tmp_path, capsys):
     assert data["size"] == 2 and data["symmetry"] and data["associativity"]
 
 
+def test_tensor_past_the_power_table(tmp_path, capsys):
+    # the power Sat6^5 has a 6^10-cell table, over the default budget;
+    # its 5 * 5 * 6^5 generator-row cells and 252^2 quotient cells are not
+    from semimod.core import saturating_monoid
+    p = tmp_path / "sat6.json"
+    p.write_text(json.dumps(monoid_to_json(saturating_monoid(6))))
+    code, out, _ = run(capsys, "tensor", str(p), str(p), "--json")
+    assert code == 0 and json.loads(out)["size"] == 252
+
+
 def test_tensor_budget_exit_2(tmp_path, capsys):
     from semimod.core import cyclic_group
     p = tmp_path / "z4.json"

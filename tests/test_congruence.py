@@ -594,7 +594,30 @@ class TestKernelPair:
                     assert C2.same(a, b)
 
 
+def congruences_by_growth_strings(M):
+    """Reference for `enumerate_congruences`: recurse over restricted growth
+    strings, the set partitions, and keep the translation-closed ones."""
+    out = []
+
+    def rec(assign, nblocks):
+        if len(assign) == M.size:
+            first = {}
+            C = Congruence(M, tuple(first.setdefault(b, m) for m, b in enumerate(assign)))
+            if C.is_translation_closed():
+                out.append(C)
+            return
+        for b in range(nblocks + 1):
+            rec(assign + [b], max(nblocks, b + 1))
+
+    rec([], 0)
+    return out
+
+
 class TestEnumerateCongruences:
+    def test_same_list_in_the_same_order_as_the_growth_strings(self):
+        for M in small_monoid_corpus(4) + [saturating_monoid(8), cyclic_group(9)]:
+            assert enumerate_congruences(M) == congruences_by_growth_strings(M)
+
     def test_trivial(self):
         assert len(enumerate_congruences(trivial_monoid())) == 1
 

@@ -9,13 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semimod import tensor
-from semimod.congruence import UnionFind
+from semimod.congruence import UnionFind, congruence_closure, quotient
 from semimod.core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     MonoidHom,
     OutOfRange,
     SemimodError,
+    _product,
     biproduct,
     cyclic_group,
     enumerate_homs,
@@ -306,6 +307,39 @@ def pool_box(i, j):
     return box, universal_factorization(box, T.monoid, T.bilinear)
 
 
+def power_tensor(M, N, budget=DEFAULT_BUDGET) -> TensorProduct:
+    """Reference for `tensor_product`: the same coequalizer of the power A^k,
+    on A^k's full table by `congruence_closure` and `quotient`."""
+    swap = N.size ** len(M.gens) < M.size ** len(N.gens)
+    A, B = (N, M) if swap else (M, N)
+    PB = B.presentation
+    k = len(PB.gens)
+    cells = A.size ** (2 * k)
+    if cells > budget:
+        raise BudgetExceeded(f"power table of {cells} cells exceeds budget {budget}")
+    P = _product([A] * k)
+    stride = [A.size ** (k - 1 - j) for j in range(k)]
+    pure = [[0] * B.size for _ in range(A.size)]
+    for a, row in enumerate(pure):
+        for e, j, t in PB.tree:
+            row[t] = P.add[row[e]][a * stride[j]]
+    seeds = tuple((P.add[pure[x][e]][x * stride[j]], pure[x][t])
+                  for x in A.gens for e, j, t in PB.edges)
+    C = congruence_closure(P, seeds)
+    T, nu = quotient(P, C)
+    bil = [[nu.image[c] for c in row] for row in pure]
+    coords = [[(r // s % A.size, y) for s, y in zip(stride, PB.gens)] for r in sorted(set(C.rep))]
+    terms = tuple(tuple((b, a) if swap else (a, b) for a, b in cs if a) for cs in coords)
+    return TensorProduct(T, tuple(map(tuple, zip(*bil) if swap else bil)), M, N,
+                         tensor.PowerPresentation(A, k, seeds), terms)
+
+
+@cache
+def oracle_pool():
+    """corpus(<=4) with Z/4, Sat4 and Z/6: 30 monoids, 900 pairs."""
+    return small_monoid_corpus(4) + [cyclic_group(4), saturating_monoid(4), cyclic_group(6)]
+
+
 class TestTensorProduct:
     def test_trivial_factor(self):
         assert tensor_product(trivial_monoid(), Z3).monoid.size == 1
@@ -401,14 +435,26 @@ class TestKnownAnswers:
         # on a tie the left factor is
         for M, N in [(saturating_monoid(4), saturating_monoid(8)),
                      (saturating_monoid(8), saturating_monoid(4))]:
-            assert tensor_product(M, N).presentation.power.size == 8 ** 3
+            assert tensor_product(M, N).presentation.box_volume() == 8 ** 3
         T = tensor_product(Z2, cyclic_group(4))
-        assert T.presentation.power.add == Z2.add
+        assert T.presentation.box_volume() == 2                 # Z/2, not Z/4
         assert T.presentation.seeds == ((0, 0),)      # 1.(4) ~ 1.(0): both are 0 in Z/2
         # a tie: Z/2 (x) V and V (x) Z/2 for V = Z/2 x Z/2 raise the left
         # factor, seeded by 1 x 5 and 2 x 1 generators x relation edges
         V = biproduct(Z2, Z2).monoid
         assert [len(tensor_product(*pair).presentation.seeds) for pair in [(Z2, V), (V, Z2)]] == [5, 2]
+
+    def test_semilattice_tensors_past_the_power_table(self):
+        # |Sat_m (x) Sat_n| = C(m+n-2, m-1), and (Sat3 x Sat3) (x) (Sat3 x Sat3)
+        # = (Sat3 (x) Sat3)^4 = 6^4 as (x) distributes over x; the powers' full
+        # tables have 6^10, 16^6, 7^12 and 9^8 cells, all over the default budget
+        S3x3, S4x4 = biproduct(SAT3, SAT3).monoid, biproduct(saturating_monoid(4),
+                                                             saturating_monoid(4)).monoid
+        assert tensor_product(saturating_monoid(6), saturating_monoid(6)).monoid.size == 252
+        assert tensor_product(S4x4, saturating_monoid(4)).monoid.size == 400
+        assert tensor_product(saturating_monoid(7), saturating_monoid(7),
+                              budget=10**7).monoid.size == 924
+        assert tensor_product(S3x3, S3x3, budget=10**7).monoid.size == 1296
 
     def test_reps_are_lex_least_in_their_class(self):
         for M, N in [(Z2, cyclic_group(4)), (cyclic_group(4), Z2), (Z3, SAT2),
@@ -455,10 +501,49 @@ class TestAllPairsOracle:
         assert all_pairs_tensor(M, N).presentation.box_volume() == 2 ** 9
 
 
+class TestPowerTableOracle:
+    def test_equal_to_the_power_table_tensor(self):
+        """Same table, generating set, bilinear map, terms and seeds on all 900 pairs."""
+        for M in oracle_pool():
+            for N in oracle_pool():
+                new, old = tensor_product(M, N), power_tensor(M, N)
+                assert new == old, (M, N)
+                assert new.monoid.gens == old.monoid.gens
+
+    def test_generator_rows_are_the_power_rows(self):
+        for A in oracle_pool():
+            for k in range(4):
+                if A.size ** k > 300:
+                    continue
+                P = _product([A] * k)
+                stride = [A.size ** (k - 1 - j) for j in range(k)]
+                rows = tensor._generator_rows(A, stride)
+                assert list(map(list, rows)) == [
+                    list(P.add[x * s]) for s in stride for x in A.gens], (A, k)
+
+    def test_a_congruence_left_open_is_caught(self, monkeypatch):
+        # a closure that merges the seeds but pushes no translates
+        monkeypatch.setattr(tensor, "_closure",
+                            lambda size, rows, pairs: equivalence_of_pairs(size, pairs))
+        with pytest.raises(SemimodError, match="internal error: tensor congruence not closed"):
+            tensor_product(SAT3, SAT3)
+
+
+def equivalence_of_pairs(size, pairs):
+    """The smallest-member map of the equivalence the pairs generate, untranslated."""
+    uf = UnionFind(size)
+    for a, b in pairs:
+        uf.union(a, b)
+    return tuple(map(uf.find, range(size)))
+
+
 class TestBudgets:
     def test_tensor_budget(self):
-        with pytest.raises(BudgetExceeded, match="power table of 60466176 cells"):   # 6^10
-            tensor_product(saturating_monoid(6), saturating_monoid(6))
+        with pytest.raises(BudgetExceeded, match="generator rows of 4235364 cells"):  # 6*6*7^6
+            tensor_product(saturating_monoid(7), saturating_monoid(7))
+        S3x3 = biproduct(SAT3, SAT3).monoid
+        with pytest.raises(BudgetExceeded, match="quotient table of 1679616 cells"):  # 1296^2
+            tensor_product(S3x3, S3x3)
 
     def test_balanced_maps_budget(self, monkeypatch):
         monkeypatch.setattr(tensor, "DEFAULT_BUDGET", 81)   # 3^4 maps: exactly at the cap
