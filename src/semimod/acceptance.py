@@ -37,7 +37,6 @@ from .tensor import (
     balanced_check,
     enumerate_balanced_maps,
     hom_adjunction_check,
-    hom_monoid,
     symmetry_iso,
     tensor_product,
     universal_factorization,
@@ -221,14 +220,10 @@ def coherence() -> bool:
         return False
     for M in corpus:
         for N in corpus:
-            T = tensor_product(M, N)
             for P in corpus:
                 if not associativity_iso(M, N, P).verify():
                     return False
                 if not hom_adjunction_check(M, N, P):
-                    return False
-                H, _ = hom_monoid(N, P)
-                if len(enumerate_homs(T.monoid, P)) != len(enumerate_homs(M, H)):
                     return False
     return True
 

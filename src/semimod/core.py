@@ -2,11 +2,9 @@
 
 Element 0 is always the identity.  A table from outside goes through
 `validate_monoid`, which checks associativity by Light's test over a greedy
-generating set X (O(n^2 |X|), not O(n^3)).  Up to 256 elements it decides
-by left translations, one `bytes.translate` per x in X: the x with
-(x + a) + b = x + (a + b) for all a, b contain 0 and are closed under +,
-so they are every element once X is among them; `_light_bytes` scans
-only a failing table, to name the witness.  A table derived from
+generating set X (O(n^2 |X|), not O(n^3)), by one kernel per
+representation: `_light_bytes` on byte rows up to 256 elements, one
+`bytes.translate` per x in X, and `_light_rows` above.  A table derived from
 validated monoids, checked integer arguments or a checked congruence (a
 quotient) is a monoid by construction and is built by `_built` unchecked.
 Every monoid keeps X as `gens`, and builds a `Presentation` over it on
@@ -276,35 +274,27 @@ def _light_rows(rows: Sequence[Sequence[int]], gens: Iterable[int]) -> None:
                 raise NotAssociative(a, x, next(b for b in range(n) if lhs[b] != rhs[b]))
 
 
-def _left_translates_associate(rb: Sequence[bytes], whole: bytes, gens: Iterable[int]) -> bool:
-    """Whether (x + a) + b = x + (a + b) for every x in gens and all a, b (n <= 256).
+def _light_bytes(rb: Sequence[bytes], whole: bytes, gens: Iterable[int]) -> None:
+    """Light's test over gens on the byte rows of a commutative table (n <= 256).
 
-    Both sides are n*n-byte blobs in the order a*n + b: the left joins the
-    rows x + a, the right is the whole table `whole` translated through
-    row x padded to 256 bytes, one translate per x.  For a table with
-    identity 0 and a generating set gens, this holds exactly when the
-    table is associative: the x that pass contain 0 and are closed under +,
-    ((x + y) + a) + b = x + ((y + a) + b) = x + (y + (a + b)) = (x + y) + (a + b).
-    """
-    return all(b"".join(map(rb.__getitem__, rb[x])) == whole.translate(rb[x].ljust(256, b"\0"))
-               for x in gens)
-
-
-def _light_bytes(rb: Sequence[bytes], gens: Iterable[int]) -> None:
-    """Light's test over gens on byte rows (n <= 256), one blob per x.
-
-    Both sides of (a + x) + b = a + (x + b) are built for all a, b at once as
-    n*n-byte blobs in the order a*n + b: the left by joining rows a + x, the
-    right by translating row x through each row a padded to 256 bytes.  The
-    first differing byte gives the same witness as `_light_rows`.
-    `validate_monoid` runs it only on a table that
-    `_left_translates_associate` has refused, to name the witness.
+    Each side is an n*n-byte blob in the order a*n + b.  Per x, the rows
+    x + a joined give (x + a) + b, and the whole table `whole` translated
+    through row x padded to 256 bytes gives x + (a + b): one translate.
+    An x with (x + a) + b = x + (a + b) for all a, b also has
+    (a + x) + b = a + (x + b) on a commutative table: (a + x) + b =
+    (x + a) + b = x + (a + b) = x + (b + a) = (x + b) + a = a + (x + b).
+    So only an x that differs builds the blob of a + (x + b), row x
+    translated through each row a padded, and the first byte where that
+    differs from the left blob names the witness of `_light_rows`.
     """
     n = len(rb)
-    tabs = [r.ljust(256, b"\0") for r in rb]
+    tabs = None                  # rows padded to 256, built at the first x that differs
     for x in gens:
         row_x = rb[x]
         lhs = b"".join(map(rb.__getitem__, row_x))
+        if lhs == whole.translate(row_x.ljust(256, b"\0")):
+            continue
+        tabs = tabs or [r.ljust(256, b"\0") for r in rb]
         rhs = b"".join(map(row_x.translate, tabs))
         if lhs != rhs:
             a = next(a for a in range(n) if lhs[a * n:a * n + n] != rhs[a * n:a * n + n])
@@ -320,17 +310,16 @@ def validate_monoid(table: Sequence[Sequence[int]],
     is Light's test (Clifford-Preston 1961, section 1.2): the elements x
     with (a + x) + b = a + (x + b) for all a, b form a submonoid, so it is
     enough to check x in a generating set X, at O(n^2 |X|) instead of
-    O(n^3).  For n <= 256 the rows are byte strings, and the decision
-    uses left translations instead: the x with (x + a) + b = x + (a + b)
-    for all a, b also form a submonoid, and x + (a + b) for all a, b is
-    the whole table translated through row x, one `bytes.translate` per x
-    (`_left_translates_associate`).  Only a table that fails it runs
-    `_light_bytes`, which compares (a + x) + b with a + (x + b) per x in
-    one blob each, and names the witness.  Larger tables gather the whole
-    row of a + (x + b) over b by one itemgetter call per (x, a) and
-    compare it with the row of a + x (`_light_rows`).  Both witness scans
-    report the first failing x, then the first (a, b) in the order a,
-    then b, so the witness does not depend on n.  The returned monoid
+    O(n^3).  For n <= 256 the rows are byte strings, and `_light_bytes`
+    compares (x + a) + b with x + (a + b) for all a, b at once, the whole
+    table translated through row x, one `bytes.translate` per x.  On a
+    commutative table an x that passes also passes Light's test, so only
+    an x that fails compares (a + x) + b with a + (x + b), in one more
+    blob, and names the witness.  Larger tables gather the whole row of
+    a + (x + b) over b by one itemgetter call per (x, a) and compare it
+    with the row of a + x (`_light_rows`).  Both kernels report the first
+    x that fails Light's test, then the first (a, b) in the order a, then
+    b, so the witness does not depend on n.  The returned monoid
     keeps X as its `gens`.
 
     Before Light's test come the entries, the identity and commutativity.
@@ -383,9 +372,7 @@ def validate_monoid(table: Sequence[Sequence[int]],
                                              if rows[m][m2] != col[m2]))
     if n <= 256:
         gens = _generating_set_bytes(rb)
-        if not _left_translates_associate(rb, whole, gens):
-            _light_bytes(rb, gens)         # raises NotAssociative with the witness
-            raise SemimodError("internal error: Light's test fails on left translations alone")
+        _light_bytes(rb, whole, gens)
     else:
         gens = _generating_set_sets(rows)
         _light_rows(rows, gens)
@@ -551,7 +538,11 @@ def biproduct(M: FiniteCommMonoid, N: FiniteCommMonoid) -> Biproduct:
 
 
 def submonoid_generated(M: FiniteCommMonoid, subset: Iterable[int]) -> tuple[int, ...]:
-    """Closure of subset plus {0} under the addition table."""
+    """Closure of subset plus {0} under the addition table; each member must
+    be an int in [0, |M|) (else `OutOfRange`)."""
+    subset = list(subset)
+    if not all(type(m) is int and 0 <= m < M.size for m in subset):
+        raise _out_of_range([subset], M.size)
     closed = {0} | set(subset)
     work = list(closed)
     while work:

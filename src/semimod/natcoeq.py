@@ -57,14 +57,18 @@ class CyclicMonoid:
             return n
         return self.index + (n - self.index) % self.period
 
-    def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
+    def _rows(self) -> list[list[int]]:
+        """The rows of the table: row a is seq[a:a + size] of the projections."""
         if not _well_formed(self):
             raise OutOfRange(f"C({self.index!r},{self.period!r}) needs integers i >= 0, p >= 1")
         size = self.size
-        seq = [self.project(s) for s in range(2 * size - 1)]   # row a is seq[a:a + size]
-        table = [seq[a:a + size] for a in range(size)]
-        labs = tuple(f"{k}̄" for k in range(size)) if labels else None
-        return validate_monoid(table, labs)
+        seq = [self.project(s) for s in range(2 * size - 1)]
+        return [seq[a:a + size] for a in range(size)]
+
+    def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
+        rows = self._rows()
+        labs = tuple(f"{k}̄" for k in range(len(rows))) if labels else None
+        return validate_monoid(rows, labs)
 
 
 def _well_formed(c) -> bool:
@@ -117,11 +121,10 @@ class NatQuotient:
     def to_json(self) -> dict:
         if self.result is None:
             return {"result": "N0", "pairs": [list(p) for p in self.pairs]}
-        M = self.result.to_monoid(labels=False)
         return {
             "index": self.result.index,
             "period": self.result.period,
-            "table": [list(row) for row in M.add],
+            "table": self.result._rows(),
             "certA": self.verify_certificate_a(),
             "certB": [[u, v, [a, b], k] for u, v, (a, b), k in self.cert_b],
         }
@@ -200,25 +203,23 @@ def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
     return climb + walk + descent, peak
 
 
-def _check_bound_cap(bound_cap) -> None:
-    if type(bound_cap) is not int or bound_cap < 0:
-        raise OutOfRange(f"bound cap {bound_cap!r} is not an integer >= 0")
-
-
 def nat_congruence_quotient(pairs: Iterable[tuple[int, int]],
                             bound_cap: int = 10**6) -> NatQuotient:
     """Quotient of the naturals by the congruence generated by the pairs.
 
-    The pairs may be any iterable; they are read once.  Certificate B
-    touches no number above bound_cap, an integer >= 0 (else `OutOfRange`);
-    if it would, this raises BoundCapExceeded.
+    The pairs may be any iterable; they are read once, and each must be a
+    list or tuple of two integers >= 0 (else `OutOfRange`).  Certificate B
+    touches no number above bound_cap, an integer >= 0 (else `OutOfRange`,
+    checked first); if it would, this raises BoundCapExceeded.
     """
-    _check_bound_cap(bound_cap)
+    if type(bound_cap) is not int or bound_cap < 0:
+        raise OutOfRange(f"bound cap {bound_cap!r} is not an integer >= 0")
     all_pairs = []
-    for a, b in pairs:
-        if a < 0 or b < 0:
-            raise SemimodError("pairs must be nonnegative")
-        all_pairs.append((min(a, b), max(a, b)))
+    for pair in pairs:
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not all(type(v) is int and v >= 0 for v in pair)):
+            raise OutOfRange(f"pair {pair!r} is not two integers >= 0")
+        all_pairs.append((min(pair), max(pair)))
     norm = [(a, b) for a, b in all_pairs if a != b]
     if not norm:
         return NatQuotient(tuple(all_pairs), None)
@@ -239,16 +240,10 @@ def coequalizer_nat(a: int, b: int, bound_cap: int = 10**6) -> NatQuotient:
     The single seed pair (a, b) generates the whole congruence: the pair
     (an, bn) follows from n translated copies chained together.
     """
-    if a < 0 or b < 0:
-        raise SemimodError("multipliers must be nonnegative")
-    _check_bound_cap(bound_cap)
-    if a == b:
-        return NatQuotient(((a, b),), None)
-    lo, hi = min(a, b), max(a, b)
-    q = nat_congruence_quotient([(lo, hi)], bound_cap)
+    q = nat_congruence_quotient([(a, b)], bound_cap)
     # sanity: the projection coequalizes (an, bn) for small n as well
     c = q.result
-    if not all(c.project(a * n) == c.project(b * n) for n in range(11)):
+    if c is not None and not all(c.project(a * n) == c.project(b * n) for n in range(11)):
         raise SemimodError("internal error: the projection does not coequalize a*n and b*n")
     return q
 

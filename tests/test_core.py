@@ -424,6 +424,13 @@ class TestSubmonoids:
         M = validate_monoid(M4_TABLE)
         assert submonoid_generated(M, [1, 2]) == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("n, subset", [(3, [-1]), (2, [True]), (3, [5])])
+    def test_generated_refuses_members_outside_the_monoid(self, n, subset):
+        # -1 would reach element 2 of Z/3 through negative indexing, True would
+        # pass for 1 in Z/2, and 5 would raise a bare IndexError
+        with pytest.raises(OutOfRange, match=f"entry {subset[0]!r} is not an integer in"):
+            submonoid_generated(cyclic_group(n), subset)
+
     @pytest.mark.parametrize("n, subset", [(3, [0, -3]), (3, [0, 5]), (3, [0, True]),
                                            (2, [0, True]), (3, [0, 0])])
     def test_members_outside_the_monoid_are_refused(self, n, subset):

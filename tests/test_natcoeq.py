@@ -1,5 +1,10 @@
+import json
+import re
+
 import pytest
 
+from semimod import natcoeq
+from semimod.cli import main
 from semimod.congruence import congruence_closure
 from semimod.core import BudgetExceeded, OutOfRange, SemimodError
 from semimod.natcoeq import (
@@ -95,6 +100,12 @@ class TestCoequalizerNat:
         assert not NatQuotient(((1, 7),), result, True, ()).verify()
         assert not NatQuotient(((1, 7),), result, True, ()).verify_certificate_a()
 
+    @pytest.mark.parametrize("a, b", [(True, 3), (2.0, 4), (-1, 3)])
+    def test_multipliers_are_integers_at_least_zero(self, a, b):
+        # True once failed the certificate replay, 2.0 raised a bare TypeError
+        with pytest.raises(OutOfRange, match=re.escape(f"pair {(a, b)!r} is not two integers")):
+            coequalizer_nat(a, b)
+
     def test_large_single_pair_is_one_step(self):
         q = coequalizer_nat(12345, 1000003, bound_cap=2 * 10**6)
         assert q.result == CyclicMonoid(12345, 987658)
@@ -154,7 +165,13 @@ class TestGeneratedQuotient:
         with pytest.raises(BoundCapExceeded):
             nat_congruence_quotient([(0, 5)], bound_cap=0)
 
+    @pytest.mark.parametrize("pair", [(False, 3), (1.5, 3), (1, 3, 4), 5, (-1, 2), [2, "3"]])
+    def test_each_pair_is_two_integers_at_least_zero(self, pair):
+        with pytest.raises(OutOfRange, match=re.escape(f"pair {pair!r} is not two integers >= 0")):
+            nat_congruence_quotient([(2, 5), pair])
+
     def test_pairs_may_be_any_iterable(self):
+        assert nat_congruence_quotient([[5, 2]]) == nat_congruence_quotient([(2, 5)])
         assert nat_congruence_quotient(p for p in [(2, 2), (5, 5)]).pairs == ((2, 2), (5, 5))
         q = nat_congruence_quotient([(30, 10), (4, 12)])
         assert nat_congruence_quotient(zip([30, 4], [10, 12])) == q
@@ -237,3 +254,41 @@ class TestBourneQuotient:
         bad = BourneNatQuotient(q.generators, q.modulus, q.quotient,
                                 tuple((n + 1, w) for n, w in q.witnesses))
         assert not bad.verify()
+
+
+def json_by_validated_table(q):
+    """`NatQuotient.to_json` as it was when it copied the rows of the validated C(i, p)."""
+    if q.result is None:
+        return {"result": "N0", "pairs": [list(p) for p in q.pairs]}
+    return {
+        "index": q.result.index,
+        "period": q.result.period,
+        "table": [list(row) for row in q.result.to_monoid(labels=False).add],
+        "certA": q.verify_certificate_a(),
+        "certB": [[u, v, [a, b], k] for u, v, (a, b), k in q.cert_b],
+    }
+
+
+class TestJson:
+    def test_coeq_json_prints_the_validated_table(self, capsys):
+        for b in range(1, 61):
+            for a in range(b):
+                assert main(["coeq", str(a), str(b), "--json"]) == 0
+                want = json.dumps(json_by_validated_table(coequalizer_nat(a, b))) + "\n"
+                assert capsys.readouterr().out == want
+
+    def test_only_a_built_monoid_is_validated(self, monkeypatch, capsys):
+        calls, validate = [], natcoeq.validate_monoid
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return validate(*args)
+
+        monkeypatch.setattr(natcoeq, "validate_monoid", counting)
+        for a, b in ((4, 6), (0, 1), (7, 95), (3, 3)):
+            nat_congruence_quotient([(a, b)]).to_json()
+        assert calls == []
+        assert main(["coeq", "7", "95", "--json"]) == 0 and calls == []
+        assert main(["coeq", "7", "95"]) == 0 and calls == [95]
+        with pytest.raises(OutOfRange, match="needs integers"):
+            NatQuotient(((1, 7),), CyclicMonoid(1, 0), True, ()).to_json()

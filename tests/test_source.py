@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import semimod
@@ -16,6 +17,23 @@ def test_no_assert_statements_in_library():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_library_imports_only_the_standard_library():
+    """The README promises no runtime dependencies: every import is relative or
+    names a top-level module of the standard library."""
+    outside = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 # validation stays at the boundary: tables from outside, the enumerator's

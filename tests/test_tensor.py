@@ -1030,6 +1030,25 @@ class TestAdjunction:
                     H, _ = hom_monoid(M, N)
                     assert len(enumerate_homs(T.monoid, N)) == len(enumerate_homs(P, H))
 
+    def test_unequal_hom_counts_fail(self, monkeypatch):
+        # the first enumeration is Hom(P (x) M, N); one hom fewer there
+        calls = []
+
+        def short(M, N, budget=None):
+            calls.append(M)
+            homs = enumerate_homs(M, N, budget)
+            return homs[:-1] if len(calls) == 1 else homs
+
+        monkeypatch.setattr(tensor, "enumerate_homs", short)
+        assert not hom_adjunction_check(Z2, Z2, Z2)
+        assert len(calls) == 3
+
+    def test_a_round_trip_other_than_the_identity_fails(self, monkeypatch):
+        # psi sends every curried map to the zero hom; Hom(Z2 (x) Z2, Z2) has two
+        assert hom_adjunction_check(Z2, Z2, Z2)
+        monkeypatch.setattr(tensor, "_factor", lambda T, A, f: zero_hom(T.monoid, A))
+        assert not hom_adjunction_check(Z2, Z2, Z2)
+
     def test_full_corpus(self):
         corpus = small_monoid_corpus(3)
         for P in corpus:
