@@ -22,6 +22,7 @@ from .core import (
     internal_direct_sum_check,
     saturating_monoid,
     small_monoid_corpus,
+    submonoid_generated,
     trivial_monoid,
     validate_monoid,
 )
@@ -174,17 +175,6 @@ def closure_minimality_oracle() -> bool:
     return True
 
 
-def _generated_by_pure_tensors(T) -> bool:
-    M, N = T.source_m, T.source_n
-    pures = {T.pure(m, n) for m in M.elements() for n in N.elements()}
-    reached, frontier = {0}, {0}
-    while frontier:
-        nxt = {T.monoid.plus(x, p) for x in frontier for p in pures}
-        frontier = nxt - reached
-        reached |= nxt
-    return reached == set(T.monoid.elements())
-
-
 def tensor_universal_property() -> bool:
     """Every balanced map into a size-<=3 monoid factors uniquely through the tensor."""
     pool = [trivial_monoid(), cyclic_group(2), cyclic_group(3), saturating_monoid(2)]
@@ -194,9 +184,10 @@ def tensor_universal_property() -> bool:
             T = tensor_product(M, N)
             if not balanced_check(M, N, T.monoid, T.bilinear)[0]:
                 return False
-            if not _generated_by_pure_tensors(T):
-                return False
             cells = [(m, n) for m in M.elements() for n in N.elements()]
+            pures = [T.pure(m, n) for m, n in cells]
+            if submonoid_generated(T.monoid, pures) != tuple(T.monoid.elements()):
+                return False
             for A in targets:
                 for f in enumerate_balanced_maps(M, N, A):
                     g = universal_factorization(T, A, f)

@@ -86,7 +86,7 @@ def cmd_coeq(args) -> int:
         return 0
     q = natcoeq.coequalizer_nat(args.a, args.b, bound_cap=args.bound_cap)
     if q.is_symbolic_nat:
-        print(json.dumps({"result": "N0"}) if args.json else "coequalizer: N0 (identity)")
+        print(json.dumps(q.to_json()) if args.json else "coequalizer: N0 (identity)")
         return 0
     cells, budget = q.result.size ** 2, _budget(args)
     if cells > budget:

@@ -30,7 +30,7 @@ from .congruence import UnionFind
 from .core import (DEFAULT_BUDGET, BudgetExceeded, FiniteCommMonoid, OutOfRange, SemimodError,
                    validate_monoid)
 from . import semiideal as _semiideal
-from .semiideal import EmptyIdeal
+from .semiideal import EmptyIdeal, _require_ints
 
 
 class BoundCapExceeded(BudgetExceeded):
@@ -256,13 +256,16 @@ def naive_nat_classes(a: int, b: int, probe_limit: int = 20,
     Decided by bounded witness search over n, n'; returns the classes of
     {0..probe_limit} sorted by smallest member.  The search tries up to
     W^2 witnesses for each of the probe pairs, and raises BudgetExceeded
-    when that exceeds the budget.
+    when that exceeds the budget.  Each argument but a None witness_bound is
+    an int (else `OutOfRange`).
     """
+    _require_ints(a, b, probe_limit)
     if a < 0 or b < 0:
         raise SemimodError("multipliers must be nonnegative")
     if a == b:
         raise SemimodError("the multipliers must differ")
     W = witness_bound if witness_bound is not None else probe_limit + max(a, b) + 2
+    _require_ints(W)
     cost = probe_limit * (probe_limit + 1) // 2 * W * W
     if cost > budget:
         raise BudgetExceeded(f"witness search of {cost} steps exceeds budget {budget}")
@@ -305,22 +308,17 @@ def bourne_nat_quotient(generators: Sequence[int],
     """The quotient of the naturals by a semiideal: the group Z/d.
 
     Certifies n ~ 0 for the first few positive multiples n of d by
-    producing explicit members a, b of the ideal with n + a = b.
+    producing explicit members a, b of the ideal with n + a = b.  A
+    generator or witness_multiples that is not an int raises `OutOfRange`.
     """
-    gens = tuple(sorted({g for g in generators if g != 0}))
-    if not gens:
+    _require_ints(witness_multiples)
+    M = _semiideal.Semiideal(generators)
+    if M.is_zero:
         raise EmptyIdeal("need at least one nonzero generator")
-    M = _semiideal.Semiideal(gens)
-    d = M.period()
-    c = M.footing()
-    witnesses = []
-    for t in range(1, witness_multiples + 1):
-        n = t * d
-        # the footing c and n + c both lie in the periodic core
-        if not (M.contains(c) and M.contains(n + c)):
-            raise SemimodError(f"internal error: witness ({c}, {n + c}) is not in the ideal")
-        witnesses.append((n, (c, n + c)))
-    out = BourneNatQuotient(gens, d, CyclicMonoid(0, d), tuple(witnesses))
+    d, c = M.period(), M.footing()
+    # the footing c and n + c both lie in the periodic core; verify() checks it
+    witnesses = tuple((t * d, (c, t * d + c)) for t in range(1, witness_multiples + 1))
+    out = BourneNatQuotient(M.generators, d, CyclicMonoid(0, d), witnesses)
     if not out.verify():
         raise SemimodError("internal error: the Bourne quotient does not verify")
     return out

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import DEFAULT_BUDGET, BudgetExceeded, SemimodError
+from .core import DEFAULT_BUDGET, BudgetExceeded, OutOfRange, SemimodError
 
 
 class EmptyIdeal(SemimodError):
@@ -31,6 +31,13 @@ class NotDivisible(SemimodError):
     pass
 
 
+def _require_ints(*values) -> None:
+    """`OutOfRange` for the first value that is not an exact int (a bool is not)."""
+    for v in values:
+        if type(v) is not int:
+            raise OutOfRange(f"{v!r} is not an integer")
+
+
 class Semiideal:
     """The semiideal generated by a list of positive integers.
 
@@ -40,6 +47,8 @@ class Semiideal:
     """
 
     def __init__(self, generators: Sequence[int], budget: int = DEFAULT_BUDGET):
+        generators = tuple(generators)
+        _require_ints(*generators)
         if any(g < 0 for g in generators):
             raise SemimodError("generators must be nonnegative")
         self.generators: tuple[int, ...] = tuple(sorted({g for g in generators if g != 0}))
@@ -103,6 +112,7 @@ class Semiideal:
         return ap
 
     def contains(self, n: int) -> bool:
+        _require_ints(n)
         if n < 0:
             raise SemimodError("membership is defined for nonnegative integers")
         if n == 0:
@@ -157,6 +167,7 @@ def footing_two_generators(a: int, b: int) -> int:
     formula degenerates to 0; the footing of a cyclic ideal is d itself,
     so that value is returned instead.
     """
+    _require_ints(a, b)
     if a <= 0 or b <= 0:
         raise SemimodError("generators must be positive")
     d = gcd(a, b)
@@ -172,6 +183,7 @@ def bezout_nonneg(a: int, b: int) -> Optional[tuple[int, int]]:
     Constructed from 1 = u*a - v*b with u > 0 and a > v >= 0 via
     r = u - 1, s = a - v - 1.
     """
+    _require_ints(a, b)
     if a <= 0 or b <= 0:
         raise SemimodError("arguments must be positive")
     if gcd(a, b) != 1:
@@ -188,6 +200,7 @@ def bezout_nonneg(a: int, b: int) -> Optional[tuple[int, int]]:
 
 def bezout_nonneg_scaled(a: int, b: int, d: int) -> Optional[tuple[int, int]]:
     """Nonnegative (r, s) with d*(a/d - 1)*(b/d - 1) = r*a + s*b, or None."""
+    _require_ints(a, b, d)
     if d <= 0:
         raise SemimodError("d must be positive")
     if a % d or b % d:

@@ -18,11 +18,12 @@ generated by "x at coordinate j" for x in A's generating set and j < k; a
 congruence closed under translation by those k |X_A| elements is closed
 under all of A^k.  So the closure kernel that `congruence_closure` runs
 (`congruence._closure`) runs on those k |X_A| rows alone, each built from
-row x of A without touching any other digit, and the same translation check
-that `quotient` runs is applied to the result.  The quotient table is built
-on the class representatives only, adding them digit by digit through A's
-table.  The budget counts the k |X_A| |A|^k row cells before building them,
-and the |T|^2 table cells before building the table.
+row x of A, and the same translation check that `quotient` runs is applied
+to the result.  The rest is done in the quotient T: the generator rows give
+T's translations, which build T's table by a walk of T's Cayley graph from 0
+(Froidure-Pin) and the pure tensors along B's spanning tree.  The budget
+counts the k |X_A| |A|^k row cells before building them, and the |T|^2
+table cells before building the table.
 
 Both sides of the universal property are checked over generating sets.
 A map f: M x N -> A is balanced when it satisfies the zero laws and is
@@ -43,9 +44,7 @@ f = g o (x) with g a hom, f is balanced, since `tensor_product` checks that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
 from itertools import product
-from operator import add, getitem
 from typing import Callable, Optional, Sequence
 
 from .congruence import _closure, _translation_failure
@@ -130,26 +129,21 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     swap = N.size ** len(M.gens) < M.size ** len(N.gens)
     A, B = (N, M) if swap else (M, N)
     PB = B.presentation
-    n, k = A.size, len(PB.gens)
-    cells = k * len(A.gens) * n ** k
+    n, k, g = A.size, len(PB.gens), len(A.gens)
+    cells = k * g * n ** k
     if cells > budget:
         raise BudgetExceeded(f"generator rows of {cells} cells exceed budget {budget}")
     stride = [n ** (k - 1 - j) for j in range(k)]
     rows = _generator_rows(A, stride)
-
-    # a (x) b in A^k: along the tree edge e -> e + y_j, a joins coordinate j
-    pure = [[0] * B.size for _ in range(n)]
-    for a, row in enumerate(pure):
-        ra = A.add[a]
+    # x (x) b in A^k for the i-th generator x: x joins coordinate j along e -> e + y_j
+    pure = [[0] * B.size for _ in range(g)]
+    for i, px in enumerate(pure):
         for e, j, t in PB.tree:
-            c, s = row[e], stride[j]
-            d = c // s % n
-            row[t] = c + (ra[d] - d) * s
+            px[t] = rows[j * g + i][px[e]]
     # the relation edge e -> t = e + y_j says nf(e) + y_j = nf(t): seed
-    # pure[x][e] + (x at coordinate j) ~ pure[x][t], reading x's row at j
-    g = len(A.gens)
-    seeds = tuple((rows[j * g + i][pure[x][e]], pure[x][t])
-                  for i, x in enumerate(A.gens) for e, j, t in PB.edges)
+    # x (x) e + (x at coordinate j) ~ x (x) t, reading x's row at j
+    seeds = tuple((rows[j * g + i][px[e]], px[t])
+                  for i, px in enumerate(pure) for e, j, t in PB.edges)
     rep = _closure(n ** k, rows, seeds)
     if (bad := _translation_failure(rows, rep)) is not None:
         raise SemimodError(f"internal error: tensor congruence not closed at {bad}")
@@ -159,20 +153,25 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
         raise BudgetExceeded(f"quotient table of {cells} cells exceeds budget {budget}")
     index = {r: i for i, r in enumerate(reps)}
     nu = list(map(index.__getitem__, rep))
-    digits = [[r // s % n for s in stride] for r in reps]
-    # place[j][a][i] = (a + digit j of reps[i]) * stride[j], so the code of
-    # reps[h] + reps[i] is the sum over j of place[j][digit j of reps[h]][i];
-    # with no coordinate (B trivial) the one code is 0
-    place = [[[ra[d] * s for d in column] for ra in A.add]
-             for s, column in zip(stride, zip(*digits))]
-    table = []
-    for ds in digits:
-        codes = reduce(partial(map, add), map(getitem, place, ds)) if ds else [0]
-        table.append(list(map(nu.__getitem__, codes)))
+    # T's translations by the generators; walk T's Cayley graph from 0, row
+    # c + x being row c moved by x, since (c + x) + s = (c + s) + x
+    moves = [[nu[row[r]] for r in reps] for row in rows]
+    table = [list(range(len(reps)))] + [None] * (len(reps) - 1)
+    order = [0]
+    for c in order:                      # grows as the walk reaches new classes
+        for move in moves:
+            d = move[c]
+            if table[d] is None:
+                table[d] = list(map(move.__getitem__, table[c]))
+                order.append(d)
     T = _built(table)
-    bil = [list(map(nu.__getitem__, row)) for row in pure]
-    terms = tuple(tuple((b, a) if swap else (a, b) for a, b in zip(ds, PB.gens) if a)
-                  for ds in digits)
+    # a (x) t = a (x) e + (a at coordinate j) along the tree edge e -> t = e + y_j
+    bil = [[0] * B.size for _ in range(n)]
+    for a, row in enumerate(bil):
+        for e, j, t in PB.tree:
+            row[t] = table[row[e]][nu[a * stride[j]]]
+    terms = tuple(tuple((b, a) if swap else (a, b) for a, b in
+                        zip([r // s % n for s in stride], PB.gens) if a) for r in reps)
     out = TensorProduct(T, tuple(map(tuple, zip(*bil) if swap else bil)), M, N,
                         PowerPresentation(A, k, seeds), terms)
     witness = _balanced_failure(M, N, T, out.bilinear)

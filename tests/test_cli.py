@@ -8,7 +8,7 @@ from semimod import acceptance
 from semimod.cli import main, render_table
 from semimod.congruence import enumerate_congruences, quotient
 from semimod.core import monoid_to_json, small_monoid_corpus, validate_monoid
-from semimod.natcoeq import CyclicMonoid
+from semimod.natcoeq import CyclicMonoid, coequalizer_nat
 
 
 def run(capsys, *argv):
@@ -30,6 +30,12 @@ def test_coeq_json(capsys):
     assert data["index"] == 4 and data["period"] == 2
     assert data["table"][5][5] == 4 and data["table"][1][5] == 4
     assert data["certA"] is True and data["certB"]
+
+
+def test_coeq_json_for_equal_multipliers_is_the_library_json(capsys):
+    code, out, _ = run(capsys, "coeq", "3", "3", "--json")
+    assert code == 0
+    assert out == json.dumps(coequalizer_nat(3, 3).to_json()) + "\n"
 
 
 def test_coeq_naive(capsys):

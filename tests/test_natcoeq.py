@@ -17,7 +17,7 @@ from semimod.natcoeq import (
     naive_nat_classes,
     nat_congruence_quotient,
 )
-from semimod.semiideal import EmptyIdeal
+from semimod.semiideal import EmptyIdeal, Semiideal
 
 C42_TABLE = [
     [0, 1, 2, 3, 4, 5],
@@ -228,6 +228,12 @@ class TestNaiveClasses:
         with pytest.raises(SemimodError):
             naive_nat_classes(-3, 5)
 
+    @pytest.mark.parametrize("args", [(True, 2), (4, 6.0), (4, 6, 2.5), (4, 6, 20, "9")])
+    def test_an_argument_that_is_not_an_int_is_out_of_range(self, args):
+        # True once gave classes, 6.0 and 2.5 a bare TypeError
+        with pytest.raises(OutOfRange, match="is not an integer"):
+            naive_nat_classes(*args)
+
 
 class TestBourneQuotient:
     def test_four_six(self):
@@ -248,6 +254,19 @@ class TestBourneQuotient:
     def test_empty_rejected(self):
         with pytest.raises(EmptyIdeal):
             bourne_nat_quotient([])
+
+    @pytest.mark.parametrize("args", [([True, 3],), ([4, 6.0],), ([4, 6], 2.5)])
+    def test_an_argument_that_is_not_an_int_is_out_of_range(self, args):
+        with pytest.raises(OutOfRange, match="is not an integer"):
+            bourne_nat_quotient(*args)
+
+    def test_a_witness_outside_the_ideal_is_caught(self, monkeypatch):
+        # the witnesses are checked by verify() alone
+        contains = Semiideal.contains
+        monkeypatch.setattr(Semiideal, "contains",
+                            lambda self, n: n != self.footing() and contains(self, n))
+        with pytest.raises(SemimodError, match="does not verify"):
+            bourne_nat_quotient([4, 6])
 
     def test_tampered_witnesses_rejected(self):
         q = bourne_nat_quotient([4, 6])

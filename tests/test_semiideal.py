@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimod.core import SemimodError
+from semimod.core import OutOfRange, SemimodError
 from semimod.semiideal import (
     EmptyIdeal,
     NotDivisible,
@@ -241,3 +241,33 @@ class TestBezout:
     def test_scaled_not_divisible(self):
         with pytest.raises(NotDivisible):
             bezout_nonneg_scaled(4, 7, 2)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call", [
+        lambda: Semiideal([True, 3]),              # once footing 1
+        lambda: Semiideal([1.5, 3]),               # once a bare TypeError
+        lambda: Semiideal([3, "x"]),
+        lambda: Semiideal([3, 5]).contains(2.5),
+        lambda: footing_two_generators(4.0, 6),
+        lambda: bezout_nonneg(True, 3),            # once (0, 0)
+        lambda: bezout_nonneg_scaled(4, 6, 2.0),
+    ])
+    def test_an_argument_that_is_not_an_int_is_out_of_range(self, call):
+        with pytest.raises(OutOfRange, match="is not an integer"):
+            call()
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Semiideal([-1, 3]), "generators must be nonnegative"),
+        (lambda: Semiideal([3]).contains(-1), "membership is defined for nonnegative"),
+        (lambda: footing_two_generators(0, 6), "generators must be positive"),
+        (lambda: bezout_nonneg(3, -1), "arguments must be positive"),
+        (lambda: bezout_nonneg_scaled(4, 6, 0), "d must be positive"),
+    ])
+    def test_negative_and_zero_values_keep_their_messages(self, call, message):
+        with pytest.raises(SemimodError, match=message) as raised:
+            call()
+        assert not isinstance(raised.value, OutOfRange)
+
+    def test_generators_may_be_any_iterable(self):
+        assert Semiideal(iter([4, 6])).generators == (4, 6)

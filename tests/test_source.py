@@ -36,6 +36,23 @@ def test_library_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_every_imported_name_is_used():
+    """A module uses each name it imports; `__init__.py` re-exports its imports."""
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                bound = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+                unused += [f"{path.name}:{node.lineno} {name}" for name in bound
+                           if name not in used]
+    assert unused == []
+
+
 # validation stays at the boundary: tables from outside, the enumerator's
 # fillings, C(i, p) (ROADMAP item 1) and the acceptance literals; a table the
 # library builds from validated monoids or a checked congruence is not re-validated

@@ -503,12 +503,17 @@ class TestAllPairsOracle:
 
 class TestPowerTableOracle:
     def test_equal_to_the_power_table_tensor(self):
-        """Same table, generating set, bilinear map, terms and seeds on all 900 pairs."""
-        for M in oracle_pool():
-            for N in oracle_pool():
-                new, old = tensor_product(M, N), power_tensor(M, N)
-                assert new == old, (M, N)
-                assert new.monoid.gens == old.monoid.gens
+        """Same table, generating set, bilinear map, terms and seeds on all 900
+        pairs, and on one-coordinate tensors of up to 60 elements."""
+        pairs = [(M, N) for M in oracle_pool() for N in oracle_pool()] + [
+            (cyclic_group(60), cyclic_group(60)), (cyclic_group(12), cyclic_group(18)),
+            (SAT2, saturating_monoid(11))]
+        for M, N in pairs:
+            new, old = tensor_product(M, N), power_tensor(M, N)
+            assert new == old, (M, N)
+            assert new.monoid.gens == old.monoid.gens
+        assert [tensor_product(M, N).monoid.size for M, N in pairs[-3:]] == [60, 6, 11]
+        assert {tensor_product(M, N).presentation.k for M, N in pairs[-3:]} == {1}
 
     def test_generator_rows_are_the_power_rows(self):
         for A in oracle_pool():
