@@ -75,8 +75,7 @@ def cmd_semiideal(args) -> int:
 
 def cmd_coeq(args) -> int:
     if args.naive:
-        classes = natcoeq.naive_nat_classes(args.a, args.b, probe_limit=20,
-                                            budget=_budget(args))
+        classes = natcoeq.naive_nat_classes(args.a, args.b, probe_limit=20)
         if args.json:
             print(json.dumps({"naive_classes": classes}))
         else:

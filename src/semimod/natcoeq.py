@@ -26,9 +26,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .congruence import UnionFind
-from .core import (DEFAULT_BUDGET, BudgetExceeded, FiniteCommMonoid, OutOfRange, SemimodError,
-                   validate_monoid)
+from .core import BudgetExceeded, FiniteCommMonoid, OutOfRange, SemimodError, validate_monoid
 from . import semiideal as _semiideal
 from .semiideal import EmptyIdeal, _require_ints
 
@@ -248,38 +246,22 @@ def coequalizer_nat(a: int, b: int, bound_cap: int = 10**6) -> NatQuotient:
     return q
 
 
-def naive_nat_classes(a: int, b: int, probe_limit: int = 20,
-                      witness_bound: Optional[int] = None,
-                      budget: int = DEFAULT_BUDGET) -> list[list[int]]:
+def naive_nat_classes(a: int, b: int, probe_limit: int = 20) -> list[list[int]]:
     """Census of the one-step relation m + an + bn' = m' + an' + bn.
 
-    Decided by bounded witness search over n, n'; returns the classes of
-    {0..probe_limit} sorted by smallest member.  The search tries up to
-    W^2 witnesses for each of the probe pairs, and raises BudgetExceeded
-    when that exceeds the budget.  Each argument but a None witness_bound is
-    an int (else `OutOfRange`).
+    The relation reads m - m' = (a - b)(n' - n), so m and m' are related
+    exactly when they agree modulo d = |a - b|, with the witness
+    n' - n = (m - m') / (a - b).  Unlike the coequalizer, it is already an
+    equivalence, and its classes on {0..probe_limit} are the residues mod d,
+    sorted by smallest member.  Each argument is an int (else `OutOfRange`).
     """
     _require_ints(a, b, probe_limit)
     if a < 0 or b < 0:
         raise SemimodError("multipliers must be nonnegative")
     if a == b:
         raise SemimodError("the multipliers must differ")
-    W = witness_bound if witness_bound is not None else probe_limit + max(a, b) + 2
-    _require_ints(W)
-    cost = probe_limit * (probe_limit + 1) // 2 * W * W
-    if cost > budget:
-        raise BudgetExceeded(f"witness search of {cost} steps exceeds budget {budget}")
-    uf = UnionFind(probe_limit + 1)
-    for m in range(probe_limit + 1):
-        for m2 in range(m + 1, probe_limit + 1):
-            if any(m + a * n + b * n2 == m2 + a * n2 + b * n
-                   for n in range(W) for n2 in range(W)):
-                uf.union(m, m2)
-
-    buckets: dict[int, list[int]] = {}
-    for m in range(probe_limit + 1):
-        buckets.setdefault(uf.find(m), []).append(m)
-    return [buckets[r] for r in sorted(buckets)]
+    d = abs(a - b)
+    return [list(range(r, probe_limit + 1, d)) for r in range(min(d, probe_limit + 1))]
 
 
 @dataclass(frozen=True)
@@ -303,21 +285,19 @@ class BourneNatQuotient:
         return True
 
 
-def bourne_nat_quotient(generators: Sequence[int],
-                        witness_multiples: int = 10) -> BourneNatQuotient:
+def bourne_nat_quotient(generators: Sequence[int]) -> BourneNatQuotient:
     """The quotient of the naturals by a semiideal: the group Z/d.
 
-    Certifies n ~ 0 for the first few positive multiples n of d by
-    producing explicit members a, b of the ideal with n + a = b.  A
-    generator or witness_multiples that is not an int raises `OutOfRange`.
+    Certifies n ~ 0 for the multiples n = d..10d by producing explicit
+    members a, b of the ideal with n + a = b.  A generator that is not an
+    int raises `OutOfRange`.
     """
-    _require_ints(witness_multiples)
     M = _semiideal.Semiideal(generators)
     if M.is_zero:
         raise EmptyIdeal("need at least one nonzero generator")
     d, c = M.period(), M.footing()
     # the footing c and n + c both lie in the periodic core; verify() checks it
-    witnesses = tuple((t * d, (c, t * d + c)) for t in range(1, witness_multiples + 1))
+    witnesses = tuple((t * d, (c, t * d + c)) for t in range(1, 11))
     out = BourneNatQuotient(M.generators, d, CyclicMonoid(0, d), witnesses)
     if not out.verify():
         raise SemimodError("internal error: the Bourne quotient does not verify")

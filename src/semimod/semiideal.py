@@ -47,7 +47,11 @@ class Semiideal:
     """
 
     def __init__(self, generators: Sequence[int], budget: int = DEFAULT_BUDGET):
-        generators = tuple(generators)
+        try:
+            items = iter(generators)
+        except TypeError:
+            raise OutOfRange(f"generators {generators!r} are not an iterable of integers") from None
+        generators = tuple(items)
         _require_ints(*generators)
         if any(g < 0 for g in generators):
             raise SemimodError("generators must be nonnegative")

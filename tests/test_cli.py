@@ -59,9 +59,23 @@ def test_coeq_negative_bound_cap_exit_1(capsys):
     assert err.startswith("budget exceeded: certificate B would touch numbers above the bound cap 0")
 
 
-def test_coeq_naive_budget_exit_2(capsys):
+def test_coeq_naive_text(capsys):
+    code, out, err = run(capsys, "coeq", "4", "6", "--naive")
+    assert (code, err) == (0, "")
+    assert out == ("one-step relation census on 0..20: 2 classes\n"
+                   "  [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20]\n"
+                   "  [1, 3, 5, 7, 9, 11, 13, 15, 17, 19]\n")
+
+
+def test_coeq_naive_answers_what_the_witness_budget_refused(capsys):
+    # both once exited 2: the witness search exceeded the default budget
+    code, out, err = run(capsys, "coeq", "4", "60", "--naive", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"naive_classes": [[m] for m in range(21)]}
     code, out, err = run(capsys, "coeq", "3", "2000", "--naive")
-    assert code == 2 and out == "" and "budget" in err
+    assert (code, err) == (0, "")
+    assert out == ("one-step relation census on 0..20: 21 classes\n"
+                   + "".join(f"  [{m}]\n" for m in range(21)))
 
 
 def test_main_keeps_no_state_between_calls(capsys):
@@ -120,6 +134,28 @@ def test_tensor_command(tmp_path, capsys):
     code, out, _ = run(capsys, "tensor", str(p2), str(p2), "--json", "--check-coherence")
     data = json.loads(out)
     assert data["size"] == 2 and data["symmetry"] and data["associativity"]
+
+
+Z2_TENSOR_Z2_TEXT = """\
+tensor product has 2 elements
+  + | c0 c1
+-----------
+ c0 | c0 c1
+ c1 | c1 c0
+pure tensors (m,n) -> class:
+  [0, 0]
+  [0, 1]
+"""
+
+
+def test_tensor_text(tmp_path, capsys):
+    from semimod.core import cyclic_group
+    p = tmp_path / "z2.json"
+    p.write_text(json.dumps(monoid_to_json(cyclic_group(2))))
+    assert run(capsys, "tensor", str(p), str(p)) == (0, Z2_TENSOR_Z2_TEXT, "")
+    assert run(capsys, "tensor", str(p), str(p), "--check-coherence") == (
+        0, Z2_TENSOR_Z2_TEXT + "symmetry iso verified: True\n"
+                               "associativity iso verified: True\n", "")
 
 
 def test_tensor_past_the_power_table(tmp_path, capsys):

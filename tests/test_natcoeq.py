@@ -5,7 +5,7 @@ import pytest
 
 from semimod import natcoeq
 from semimod.cli import main
-from semimod.congruence import congruence_closure
+from semimod.congruence import UnionFind, congruence_closure
 from semimod.core import BudgetExceeded, OutOfRange, SemimodError
 from semimod.natcoeq import (
     BoundCapExceeded,
@@ -197,6 +197,23 @@ class TestGeneratedQuotient:
                 assert C.same(n, m) == (c.project(n) == c.project(m))
 
 
+def naive_classes_by_witness_search(a, b, probe_limit):
+    """The census as it was decided by brute force: a union-find over
+    {0..probe_limit}, merging m and m' when some n, n' < W witness
+    m + an + bn' = m' + an' + bn."""
+    W = probe_limit + max(a, b) + 2
+    uf = UnionFind(probe_limit + 1)
+    for m in range(probe_limit + 1):
+        for m2 in range(m + 1, probe_limit + 1):
+            if any(m + a * n + b * n2 == m2 + a * n2 + b * n
+                   for n in range(W) for n2 in range(W)):
+                uf.union(m, m2)
+    buckets = {}
+    for m in range(probe_limit + 1):
+        buckets.setdefault(uf.find(m), []).append(m)
+    return [buckets[r] for r in sorted(buckets)]
+
+
 class TestNaiveClasses:
     def test_four_six_example(self):
         classes = naive_nat_classes(4, 6, probe_limit=20)
@@ -216,19 +233,30 @@ class TestNaiveClasses:
         for limit in (8, 15, 30):
             assert len(naive_nat_classes(4, 6, probe_limit=limit)) == 2
 
-    def test_budget(self):
-        # 210 probe pairs times 28^2 witnesses each
-        assert len(naive_nat_classes(4, 6, budget=210 * 28 ** 2)) == 2
-        with pytest.raises(BudgetExceeded):
-            naive_nat_classes(4, 6, budget=210 * 28 ** 2 - 1)
-        with pytest.raises(BudgetExceeded):
-            naive_nat_classes(3, 2000)
+    def test_inputs_the_witness_search_refused(self):
+        # the witness search once exceeded its budget here
+        singletons = [[m] for m in range(21)]
+        assert naive_nat_classes(4, 60) == singletons
+        assert naive_nat_classes(3, 2000) == singletons
+
+    @pytest.mark.parametrize("limit", [0, 1, 5, 12, 20])
+    def test_equals_the_witness_search(self, limit):
+        for a in range(9):
+            for b in range(9):
+                if a != b:
+                    assert naive_nat_classes(a, b, limit) == naive_classes_by_witness_search(
+                        a, b, limit)
+
+    def test_equal_multipliers_rejected(self):
+        with pytest.raises(SemimodError, match="the multipliers must differ") as raised:
+            naive_nat_classes(3, 3)
+        assert not isinstance(raised.value, OutOfRange)
 
     def test_negative_multiplier_rejected(self):
         with pytest.raises(SemimodError):
             naive_nat_classes(-3, 5)
 
-    @pytest.mark.parametrize("args", [(True, 2), (4, 6.0), (4, 6, 2.5), (4, 6, 20, "9")])
+    @pytest.mark.parametrize("args", [(True, 2), (4, 6.0), (4, 6, 2.5)])
     def test_an_argument_that_is_not_an_int_is_out_of_range(self, args):
         # True once gave classes, 6.0 and 2.5 a bare TypeError
         with pytest.raises(OutOfRange, match="is not an integer"):
@@ -255,7 +283,7 @@ class TestBourneQuotient:
         with pytest.raises(EmptyIdeal):
             bourne_nat_quotient([])
 
-    @pytest.mark.parametrize("args", [([True, 3],), ([4, 6.0],), ([4, 6], 2.5)])
+    @pytest.mark.parametrize("args", [([True, 3],), ([4, 6.0],)])
     def test_an_argument_that_is_not_an_int_is_out_of_range(self, args):
         with pytest.raises(OutOfRange, match="is not an integer"):
             bourne_nat_quotient(*args)

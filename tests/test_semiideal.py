@@ -271,3 +271,8 @@ class TestArgumentChecks:
 
     def test_generators_may_be_any_iterable(self):
         assert Semiideal(iter([4, 6])).generators == (4, 6)
+
+    def test_generators_that_are_not_an_iterable_are_out_of_range(self):
+        # once a bare TypeError: 'int' object is not iterable
+        with pytest.raises(OutOfRange, match="5 are not an iterable of integers"):
+            Semiideal(5)

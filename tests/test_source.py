@@ -79,3 +79,19 @@ def test_only_the_boundary_calls_validate_monoid():
                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "validate_monoid"}
     assert "core.monoid_from_json" in callers
     assert callers <= VALIDATING
+
+
+def test_the_naturals_layer_imports_only_core_and_semiideal():
+    """`natcoeq` and `semiideal` compute on residues, with no finite congruence
+    machinery.  Library imports of the package are relative (see above)."""
+    imports = {}
+    for path in SOURCES:
+        if path.stem in ("natcoeq", "semiideal"):
+            imports[path.stem] = set()
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    imports[path.stem] |= ({node.module} if node.module
+                                           else {alias.name for alias in node.names})
+    assert set(imports) == {"natcoeq", "semiideal"}
+    assert {name: modules - {"core", "semiideal"} for name, modules in imports.items()} == {
+        "natcoeq": set(), "semiideal": set()}
