@@ -15,6 +15,7 @@ from .core import (
     free_universal_map,
     hom_check,
     internal_direct_sum_check,
+    iter_homs,
     saturating_monoid,
     submonoid_generated,
     trivial_monoid,

@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from functools import cache
+from typing import Callable, Optional
 
 from . import acceptance, natcoeq, semiideal, tensor
 from . import congruence as cg
@@ -39,18 +40,30 @@ def _budget(args) -> int:
     return budget
 
 
-def render_table(M: FiniteCommMonoid, ascii_labels: bool = False) -> str:
-    """The addition table as text, every label right-aligned in one column width."""
+def render_table(M: FiniteCommMonoid, ascii_labels: bool = False,
+                 join_rows: Optional[Callable[[list[str]], list[str]]] = None) -> str:
+    """The addition table as text, every label right-aligned in one column width.
+
+    join_rows(cells), given the padded label of each element, returns row
+    a's cells joined for every row a of M's table; by default each row is
+    joined cell by cell.
+    """
     if ascii_labels or M.labels is None:
         labels = [f"c{m}" if ascii_labels else str(m) for m in M.elements()]
     else:
         labels = list(M.labels)
     width = max(len(l) for l in labels) + 1
     cell = [l.rjust(width) for l in labels]
+    if join_rows is None:
+        bodies = ["".join(map(cell.__getitem__, row)) for row in M.add]
+    else:
+        bodies = join_rows(cell)
     head = "+".rjust(width) + " |" + "".join(cell)
-    lines = [head, "-" * len(head)]
-    lines += [cell[a] + " |" + "".join(map(cell.__getitem__, row)) for a, row in enumerate(M.add)]
-    return "\n".join(lines)
+    # one join over the pieces, so no row is copied into a line of its own
+    parts = [head, "\n", "-" * len(head)]
+    for c, body in zip(cell, bodies):
+        parts += "\n", c, " |", body
+    return "".join(parts)
 
 
 def cmd_semiideal(args) -> int:
@@ -91,12 +104,16 @@ def cmd_coeq(args) -> int:
     if cells > budget:
         raise BudgetExceeded(f"table of C({q.result.index},{q.result.period}) "
                              f"has {cells} cells, budget {budget}")
+    c = q.result
     if args.json:
-        print(json.dumps(q.to_json()))
+        # the bytes of json.dumps(q.to_json()), the table's rows sliced from one encoding
+        fields = {k: json.dumps(v) for k, v in q._json_fields(None).items()}
+        digits = list(map(str, range(c.size)))
+        fields["table"] = "[[" + "], [".join(c.joined_rows(digits, ", ")) + "]]"
+        print("{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}")
     else:
-        c = q.result
         print(f"coequalizer: C(index={c.index}, period={c.period}), {c.size} classes")
-        print(render_table(c.to_monoid(), ascii_labels=args.ascii))
+        print(render_table(c.to_monoid(), args.ascii, c.joined_rows))
         print(f"certificate A verified: {q.verify_certificate_a()}")
         print(f"certificate B ({len(q.cert_b)} chain steps) verified: "
               f"{q.verify_certificate_b()}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 DEFAULT_BUDGET = 10**6
 
@@ -322,7 +322,9 @@ def validate_monoid(table: Sequence[Sequence[int]],
     b, so the witness does not depend on n.  The returned monoid
     keeps X as its `gens`.
 
-    Before Light's test come the entries, the identity and commutativity.
+    Labels, if given, are n distinct strings, so that no two rows of a
+    rendered table read alike.  Before Light's test come the entries, the
+    identity and commutativity.
     Every entry must be an `int` by an exact type test, which stays a
     per-entry pass because `bytes()` also accepts bools and any object
     with `__index__`.  For n <= 256 the byte rows are joined once: an
@@ -340,6 +342,8 @@ def validate_monoid(table: Sequence[Sequence[int]],
     if labels is not None and (not isinstance(labels, (list, tuple)) or len(labels) != n
                                or not all(isinstance(l, str) for l in labels)):
         raise OutOfRange(f"labels must be a list of {n} strings")
+    if labels is not None and len(set(labels)) != n:
+        raise OutOfRange("labels must be distinct")
     for i, row in enumerate(table):
         if not isinstance(row, (list, tuple)):
             raise OutOfRange(f"row {i} is a {type(row).__name__}, not a list")
@@ -463,16 +467,18 @@ def zero_hom(M: FiniteCommMonoid, N: FiniteCommMonoid) -> MonoidHom:
     return MonoidHom(M, N, (0,) * M.size)
 
 
-def enumerate_homs(M: FiniteCommMonoid, N: FiniteCommMonoid,
-                   budget: int = DEFAULT_BUDGET) -> list[MonoidHom]:
-    """All homomorphisms M -> N, lexicographically ordered by image table.
+def iter_homs(M: FiniteCommMonoid, N: FiniteCommMonoid,
+              budget: int = DEFAULT_BUDGET) -> Iterator[MonoidHom]:
+    """All homomorphisms M -> N, one at a time, lexicographically ordered by image table.
 
-    Backtracks over the images of X = M.gens in order.  Once x_j has one,
-    each element whose normal form ends in letter j gets its image along
-    its tree edge, and each relation edge with all three ends now imaged
-    is checked.  That covers every Cayley edge, enough as in `hom_check`.
-    Greedy X makes each other element a sum of generators below it, so the
-    order is lexicographic.  The budget counts generator images tried.
+    Backtracks over the images of X = M.gens in order, in one loop over the
+    letter j whose image is tried next.  Once x_j has one, each element
+    whose normal form ends in letter j gets its image along its tree edge,
+    and each relation edge with all three ends now imaged is checked.  That
+    covers every Cayley edge, enough as in `hom_check`.  Greedy X makes
+    each other element a sum of generators below it, so the order is
+    lexicographic.  The budget counts generator images tried; a search that
+    stops early spends only what it tried.
     """
     P = M.presentation
     k = len(P.gens)
@@ -486,28 +492,37 @@ def enumerate_homs(M: FiniteCommMonoid, N: FiniteCommMonoid,
         check[max(last[e], j, last[t])].append((e, P.gens[j], t))
     nadd = N.add
     image = [0] * M.size
-    out: list[MonoidHom] = []
-    spent = 0
-
-    def rec(j: int):
-        nonlocal spent
-        if j == k:
-            out.append(MonoidHom(M, N, tuple(image)))
-            return
-        for v in range(N.size):
-            spent += 1
-            if spent > budget:
-                raise BudgetExceeded("hom enumeration budget exhausted")
-            for e, t in define[j]:
-                image[t] = nadd[image[e]][v]
-            for e, x, t in check[j]:
-                if nadd[image[e]][image[x]] != image[t]:
-                    break
+    if not k:
+        yield MonoidHom(M, N, tuple(image))
+        return
+    tried = [-1] * k                     # j -> image of x_j being tried
+    spent = j = 0
+    while j >= 0:
+        v = tried[j] + 1
+        if v == N.size:                  # every image of x_j tried: back to x_(j-1)
+            tried[j] = -1
+            j -= 1
+            continue
+        tried[j] = v
+        spent += 1
+        if spent > budget:
+            raise BudgetExceeded("hom enumeration budget exhausted")
+        for e, t in define[j]:
+            image[t] = nadd[image[e]][v]
+        for e, x, t in check[j]:
+            if nadd[image[e]][image[x]] != image[t]:
+                break
+        else:
+            if j + 1 < k:
+                j += 1
             else:
-                rec(j + 1)
+                yield MonoidHom(M, N, tuple(image))
 
-    rec(0)
-    return out
+
+def enumerate_homs(M: FiniteCommMonoid, N: FiniteCommMonoid,
+                   budget: int = DEFAULT_BUDGET) -> list[MonoidHom]:
+    """All homomorphisms M -> N as a list, in the order of `iter_homs`."""
+    return list(iter_homs(M, N, budget))
 
 
 @dataclass(frozen=True)
@@ -637,7 +652,7 @@ def direct_summand_analysis(N: FiniteCommMonoid, M: Sequence[int],
 
     The three searches are independent; any of them may succeed alone.
     Each honours the budget: the complement search over `all_submonoids`
-    and the two over `enumerate_homs`.
+    and the two over `iter_homs`, which stop at the first hit.
     """
     M = tuple(sorted(M))
     if not N.is_submonoid(M):
@@ -646,9 +661,9 @@ def direct_summand_analysis(N: FiniteCommMonoid, M: Sequence[int],
     complement = next((S for S in all_submonoids(N, budget)
                        if internal_direct_sum_check(N, [M, S]).is_internal_direct_sum), None)
     Msub, _ = sub_as_monoid(N, M)
-    retraction = next((h for h in enumerate_homs(N, Msub, budget)
+    retraction = next((h for h in iter_homs(N, Msub, budget)
                        if all(h.image[m] == i for i, m in enumerate(M))), None)
-    idempotent = next((h for h in enumerate_homs(N, N, budget) if set(h.image) == set(M)
+    idempotent = next((h for h in iter_homs(N, N, budget) if set(h.image) == set(M)
                        and all(h.image[v] == v for v in h.image)), None)
     return SummandAnalysis(complement, retraction, idempotent)
 

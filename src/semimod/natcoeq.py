@@ -23,6 +23,7 @@ difference divisible by p, the two certificates pin the quotient exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -55,13 +56,30 @@ class CyclicMonoid:
             return n
         return self.index + (n - self.index) % self.period
 
-    def _rows(self) -> list[list[int]]:
-        """The rows of the table: row a is seq[a:a + size] of the projections."""
+    def _projections(self) -> list[int]:
+        """The projections of 0..2(i + p) - 2, whose slice seq[a:a + size] is row a."""
         if not _well_formed(self):
             raise OutOfRange(f"C({self.index!r},{self.period!r}) needs integers i >= 0, p >= 1")
-        size = self.size
-        seq = [self.project(s) for s in range(2 * size - 1)]
+        i, p = self.index, self.period
+        return [*range(i), *(i + t % p for t in range(i + 2 * p - 1))]
+
+    def _rows(self) -> list[list[int]]:
+        """The rows of the table: row a is seq[a:a + size] of the projections."""
+        seq, size = self._projections(), self.size
         return [seq[a:a + size] for a in range(size)]
+
+    def joined_rows(self, cells: Sequence[str], sep: str = "") -> list[str]:
+        """sep.join(cells[v] for v in row a) for every row a of the table.
+
+        The 2(i + p) - 1 projections are joined once, and row a is the slice
+        from the start of cell a to the end of cell a + size - 1, found by
+        cumulative offsets, so the cells may differ in width.
+        """
+        size, gap = self.size, len(sep)
+        seq = list(map(cells.__getitem__, self._projections()))
+        starts = [0, *accumulate(len(c) + gap for c in seq)]
+        whole = sep.join(seq)
+        return [whole[starts[a]:starts[a + size] - gap] for a in range(size)]
 
     def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
         rows = self._rows()
@@ -119,10 +137,14 @@ class NatQuotient:
     def to_json(self) -> dict:
         if self.result is None:
             return {"result": "N0", "pairs": [list(p) for p in self.pairs]}
+        return self._json_fields(self.result._rows())
+
+    def _json_fields(self, table) -> dict:
+        """The JSON fields of a C(i, p) answer, in order, with the given table."""
         return {
             "index": self.result.index,
             "period": self.result.period,
-            "table": self.result._rows(),
+            "table": table,
             "certA": self.verify_certificate_a(),
             "certB": [[u, v, [a, b], k] for u, v, (a, b), k in self.cert_b],
         }

@@ -113,6 +113,17 @@ def test_monoid_check_invalid_exit_1(tmp_path, capsys):
     assert "invalid" in err
 
 
+@pytest.mark.parametrize("command", ["monoid-check", "quotient", "tensor"])
+def test_duplicate_labels_exit_1(tmp_path, capsys, command):
+    # a quotient would print {a} for both rows, and its table would be ambiguous
+    p = tmp_path / "dup.json"
+    p.write_text(json.dumps({"size": 2, "add": [[0, 1], [1, 0]], "labels": ["a", "a"]}))
+    argv = {"monoid-check": [str(p)], "quotient": [str(p)], "tensor": [str(p), str(p)]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    assert err.strip().endswith("labels must be distinct")
+
+
 def test_quotient_command(tmp_path, capsys):
     from semimod.natcoeq import CyclicMonoid
     p = tmp_path / "c42.json"
@@ -232,6 +243,33 @@ def test_coeq_text_renders_the_table(capsys):
         c = CyclicMonoid(7, 88) if argv[1] != "0" else CyclicMonoid(0, 1)
         want = render_table_by_cells(c.to_monoid(), ascii_labels="--ascii" in argv)
         assert code == 0 and out.splitlines()[1:-2] == want.splitlines()
+
+
+def coeq_text_by_cells(q, M, ascii_labels):
+    """`coeq` text output for q, with M, the monoid of q's C(i, p), rendered cell by cell."""
+    c = q.result
+    return (f"coequalizer: C(index={c.index}, period={c.period}), {c.size} classes\n"
+            f"{render_table_by_cells(M, ascii_labels)}\n"
+            f"certificate A verified: {q.verify_certificate_a()}\n"
+            f"certificate B ({len(q.cert_b)} chain steps) verified: {q.verify_certificate_b()}\n")
+
+
+@pytest.mark.parametrize("a", range(121))
+def test_coeq_prints_the_library_json_and_the_cell_by_cell_table(capsys, a):
+    """`coeq a b` and `coeq b a` for every b in a..120, in text, --ascii and
+    --json; both orders give the same quotient, so each oracle runs once."""
+    for b in range(a, 121):
+        q = coequalizer_nat(a, b)
+        want = {("--json",): json.dumps(q.to_json()) + "\n"}
+        if q.is_symbolic_nat:
+            want[()] = want[("--ascii",)] = "coequalizer: N0 (identity)\n"
+        else:
+            M = q.result.to_monoid()
+            want[()] = coeq_text_by_cells(q, M, False)
+            want[("--ascii",)] = coeq_text_by_cells(q, M, True)
+        for argv in {(str(a), str(b)), (str(b), str(a))}:
+            for flags, out in want.items():
+                assert run(capsys, "coeq", *argv, *flags) == (0, out, "")
 
 
 def test_json_round_trip_through_cli(tmp_path, capsys):

@@ -10,6 +10,7 @@ from semimod import core
 from semimod.core import (
     BudgetExceeded,
     IdentityNotPreserved,
+    MonoidHom,
     NatVec,
     NotAdditive,
     NotAssociative,
@@ -28,6 +29,7 @@ from semimod.core import (
     hom_check,
     identity_hom,
     internal_direct_sum_check,
+    iter_homs,
     monoid_from_json,
     monoid_to_json,
     saturating_monoid,
@@ -69,6 +71,12 @@ class TestValidation:
         t = [[0, 1, 2], [1, 0, 2], [2, 2, 1]]
         with pytest.raises(NotAssociative):
             validate_monoid(t)
+
+    def test_labels_must_be_distinct(self):
+        for labels in (["a", "a"], ("0", "0")):
+            with pytest.raises(OutOfRange, match="^labels must be distinct$"):
+                validate_monoid([[0, 1], [1, 0]], labels)
+        assert validate_monoid([[0, 1], [1, 0]], ["a", "b"]).labels == ("a", "b")
 
     def test_out_of_range(self):
         class Small(int):
@@ -320,6 +328,82 @@ def enumerate_homs_oracle(M, N):
     return out
 
 
+def enumerate_homs_recursive(M, N, budget=core.DEFAULT_BUDGET, out=None):
+    """The recursive backtracking that `iter_homs` replaced, with the number
+    of generator images it tried: (homs, spent).  The homs go into `out`
+    as they are found, so a caller sees those found before a BudgetExceeded."""
+    P = M.presentation
+    k = len(P.gens)
+    last = [-1] * M.size
+    define = [[] for _ in range(k)]
+    check = [[] for _ in range(k)]
+    for e, j, t in P.tree:
+        last[t] = j
+        define[j].append((e, t))
+    for e, j, t in P.edges:
+        check[max(last[e], j, last[t])].append((e, P.gens[j], t))
+    nadd = N.add
+    image = [0] * M.size
+    out = [] if out is None else out
+    spent = 0
+
+    def rec(j):
+        nonlocal spent
+        if j == k:
+            out.append(MonoidHom(M, N, tuple(image)))
+            return
+        for v in range(N.size):
+            spent += 1
+            if spent > budget:
+                raise BudgetExceeded("hom enumeration budget exhausted")
+            for e, t in define[j]:
+                image[t] = nadd[image[e]][v]
+            for e, x, t in check[j]:
+                if nadd[image[e]][image[x]] != image[t]:
+                    break
+            else:
+                rec(j + 1)
+
+    rec(0)
+    return out, spent
+
+
+def hom_stream_cases():
+    """corpus(3) and eight monoids of order 4, one in every two of corpus(4)
+    past corpus(3), in every pair."""
+    small = small_monoid_corpus(3)
+    four = [M for M in small_monoid_corpus(4) if M.size == 4][::2][:8]
+    assert len(four) == 8
+    return list(product(small + four, repeat=2))
+
+
+def test_iter_homs_matches_the_recursive_backtracking():
+    for M, N in hom_stream_cases():
+        want, spent = enumerate_homs_recursive(M, N)
+        assert list(iter_homs(M, N)) == enumerate_homs(M, N) == want
+        # the same count: the budget that the recursion spends exactly is enough
+        assert enumerate_homs(M, N, budget=spent) == want
+        if not spent:                      # the trivial M has no generator to image
+            continue
+        with pytest.raises(BudgetExceeded, match="^hom enumeration budget exhausted$"):
+            enumerate_homs(M, N, budget=spent - 1)
+
+
+def test_iter_homs_raises_at_the_hom_the_budget_cuts_off():
+    M = N = biproduct(cyclic_group(2), saturating_monoid(3)).monoid
+    want, spent = enumerate_homs_recursive(M, N)
+    assert (len(want), spent) == (12, 60)
+    for budget in range(spent):
+        got, before = [], []
+        with pytest.raises(BudgetExceeded) as e:
+            for h in iter_homs(M, N, budget):
+                got.append(h)
+        with pytest.raises(BudgetExceeded) as e_rec:
+            enumerate_homs_recursive(M, N, budget, out=before)
+        assert str(e.value) == str(e_rec.value)
+        assert got == before
+
+
 def hom_check_oracle(M, N, image):
     """The all-pairs verdict that `hom_check` replaced: None for a hom, else
     the class of the failure."""
@@ -497,6 +581,39 @@ class TestDirectSummand:
         N = saturating_monoid(3)
         a = direct_summand_analysis(N, (0,))
         assert a.complement == tuple(N.elements())
+
+    @staticmethod
+    def eager_analysis(N, M):
+        """`direct_summand_analysis` as it was, over whole lists of homs."""
+        M = tuple(sorted(M))
+        complement = next((S for S in all_submonoids(N)
+                           if internal_direct_sum_check(N, [M, S]).is_internal_direct_sum), None)
+        Msub, _ = sub_as_monoid(N, M)
+        retraction = next((h for h in enumerate_homs(N, Msub)
+                           if all(h.image[m] == i for i, m in enumerate(M))), None)
+        idempotent = next((h for h in enumerate_homs(N, N) if set(h.image) == set(M)
+                           and all(h.image[v] == v for v in h.image)), None)
+        return core.SummandAnalysis(complement, retraction, idempotent)
+
+    def test_same_analysis_as_over_lists_on_corpus3(self):
+        cases = 0
+        for N in small_monoid_corpus(3):
+            for M in all_submonoids(N):
+                assert direct_summand_analysis(N, M) == self.eager_analysis(N, M)
+                cases += 1
+        assert cases == 21
+
+    def test_sat4_squared_stops_at_the_first_idempotent(self):
+        # the parent's answer; the idempotent is hom 40,000 of 160,000, and the
+        # whole list needs a budget of 750,672 generator images, the stream 187,481
+        S = saturating_monoid(4)
+        N = biproduct(S, S).monoid
+        M = submonoid_generated(N, [1])
+        a = direct_summand_analysis(N, M, budget=200_000)
+        assert a.complement is None
+        assert a.retraction.image == a.idempotent.image == (0, 1, 1, 1) * 4
+        with pytest.raises(BudgetExceeded):
+            enumerate_homs(N, N, budget=200_000)
 
     @staticmethod
     def forbid_closures(monkeypatch):

@@ -48,6 +48,22 @@ class TestCyclicMonoid:
                 assert [list(r) for r in M.add] == table
                 assert M.labels == tuple(f"{k}\u0304" for k in range(c.size))
 
+    @pytest.mark.parametrize("sep", ["", ", "])
+    def test_joined_rows_equal_the_per_cell_join(self, sep):
+        # cells of unequal widths, the empty cell among them
+        for i in range(41):
+            for p in range(1, 41):
+                c = CyclicMonoid(i, p)
+                for cells in ([str(v) for v in range(c.size)],
+                              ["x" * (v % 4) for v in range(c.size)]):
+                    want = [sep.join(cells[v] for v in row) for row in c._rows()]
+                    assert c.joined_rows(cells, sep) == want
+
+    def test_joined_rows_of_a_malformed_cyclic_monoid_are_out_of_range(self):
+        for c in (CyclicMonoid(1, 0), CyclicMonoid(-1, 2), CyclicMonoid(1.0, 2)):
+            with pytest.raises(OutOfRange, match="needs integers"):
+                c.joined_rows(["0", "1", "2"])
+
     def test_projection_is_additive(self):
         c = CyclicMonoid(3, 4)
         for a in range(30):
