@@ -168,6 +168,7 @@ def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, Mono
     C.rep must be a smallest-member map on M (else `OutOfRange`), closed
     under translation by M.gens (else `NotACongruence`).  Then the quotient
     is a monoid and nu a hom by construction, so the table is not validated.
+    A labelled M labels each class by `_class_label` of its members' labels.
     """
     rep = C.rep
     if len(rep) != M.size or not all(type(r) is int and 0 <= r <= a and rep[r] == r
@@ -182,9 +183,20 @@ def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, Mono
     nu = [index[r] for r in rep]
     table = [[nu[row[b]] for b in reps] for row in map(M.add.__getitem__, reps)]
     labels = None if M.labels is None else tuple(
-        "{" + ",".join(map(M.label, c)) + "}" for c in classes)
+        _class_label(map(M.label, c)) for c in classes)
     Q = _built(table, labels)
     return Q, MonoidHom(M, Q, tuple(nu))
+
+
+_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,{}"})
+
+
+def _class_label(names: Iterable[str]) -> str:
+    """"{a,b}" for a class of members labelled a and b, with a backslash put
+    before each backslash, comma and brace inside a label.  So distinct
+    label lists give distinct class labels, and labels free of those four
+    characters are written as they are."""
+    return "{" + ",".join(name.translate(_ESCAPES) for name in names) + "}"
 
 
 def kernel_congruence(f: MonoidHom) -> Congruence:

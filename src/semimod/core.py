@@ -12,7 +12,10 @@ first use; congruences, tensor products and homs work over X instead of
 over every element (a hom is its images of X).  A monoid doubles as a module over the
 nonnegative integers via the repeated-addition action: `scalar` computes
 k*m by doubling, and `orbit` walks m, 2m, ... when asked, so a monoid
-keeps nothing but its table, labels and generating set.
+keeps no orbit or power tables.  Besides its table, labels and generating
+set it keeps only what is built on first use: its `Presentation` (with
+the edges grouped by letter once `iter_homs` asks), and the tensors
+`tensor.tensor_product` remembered with it as left factor.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 DEFAULT_BUDGET = 10**6
@@ -105,6 +108,22 @@ class Presentation:
     relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     tree: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def by_letter(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...],
+                                 tuple[tuple[tuple[int, int, int], ...], ...]]:
+        """The edges grouped for `iter_homs`, built on its first use: for each
+        letter j, the tree edges (e, t) of letter j, and the relation edges
+        (e, x, t) whose three ends have images once x_j has one."""
+        last = [-1] * len(self.normal_forms)     # element -> letter of its tree edge
+        define = [[] for _ in self.gens]
+        check = [[] for _ in self.gens]
+        for e, j, t in self.tree:
+            last[t] = j
+            define[j].append((e, t))
+        for e, j, t in self.edges:
+            check[max(last[e], j, last[t])].append((e, self.gens[j], t))
+        return tuple(map(tuple, define)), tuple(map(tuple, check))
 
 
 def _present(add: Sequence[Sequence[int]], gens: Sequence[int]) -> Presentation:
@@ -353,7 +372,7 @@ def validate_monoid(table: Sequence[Sequence[int]],
     # the type test comes first: bools and integral floats compare as ints,
     # bytes() accepts them and any __index__ object, and other values may
     # not compare with ints at all
-    if set(map(type, chain.from_iterable(rows))) != {int}:
+    if countOf(map(type, chain.from_iterable(rows)), int) != n * n:
         raise _out_of_range(rows, n)
     if n <= 256:
         try:
@@ -474,22 +493,15 @@ def iter_homs(M: FiniteCommMonoid, N: FiniteCommMonoid,
     Backtracks over the images of X = M.gens in order, in one loop over the
     letter j whose image is tried next.  Once x_j has one, each element
     whose normal form ends in letter j gets its image along its tree edge,
-    and each relation edge with all three ends now imaged is checked.  That
+    and each relation edge with all three ends now imaged is checked (the
+    edges are grouped by letter once per presentation, `by_letter`).  That
     covers every Cayley edge, enough as in `hom_check`.  Greedy X makes
     each other element a sum of generators below it, so the order is
     lexicographic.  The budget counts generator images tried; a search that
     stops early spends only what it tried.
     """
-    P = M.presentation
-    k = len(P.gens)
-    last = [-1] * M.size                 # element -> letter of its tree edge
-    define = [[] for _ in range(k)]      # j -> tree edges (e, t) of letter j
-    check = [[] for _ in range(k)]       # j -> relation edges (e, x, t) imaged at j
-    for e, j, t in P.tree:
-        last[t] = j
-        define[j].append((e, t))
-    for e, j, t in P.edges:
-        check[max(last[e], j, last[t])].append((e, P.gens[j], t))
+    define, check = M.presentation.by_letter
+    k = len(define)
     nadd = N.add
     image = [0] * M.size
     if not k:

@@ -133,6 +133,19 @@ def test_quotient_command(tmp_path, capsys):
     assert len(data["classes"]) == 5
 
 
+def test_quotient_class_labels_stay_distinct(tmp_path, capsys):
+    # Sat4 labelled 0, a, b, "a,b" modulo 1 ~ 2: the classes of {a, b} and
+    # of {"a,b"} must not both read {a,b}, or the output is no monoid file
+    p, q = tmp_path / "sat4.json", tmp_path / "q.json"
+    p.write_text(json.dumps({"size": 4, "add": [[max(a, b) for b in range(4)] for a in range(4)],
+                             "labels": ["0", "a", "b", "a,b"]}))
+    code, out, _ = run(capsys, "quotient", str(p), "1", "2", "--json")
+    Q = json.loads(out)["quotient"]
+    assert code == 0 and Q["labels"] == ["{0}", "{a,b}", "{a\\,b}"]
+    q.write_text(json.dumps(Q))
+    assert run(capsys, "monoid-check", str(q))[0] == 0
+
+
 def test_tensor_command(tmp_path, capsys):
     p2 = tmp_path / "z2.json"
     p3 = tmp_path / "z3.json"
@@ -188,17 +201,18 @@ def test_tensor_budget_exit_2(tmp_path, capsys):
 
 
 def render_table_by_cells(M, ascii_labels=False):
-    """Reference rendering: each cell's label padded as it is written."""
+    """Reference rendering: each label padded once, and written cell by cell."""
     if ascii_labels or M.labels is None:
         labels = [f"c{m}" if ascii_labels else str(m) for m in M.elements()]
     else:
         labels = list(M.labels)
     width = max(len(l) for l in labels) + 1
-    lines = ["+".rjust(width) + " |" + "".join(l.rjust(width) for l in labels)]
+    padded = [l.rjust(width) for l in labels]
+    lines = ["+".rjust(width) + " |" + "".join(padded)]
     lines.append("-" * len(lines[0]))
     for a in M.elements():
-        row = labels[a].rjust(width) + " |"
-        row += "".join(labels[M.add[a][b]].rjust(width) for b in M.elements())
+        row = padded[a] + " |"
+        row += "".join([padded[v] for v in M.add[a]])
         lines.append(row)
     return "\n".join(lines)
 

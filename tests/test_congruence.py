@@ -3,7 +3,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semimod.congruence import (
@@ -11,6 +11,7 @@ from semimod.congruence import (
     HypothesisFails,
     NotACongruence,
     UnionFind,
+    _class_label,
     bourne_congruence,
     chain_congruence,
     coequalizer_finite,
@@ -297,6 +298,20 @@ class TestTranslationClosed:
                 assert C.is_translation_closed() == cubic_translation_closed(C)
 
 
+def read_class_label(label):
+    """The member labels of a class label, undoing the escapes of `_class_label`."""
+    assert label[0] == "{" and label[-1] == "}"
+    names, name, chars = [], "", iter(label[1:-1])
+    for c in chars:
+        if c == ",":
+            names.append(name)
+            name = ""
+        else:
+            assert c not in "{}"
+            name += next(chars) if c == "\\" else c
+    return names + [name]
+
+
 class TestQuotient:
     def test_identity_congruence(self):
         M = C42
@@ -346,6 +361,17 @@ class TestQuotient:
         # (0, 2, 2) is a congruence of Sat3, but 2 is not the smallest of {1, 2}
         with pytest.raises(OutOfRange):
             quotient(saturating_monoid(3), Congruence(saturating_monoid(3), rep))
+
+    @settings(max_examples=300, deadline=None)
+    @given(*[st.lists(st.text("ab,{}\\", max_size=3), min_size=1, max_size=3)] * 2)
+    @example(["a,b"], ["a", "b"]).via("the labels of Sat4 modulo 1 ~ 2")
+    def test_distinct_label_lists_give_distinct_class_labels(self, names, names2):
+        assert (_class_label(names) == _class_label(names2)) == (names == names2)
+        assert read_class_label(_class_label(names)) == names
+
+    @given(st.lists(st.text(st.characters(exclude_characters="\\,{}")), min_size=1))
+    def test_plain_labels_are_written_as_they_are(self, names):
+        assert _class_label(names) == "{" + ",".join(names) + "}"
 
 
 class TestKernelCongruence:

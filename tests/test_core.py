@@ -42,6 +42,7 @@ from semimod.core import (
 )
 from semimod.congruence import bourne_congruence
 from semimod.natcoeq import CyclicMonoid
+from semimod.tensor import tensor_product
 
 from test_validation import commutative_tables, family_table, relabel
 
@@ -387,6 +388,17 @@ def test_iter_homs_matches_the_recursive_backtracking():
             continue
         with pytest.raises(BudgetExceeded, match="^hom enumeration budget exhausted$"):
             enumerate_homs(M, N, budget=spent - 1)
+
+
+def test_edges_are_grouped_by_letter_once_and_only_for_hom_searches():
+    M, N = validate_monoid(saturating_monoid(3).add), validate_monoid(cyclic_group(4).add)
+    tensor_product(M, N)
+    tensor_product(N, M)
+    assert not {"by_letter"} & (vars(M.presentation).keys() | vars(N.presentation).keys())
+    homs = list(iter_homs(M, N))
+    groups = M.presentation.by_letter
+    assert list(iter_homs(M, N)) == homs == enumerate_homs_recursive(M, N)[0]
+    assert M.presentation.by_letter is groups
 
 
 def test_iter_homs_raises_at_the_hom_the_budget_cuts_off():

@@ -1,4 +1,7 @@
+import gc
 import random
+import weakref
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import count, product
@@ -13,6 +16,7 @@ from semimod.congruence import UnionFind, congruence_closure, quotient
 from semimod.core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    FiniteCommMonoid,
     MonoidHom,
     OutOfRange,
     SemimodError,
@@ -573,6 +577,79 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded):
             hom_adjunction_check(trivial_monoid(), saturating_monoid(3), saturating_monoid(3),
                                  budget=2)
+
+
+def fresh(M):
+    """An equal monoid with the same generating set, sharing nothing with M."""
+    return validate_monoid([list(row) for row in M.add])
+
+
+class TestMemo:
+    def test_a_second_call_returns_the_first_tensor(self):
+        M, N = fresh(SAT3), fresh(Z3)
+        T = tensor_product(M, N)
+        assert tensor_product(M, N) is T and tensor_product(M, N, budget=10**7) is T
+        assert tensor_product(N, M) is not T
+
+    @pytest.mark.parametrize("M, N", [(Z2, SAT3), (SAT3, SAT3), (cyclic_group(4), Z2)])
+    def test_equal_factors_get_their_own_tensor(self, M, N):
+        M, N = fresh(M), fresh(N)
+        T = tensor_product(M, N)
+        for M2, N2 in ((fresh(M), N), (M, fresh(N)), (copy(M), N), (M, copy(N))):
+            T2 = tensor_product(M2, N2)
+            assert T2 is not T and T2.source_m is M2 and T2.source_n is N2
+            assert tensor_product(M2, N2) is T2
+            cold = tensor_product(fresh(M), fresh(N))
+            assert (T2.monoid, T2.bilinear, T2.terms) == (cold.monoid, cold.bilinear, cold.terms)
+
+    def test_equal_factors_with_other_generators_get_their_terms(self):
+        # Z/4 generated by 3 instead of 1: the same table, other pure tensors
+        M, N = fresh(cyclic_group(4)), fresh(cyclic_group(4))
+        N3 = FiniteCommMonoid(N.size, N.add, gens=(3,))
+        assert N3 == N and tensor_product(M, N).terms != tensor_product(M, N3).terms
+        assert tensor_product(M, N3).terms == tensor_product(fresh(M), N3).terms
+
+    @pytest.mark.parametrize("a, b, rows, table", [(5, 5, 5, 25), (6, 3, 3, 9), (3, 6, 3, 9)])
+    def test_a_hit_spends_the_budget_of_a_build(self, a, b, rows, table):
+        # Z/a (x) Z/b: rows cells of A^1 and table cells of T = Z/gcd(a, b)
+        M, N = cyclic_group(a), cyclic_group(b)
+        T = tensor_product(M, N)
+        for budget, check in ((rows - 1, "generator rows"), (table - 1, "quotient table")):
+            with pytest.raises(SemimodError) as cold:
+                tensor_product(cyclic_group(a), cyclic_group(b), budget)
+            with pytest.raises(SemimodError) as warm:
+                tensor_product(M, N, budget)
+            assert type(warm.value) is type(cold.value) is BudgetExceeded
+            assert str(warm.value) == str(cold.value) and str(cold.value).startswith(check)
+        assert tensor_product(M, N, table) is T
+
+    def test_the_memo_dies_with_its_left_factor(self):
+        M, N = fresh(SAT3), fresh(SAT2)
+        T = weakref.ref(tensor_product(M, N))
+        del M
+        gc.collect()
+        assert T() is None
+
+    def test_outer_brackets_are_not_remembered(self, monkeypatch):
+        real, built = tensor.tensor_product, []
+
+        def spy(M, N, budget=DEFAULT_BUDGET):
+            T = real(M, N, budget)
+            built.append(T)
+            return T
+
+        corpus = [fresh(M) for M in small_monoid_corpus(3)[1:4]]
+        monkeypatch.setattr(tensor, "tensor_product", spy)
+        for M, N, P in product(corpus, repeat=3):
+            assert associativity_iso(M, N, P).verify()
+        # calls 1 and 3 of each triple are (M (x) N) (x) P and M (x) (N (x) P)
+        inner = [T for i, T in enumerate(built) if i % 4 in (0, 2)]
+        outer = [weakref.ref(T.monoid) for i, T in enumerate(built) if i % 4 in (1, 3)]
+        assert len(outer) == 2 * 27
+        del built
+        gc.collect()
+        assert not any(ref() for ref in outer)
+        assert all(real(T.source_m, T.source_n) is T for T in inner)
 
 
 class TestBalancedCheck:
