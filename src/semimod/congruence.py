@@ -270,10 +270,10 @@ def bourne_congruence(M: FiniteCommMonoid, K: Sequence[int]) -> Congruence:
     It is the congruence the pairs k ~ 0 generate: any congruence with
     k ~ 0 on K relates m ~ m + a = m' + b ~ m'.
     """
-    K = tuple(sorted(K))
+    K = tuple(K)
     if not M.is_submonoid(K):
         raise NotASubmonoid(f"{K} is not a submonoid")
-    return congruence_closure(M, [(k, 0) for k in K])
+    return congruence_closure(M, [(k, 0) for k in sorted(K)])
 
 
 def zero_class(C: Congruence) -> tuple[int, ...]:

@@ -207,8 +207,8 @@ class FiniteCommMonoid:
 
     def is_submonoid(self, subset: Iterable[int]) -> bool:
         members = list(subset)     # distinct ints in [0, size), with 0, closed under +
-        s = set(members)
-        return (len(s) == len(members) and all(type(m) is int and 0 <= m < self.size for m in s)
+        return (all(type(m) is int and 0 <= m < self.size for m in members)
+                and len(s := set(members)) == len(members)
                 and 0 in s and all(self.add[a][b] in s for a in s for b in s))
 
 
@@ -582,27 +582,12 @@ def submonoid_generated(M: FiniteCommMonoid, subset: Iterable[int]) -> tuple[int
     return tuple(sorted(closed))
 
 
-def all_submonoids(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> list[tuple[int, ...]]:
-    """All submonoids of a small monoid, by closing every subset.
-
-    Raises `BudgetExceeded` before closing any subset when the 2^(n-1)
-    subsets of the nonzero elements exceed the budget.
-    """
-    found = set()
-    nonzero = [m for m in M.elements() if m != 0]
-    if 1 << len(nonzero) > budget:
-        raise BudgetExceeded(f"2^{len(nonzero)} subsets exceed budget {budget}")
-    for mask in range(1 << len(nonzero)):
-        gens = [nonzero[i] for i in range(len(nonzero)) if mask >> i & 1]
-        found.add(submonoid_generated(M, gens))
-    return sorted(found)
-
-
 def sub_as_monoid(M: FiniteCommMonoid, subset: Sequence[int]) -> tuple[FiniteCommMonoid, MonoidHom]:
     """Present a submonoid as a monoid in its own right, with its inclusion."""
-    subset = tuple(sorted(subset))
+    subset = tuple(subset)
     if not M.is_submonoid(subset):
         raise NotASubmonoid(f"{subset} is not closed or lacks 0")
+    subset = tuple(sorted(subset))
     pos = {m: i for i, m in enumerate(subset)}
     table = [[pos[M.add[a][b]] for b in subset] for a in subset]
     labels = tuple(M.label(m) for m in subset) if M.labels else None
@@ -630,10 +615,11 @@ def internal_direct_sum_check(M: FiniteCommMonoid,
     The verdict separates the necessary conditions (sum and independence)
     from the decisive one: uniqueness of decompositions.
     """
-    subs = [tuple(sorted(s)) for s in subsets]
+    subs = [tuple(s) for s in subsets]
     for i, s in enumerate(subs):
         if not M.is_submonoid(s):
             raise NotASubmonoid(f"subset #{i} is not a submonoid")
+    subs = [tuple(sorted(s)) for s in subs]
 
     decomps: dict[int, list[tuple[int, ...]]] = {m: [] for m in M.elements()}
     for combo in product(*subs):
@@ -662,22 +648,26 @@ def direct_summand_analysis(N: FiniteCommMonoid, M: Sequence[int],
                             budget: int = DEFAULT_BUDGET) -> SummandAnalysis:
     """Search for a complement, a retraction, and an idempotent with image M.
 
-    The three searches are independent; any of them may succeed alone.
-    Each honours the budget: the complement search over `all_submonoids`
-    and the two over `iter_homs`, which stop at the first hit.
+    All three come from one stream of the homs r: N -> M, kept when r|M = id
+    (the retractions); the budget counts its generator images.  The
+    retraction is the first.  The idempotents with image M are the incl o r,
+    in the same order since incl is increasing, so the idempotent is
+    incl o (the first).  If N = M (+) S internally, m + s |-> m is a
+    retraction with kernel S, so every complement is a kernel r^-1(0): the
+    complement is the least kernel, in tuple order, that passes
+    `internal_direct_sum_check`, and finding it takes the whole stream.  A
+    retraction need not have a complement (`direct_sum_counterexamples`).
     """
-    M = tuple(sorted(M))
-    if not N.is_submonoid(M):
-        raise NotASubmonoid(f"{M} is not a submonoid")
-
-    complement = next((S for S in all_submonoids(N, budget)
-                       if internal_direct_sum_check(N, [M, S]).is_internal_direct_sum), None)
-    Msub, _ = sub_as_monoid(N, M)
-    retraction = next((h for h in iter_homs(N, Msub, budget)
-                       if all(h.image[m] == i for i, m in enumerate(M))), None)
-    idempotent = next((h for h in iter_homs(N, N, budget) if set(h.image) == set(M)
-                       and all(h.image[v] == v for v in h.image)), None)
-    return SummandAnalysis(complement, retraction, idempotent)
+    Msub, incl = sub_as_monoid(N, M)
+    identity = identity_hom(Msub)
+    first, kernels = None, set()
+    for r in iter_homs(N, Msub, budget):
+        if r.compose(incl) == identity:
+            first = first or r
+            kernels.add(tuple(x for x, v in enumerate(r.image) if v == 0))
+    complement = next((S for S in sorted(kernels)
+                       if internal_direct_sum_check(N, [incl.image, S]).is_internal_direct_sum), None)
+    return SummandAnalysis(complement, first, incl.compose(first) if first else None)
 
 
 @dataclass(frozen=True)

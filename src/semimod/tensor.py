@@ -41,16 +41,17 @@ f = g o (x) with g a hom, f is balanced, since `tensor_product` checks that
 (x) is.  Associativity is two comparison maps, one out of each bracketing.
 
 `tensor_product` remembers each tensor it returns on its left factor M, in
-M's instance dict, keyed by the identity of the right factor N, so a sweep
-of coherence checks over n monoids builds its n^2 inner tensors once, not
+M's instance dict, keyed by the identities of M and N, so a sweep of
+coherence checks over n monoids builds its n^2 inner tensors once, not
 4 n^3 times.  The memo lives and dies with M and has no size limit.  A hit
 needs T.source_m is M and T.source_n is N: equal monoids with other
-generating sets number T and its terms otherwise, and `copy.copy(M)`
-shares M's memo.  The monoid of a tensor it built is never remembered on,
-as either factor: those are the outer brackets of an associativity check,
-each asked for once, and remembering them would only hold memory.  A hit
-spends the same budget as a build: the rows check comes before the lookup
-and the quotient-table check is applied to the remembered T.
+generating sets number T and its terms otherwise.  `copy.copy(M)` shares
+M's memo dict and keeps its own entries in it.  The monoid of a tensor it
+built is never remembered on, as either factor: those are the outer
+brackets of an associativity check, each asked for once, and remembering
+them would only hold memory.  A hit spends the same budget as a build: the
+rows check comes before the lookup and the quotient-table check is applied
+to the remembered T.
 """
 
 from __future__ import annotations
@@ -151,10 +152,10 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     cells = k * g * n ** k
     if cells > budget:
         raise BudgetExceeded(f"generator rows of {cells} cells exceed budget {budget}")
-    # the tensors remembered on M, by the identity of N; None on a tensor's own monoid
+    # the tensors remembered on M, by the identities of M and N; None on a tensor's own monoid
     memo = vars(M).setdefault("_tensors", {})
     remember = memo is not None and vars(N).get("_tensors", {}) is not None
-    hit = memo.get(id(N)) if remember else None
+    hit = memo.get((id(M), id(N))) if remember else None
     if hit is not None and hit.source_m is M and hit.source_n is N:
         _table_budget(hit.monoid.size, budget)
         return hit
@@ -202,7 +203,7 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     if witness is not None:
         raise SemimodError(f"internal error: tensor table not balanced at {witness}")
     if remember:
-        memo[id(N)] = out
+        memo[id(M), id(N)] = out
     return out
 
 

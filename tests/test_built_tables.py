@@ -14,7 +14,6 @@ from semimod.congruence import congruence_closure, enumerate_congruences, quotie
 from semimod.core import (
     OutOfRange,
     _product,
-    all_submonoids,
     biproduct,
     cyclic_group,
     hom_check,
@@ -25,6 +24,8 @@ from semimod.core import (
 )
 from semimod.natcoeq import CyclicMonoid
 from semimod.tensor import hom_monoid, tensor_with_free
+
+from test_validation import all_submonoids
 
 CORPUS3 = small_monoid_corpus(3)
 FACTORS = CORPUS3 + [cyclic_group(4), saturating_monoid(4),

@@ -31,7 +31,6 @@ from semimod.core import (
     BudgetExceeded,
     OutOfRange,
     SemimodError,
-    all_submonoids,
     biproduct,
     cyclic_group,
     enumerate_comm_monoid_tables,
@@ -47,7 +46,7 @@ from semimod.core import (
 )
 from semimod.natcoeq import CyclicMonoid
 
-from test_validation import commutative_tables, family_table, relabel
+from test_validation import all_submonoids, commutative_tables, family_table, relabel
 
 C42 = CyclicMonoid(4, 2).to_monoid(labels=False)
 # every labelled commutative monoid table of order <= 4

@@ -20,7 +20,7 @@ from semimod.core import (
     Orbit,
     OutOfRange,
     SemimodError,
-    all_submonoids,
+    _product,
     biproduct,
     cyclic_group,
     direct_summand_analysis,
@@ -44,7 +44,7 @@ from semimod.congruence import bourne_congruence
 from semimod.natcoeq import CyclicMonoid
 from semimod.tensor import tensor_product
 
-from test_validation import commutative_tables, family_table, relabel
+from test_validation import all_submonoids, commutative_tables, family_table, relabel
 
 M4_TABLE = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]]  # {0,1A,1B,2B}
 C42 = CyclicMonoid(4, 2).to_monoid()
@@ -528,10 +528,12 @@ class TestSubmonoids:
             submonoid_generated(cyclic_group(n), subset)
 
     @pytest.mark.parametrize("n, subset", [(3, [0, -3]), (3, [0, 5]), (3, [0, True]),
-                                           (2, [0, True]), (3, [0, 0])])
+                                           (2, [0, True]), (3, [0, 0]), (3, [0, "a"]),
+                                           (3, [0, None]), (3, [0, [1]])])
     def test_members_outside_the_monoid_are_refused(self, n, subset):
         # -3 would reach element 0 of Z/3 through negative indexing, and
-        # True would pass for 1 in Z/2; a repeated member would be counted twice
+        # True would pass for 1 in Z/2; a repeated member would be counted
+        # twice; "a" and None cannot be sorted with 0, and [1] cannot be hashed
         M = cyclic_group(n)
         assert not M.is_submonoid(subset)
         with pytest.raises(NotASubmonoid):
@@ -540,6 +542,8 @@ class TestSubmonoids:
             bourne_congruence(M, subset)
         with pytest.raises(NotASubmonoid):
             internal_direct_sum_check(M, [subset, list(M.elements())])
+        with pytest.raises(NotASubmonoid):
+            direct_summand_analysis(M, subset)
 
 
 class TestDirectSums:
@@ -596,7 +600,8 @@ class TestDirectSummand:
 
     @staticmethod
     def eager_analysis(N, M):
-        """`direct_summand_analysis` as it was, over whole lists of homs."""
+        """`direct_summand_analysis` as it was: a complement among all
+        submonoids, and a retraction and an idempotent from two hom lists."""
         M = tuple(sorted(M))
         complement = next((S for S in all_submonoids(N)
                            if internal_direct_sum_check(N, [M, S]).is_internal_direct_sum), None)
@@ -608,43 +613,93 @@ class TestDirectSummand:
         return core.SummandAnalysis(complement, retraction, idempotent)
 
     def test_same_analysis_as_over_lists_on_corpus3(self):
+        # every submonoid of corpus(4) and of four small products
+        Ns = small_monoid_corpus(4) + [
+            _product([saturating_monoid(3), cyclic_group(2)]),
+            _product([cyclic_group(2), cyclic_group(3)]),
+            _product([saturating_monoid(3), saturating_monoid(3)]),
+            _product([cyclic_group(2), cyclic_group(2), saturating_monoid(2)])]
         cases = 0
-        for N in small_monoid_corpus(3):
+        for N in Ns:
             for M in all_submonoids(N):
                 assert direct_summand_analysis(N, M) == self.eager_analysis(N, M)
                 cases += 1
-        assert cases == 21
+        assert cases == 272
+
+    def test_the_least_complement_is_not_the_first(self):
+        # Z/2 x Z/4 relabelled: of the two complements of M, the retraction
+        # that comes first in the stream has kernel (0, 5), the later one (0, 2)
+        N = validate_monoid(relabel(_product([cyclic_group(2), cyclic_group(4)]).add,
+                                    [0, 4, 7, 3, 5, 6, 2, 1]))
+        M = (0, 3, 4, 7)
+        a = direct_summand_analysis(N, M)
+        assert a.complement == (0, 2) and a == self.eager_analysis(N, M)
+        assert internal_direct_sum_check(N, [M, (0, 5)]).is_internal_direct_sum
+        assert a.retraction.image[5] == 0 and a.retraction.image[2] != 0
+
+    @pytest.mark.parametrize("A, B", [
+        (saturating_monoid(5), saturating_monoid(5)),
+        (saturating_monoid(3), _product([saturating_monoid(3), saturating_monoid(3)])),
+        (cyclic_group(6), saturating_monoid(6)),
+        (saturating_monoid(6), cyclic_group(6)),
+        (_product([cyclic_group(2), saturating_monoid(3)]),
+         _product([cyclic_group(3), saturating_monoid(3)])),
+        (saturating_monoid(2), _product([saturating_monoid(4), saturating_monoid(4)])),
+        (saturating_monoid(4), saturating_monoid(6))],
+        ids=["Sat5xSat5", "Sat3xSat3^2", "Z6xSat6", "Sat6xZ6", "(Z2xSat3)x(Z3xSat3)",
+             "Sat2xSat4^2", "Sat4xSat6"])
+    def test_factor_of_a_biproduct_past_the_subset_search(self, A, B):
+        # 24 to 54 elements, 2^23 to 2^53 subsets; every complement of i1(A)
+        # has |B| elements and i2(B) = {0, ..., |B| - 1} is one of them
+        bp = biproduct(A, B)
+        M = bp.injections[0].image
+        a = direct_summand_analysis(bp.monoid, M)
+        assert a.complement == tuple(range(B.size))
+        assert a.retraction.compose(bp.injections[0]).image == tuple(range(A.size))
+        e = a.idempotent
+        assert e.compose(e) == e and set(e.image) == set(M)
 
     def test_sat4_squared_stops_at_the_first_idempotent(self):
-        # the parent's answer; the idempotent is hom 40,000 of 160,000, and the
-        # whole list needs a budget of 750,672 generator images, the stream 187,481
+        # the stream N -> M = {0, 1} spends 60 generator images in all, where the
+        # whole list of the 160,000 endomorphisms needs a budget of 750,672
         S = saturating_monoid(4)
         N = biproduct(S, S).monoid
         M = submonoid_generated(N, [1])
-        a = direct_summand_analysis(N, M, budget=200_000)
+        a = direct_summand_analysis(N, M, budget=60)
         assert a.complement is None
         assert a.retraction.image == a.idempotent.image == (0, 1, 1, 1) * 4
         with pytest.raises(BudgetExceeded):
+            direct_summand_analysis(N, M, budget=59)
+        with pytest.raises(BudgetExceeded):
             enumerate_homs(N, N, budget=200_000)
 
-    @staticmethod
-    def forbid_closures(monkeypatch):
+    def test_one_hom_search_from_n_to_m(self, monkeypatch):
+        real, searches = core.iter_homs, []
+
+        def spy(M, N, budget=core.DEFAULT_BUDGET):
+            searches.append((M, N.size))
+            return real(M, N, budget)
+
+        monkeypatch.setattr(core, "iter_homs", spy)
+        N = _product([saturating_monoid(3), cyclic_group(2)])
+        for M in all_submonoids(N):
+            searches.clear()
+            direct_summand_analysis(N, M)
+            assert searches == [(N, len(M))]
+
+    def test_complement_search_honours_the_budget(self, monkeypatch):
+        # Sat22 -> {0, 1} takes 462 generator images; a retraction's kernel
+        # is checked only after the whole stream
+        N = saturating_monoid(22)
+        a = direct_summand_analysis(N, (0, 1), budget=462)
+        assert a.complement is None and a.retraction.image == (0,) + (1,) * 21
+
         def closed(*args):
             raise AssertionError("a subset was closed")
 
         monkeypatch.setattr(core, "submonoid_generated", closed)
-
-    def test_complement_search_honours_the_budget(self, monkeypatch):
-        self.forbid_closures(monkeypatch)
         with pytest.raises(BudgetExceeded):
-            direct_summand_analysis(saturating_monoid(22), (0, 1), budget=1000)
-
-    def test_all_submonoids_budget_boundary(self, monkeypatch):
-        M = saturating_monoid(4)               # 2^3 subsets of the nonzero elements
-        assert all_submonoids(M, budget=8) == all_submonoids(M)
-        self.forbid_closures(monkeypatch)
-        with pytest.raises(BudgetExceeded):
-            all_submonoids(M, budget=7)
+            direct_summand_analysis(N, (0, 1), budget=461)
 
 
 class TestFreeVectors:

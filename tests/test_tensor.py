@@ -597,6 +597,7 @@ class TestMemo:
         T = tensor_product(M, N)
         for M2, N2 in ((fresh(M), N), (M, fresh(N)), (copy(M), N), (M, copy(N))):
             T2 = tensor_product(M2, N2)
+            assert tensor_product(M, N) is T
             assert T2 is not T and T2.source_m is M2 and T2.source_n is N2
             assert tensor_product(M2, N2) is T2
             cold = tensor_product(fresh(M), fresh(N))

@@ -1,4 +1,5 @@
-"""validate_monoid (Light's test) against the cubic scan over all triples."""
+"""validate_monoid (Light's test) against the cubic scan over all triples, and
+the table helpers and subset oracle the other test files import."""
 
 import random
 from itertools import chain
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semimod import core
 from semimod.core import (
+    DEFAULT_BUDGET,
+    BudgetExceeded,
     NotAssociative,
     NotCommutative,
     NotIdentity,
@@ -82,6 +86,23 @@ def family_table(family, n):
         return [list(r) for r in saturating_monoid(n).add]
     i = n // 3
     return [list(r) for r in CyclicMonoid(i, n - i).to_monoid(labels=False).add]
+
+
+def all_submonoids(M, budget=DEFAULT_BUDGET):
+    """All submonoids of a small monoid, by closing every subset; the oracle
+    for the summand search, which reads complements off retractions.
+
+    Raises `BudgetExceeded` before closing any subset when the 2^(n-1)
+    subsets of the nonzero elements exceed the budget.
+    """
+    found = set()
+    nonzero = [m for m in M.elements() if m != 0]
+    if 1 << len(nonzero) > budget:
+        raise BudgetExceeded(f"2^{len(nonzero)} subsets exceed budget {budget}")
+    for mask in range(1 << len(nonzero)):
+        gens = [nonzero[i] for i in range(len(nonzero)) if mask >> i & 1]
+        found.add(core.submonoid_generated(M, gens))
+    return sorted(found)
 
 
 @st.composite
@@ -406,3 +427,15 @@ def test_left_translation_decision_on_relabelled_families(family, n):
             assert outcome(validate_monoid, t) == expected and (expected is None) == (t is table)
         if t is table:
             assert validate_monoid(t).gens == tuple(gens)
+
+
+def test_all_submonoids_budget_boundary(monkeypatch):
+    M = saturating_monoid(4)               # 2^3 subsets of the nonzero elements
+    assert all_submonoids(M, budget=8) == all_submonoids(M)
+
+    def closed(*args):
+        raise AssertionError("a subset was closed")
+
+    monkeypatch.setattr(core, "submonoid_generated", closed)
+    with pytest.raises(BudgetExceeded):
+        all_submonoids(M, budget=7)
