@@ -29,6 +29,7 @@ from .core import (
     OutOfRange,
     SemimodError,
     _built,
+    _memo,
     biproduct,
     sub_as_monoid,
 )
@@ -317,13 +318,21 @@ def kernel_pair(f: MonoidHom) -> KernelPair:
 
 def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> list[Congruence]:
     """All congruences of a small monoid, by filtering its B(n) set partitions,
-    in lexicographic order of their smallest-member maps."""
+    in lexicographic order of their smallest-member maps.
+
+    The lattice is remembered on M (`core._memo`), unless M is the monoid of
+    a tensor.  A later call checks B(n) against its budget as a first call
+    does, then returns a new list of the same congruences.
+    """
     n = M.size
     row = [1]                 # a row of the Bell triangle; row r ends in B(r) <= B(n)
     while len(row) < n and row[-1] <= budget:
         row = list(accumulate(row, initial=row[-1]))
     if row[-1] > budget:
         raise BudgetExceeded(f"B({n}) set partitions exceed budget {budget}")
+    memo = _memo(M)
+    if memo is not None and "congruences" in memo:
+        return list(memo["congruences"])
     # smallest-member maps depth first, each prefix with its representatives:
     # element i joins a representative, in increasing order, or opens its own class
     rows = [M.add[x] for x in M.gens]
@@ -338,4 +347,6 @@ def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> 
             continue
         stack.append((rep + (i,), reps + (i,)))
         stack.extend((rep + (r,), reps) for r in reversed(reps))
+    if memo is not None:
+        memo["congruences"] = tuple(out)
     return out

@@ -14,8 +14,12 @@ nonnegative integers via the repeated-addition action: `scalar` computes
 k*m by doubling, and `orbit` walks m, 2m, ... when asked, so a monoid
 keeps no orbit or power tables.  Besides its table, labels and generating
 set it keeps only what is built on first use: its `Presentation` (with
-the edges grouped by letter once `iter_homs` asks), and the tensors
-`tensor.tensor_product` remembered with it as left factor.
+the edges grouped by letter once `iter_homs` asks), and one memo dict,
+`_memo`, where `congruence.enumerate_congruences` remembers its congruence
+lattice and `tensor.tensor_product` and `tensor.hom_monoid` remember their
+results with it as left factor.  The memo lives and dies with the monoid:
+`copy.copy(M)` gets a fresh one of its own, and the monoid of a tensor
+`tensor_product` built keeps none.
 """
 
 from __future__ import annotations
@@ -411,6 +415,22 @@ def _built(rows: Iterable[Sequence[int]], labels=None) -> FiniteCommMonoid:
     """A table derived from validated monoids and checked arguments or congruences, unchecked."""
     rows = tuple(map(tuple, rows))
     return FiniteCommMonoid(len(rows), rows, labels)
+
+
+def _memo(M: FiniteCommMonoid, keep: bool = True) -> Optional[dict]:
+    """M's own memo dict, made on first use, or None for a monoid that keeps
+    none: `tensor.tensor_product` marks each monoid it builds by a first
+    call with keep=False.
+
+    The instance dict holds the memo beside the id of its owner, so a copy
+    of M, whose instance dict is a copy of M's, finds another id and gets a
+    fresh memo instead of writing into M's.
+    """
+    owner, memo = vars(M).get("_memo", (None, None))
+    if owner != id(M):
+        memo = {} if keep else None
+        vars(M)["_memo"] = id(M), memo
+    return memo
 
 
 def _product(factors: Sequence[FiniteCommMonoid]) -> FiniteCommMonoid:

@@ -40,18 +40,23 @@ the adjunction transport give the maps they build to `_factor` alone: if
 f = g o (x) with g a hom, f is balanced, since `tensor_product` checks that
 (x) is.  Associativity is two comparison maps, one out of each bracketing.
 
-`tensor_product` remembers each tensor it returns on its left factor M, in
-M's instance dict, keyed by the identities of M and N, so a sweep of
-coherence checks over n monoids builds its n^2 inner tensors once, not
-4 n^3 times.  The memo lives and dies with M and has no size limit.  A hit
-needs T.source_m is M and T.source_n is N: equal monoids with other
-generating sets number T and its terms otherwise.  `copy.copy(M)` shares
-M's memo dict and keeps its own entries in it.  The monoid of a tensor it
-built is never remembered on, as either factor: those are the outer
+`tensor_product` and `hom_monoid` remember what they return on their left
+factor M, in M's own memo (`core._memo`), keyed by the identity of N, so a
+sweep of coherence checks over n monoids builds its n^2 inner tensors
+once, not 4 n^3 times, and a sweep of adjunction checks builds each
+Hom(M, N) once.  The memo lives and dies with M and has no size limit; a
+copy of M gets its own.  A hit needs the remembered N to be N itself:
+equal monoids with other generating sets number T and its terms
+otherwise.  The monoid of a tensor `tensor_product` built keeps no memo,
+and no tensor is remembered with it as either factor: those are the outer
 brackets of an associativity check, each asked for once, and remembering
-them would only hold memory.  A hit spends the same budget as a build: the
-rows check comes before the lookup and the quotient-table check is applied
-to the remembered T.
+them would only hold memory.  A hit is a cold call's answer at every
+budget.  A tensor hit spends the same budget as a build: the rows check
+comes before the lookup and the quotient-table check is applied to the
+remembered T.  The homs are remembered with the budget they were found
+under, and hit only at a budget at least that large: the search spends
+the same at every budget it finishes under, so one that finished under a
+smaller budget finishes under this one.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ from .core import (
     SemimodError,
     _additivity_failure,
     _built,
+    _memo,
     _out_of_range,
     _product,
     enumerate_homs,
@@ -152,11 +158,10 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     cells = k * g * n ** k
     if cells > budget:
         raise BudgetExceeded(f"generator rows of {cells} cells exceed budget {budget}")
-    # the tensors remembered on M, by the identities of M and N; None on a tensor's own monoid
-    memo = vars(M).setdefault("_tensors", {})
-    remember = memo is not None and vars(N).get("_tensors", {}) is not None
-    hit = memo.get((id(M), id(N))) if remember else None
-    if hit is not None and hit.source_m is M and hit.source_n is N:
+    # the tensors remembered on M, by the identity of N; none with a tensor's monoid as a factor
+    memo = _memo(M)
+    hit = memo.get(("tensor", id(N))) if memo is not None else None
+    if hit is not None and hit.source_n is N:
         _table_budget(hit.monoid.size, budget)
         return hit
     stride = [n ** (k - 1 - j) for j in range(k)]
@@ -189,7 +194,7 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
                 table[d] = list(map(move.__getitem__, table[c]))
                 order.append(d)
     T = _built(table)
-    vars(T)["_tensors"] = None
+    _memo(T, keep=False)
     # a (x) t = a (x) e + (a at coordinate j) along the tree edge e -> t = e + y_j
     bil = [[0] * B.size for _ in range(n)]
     for a, row in enumerate(bil):
@@ -202,8 +207,8 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     witness = _balanced_failure(M, N, T, out.bilinear)
     if witness is not None:
         raise SemimodError(f"internal error: tensor table not balanced at {witness}")
-    if remember:
-        memo[id(M), id(N)] = out
+    if memo is not None and _memo(N) is not None:
+        memo["tensor", id(N)] = out
     return out
 
 
@@ -402,12 +407,27 @@ def symmetry_iso(M: FiniteCommMonoid, N: FiniteCommMonoid,
 
 def hom_monoid(M: FiniteCommMonoid, N: FiniteCommMonoid,
                budget: int = DEFAULT_BUDGET) -> tuple[FiniteCommMonoid, list[MonoidHom]]:
-    """Hom(M, N) under pointwise addition; element 0, the zero map, is the first hom."""
+    """Hom(M, N) under pointwise addition; element 0, the zero map, is the first hom.
+
+    The monoid and the homs are remembered on M for this very N (by
+    identity), with the budget they were found under, unless M is the
+    monoid of a tensor.  A later call with the same two objects and at
+    least that budget returns the same monoid and a new list of the same
+    homs.  At a smaller budget it searches again, as a first call does, and
+    remembers what it finds under that budget.
+    """
+    memo = _memo(M)
+    hit = memo.get(("homs", id(N))) if memo is not None else None
+    if hit is not None and hit[1] is N and budget >= hit[0]:
+        return hit[2], list(hit[3])
     homs = enumerate_homs(M, N, budget)
     pos = {h.image: i for i, h in enumerate(homs)}
     table = [[pos[tuple(N.add[a][b] for a, b in zip(h.image, h2.image))] for h2 in homs]
              for h in homs]
-    return _built(table), homs
+    H = _built(table)
+    if memo is not None:
+        memo["homs", id(N)] = budget, N, H, tuple(homs)
+    return H, homs
 
 
 def hom_adjunction_check(P: FiniteCommMonoid, M: FiniteCommMonoid,

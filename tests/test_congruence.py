@@ -1,6 +1,9 @@
+import gc
 import itertools
 import random
 import re
+import weakref
+from copy import copy
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +34,7 @@ from semimod.core import (
     BudgetExceeded,
     OutOfRange,
     SemimodError,
+    _memo,
     biproduct,
     cyclic_group,
     enumerate_comm_monoid_tables,
@@ -45,8 +49,9 @@ from semimod.core import (
     zero_hom,
 )
 from semimod.natcoeq import CyclicMonoid
+from semimod.tensor import tensor_product
 
-from test_validation import all_submonoids, commutative_tables, family_table, relabel
+from test_validation import all_submonoids, commutative_tables, family_table, fresh, relabel
 
 C42 = CyclicMonoid(4, 2).to_monoid(labels=False)
 # every labelled commutative monoid table of order <= 4
@@ -636,6 +641,57 @@ def congruences_by_growth_strings(M):
 
     rec([], 0)
     return out
+
+
+BELL = (1, 1, 2, 5, 15)
+
+
+class TestLatticeMemo:
+    def test_a_hit_is_a_cold_call(self):
+        for M in small_monoid_corpus(4):
+            cold = enumerate_congruences(fresh(M))
+            M2 = fresh(M)
+            first = enumerate_congruences(M2)
+            first.clear()                   # the caller owns the list
+            second = enumerate_congruences(M2)
+            assert second == cold and all(C.carrier is M2 for C in second)
+            second.append(None)
+            assert enumerate_congruences(M2) == cold
+
+    def test_a_hit_spends_the_bell_budget(self):
+        for M in small_monoid_corpus(4):
+            M2 = fresh(M)
+            enumerate_congruences(M2)
+            budget = BELL[M.size] - 1
+            with pytest.raises(BudgetExceeded) as cold:
+                enumerate_congruences(fresh(M), budget)
+            with pytest.raises(BudgetExceeded) as warm:
+                enumerate_congruences(M2, budget)
+            assert str(warm.value) == str(cold.value) == (
+                f"B({M.size}) set partitions exceed budget {budget}")
+            assert enumerate_congruences(M2, budget + 1) == enumerate_congruences(fresh(M))
+
+    def test_the_lattice_dies_with_its_monoid(self):
+        M = fresh(saturating_monoid(3))
+        C = weakref.ref(enumerate_congruences(M)[-1])
+        del M
+        gc.collect()
+        assert C() is None
+
+    def test_a_copy_writes_nothing_into_the_memo_of_its_original(self):
+        M = fresh(saturating_monoid(3))
+        lattice = enumerate_congruences(M)
+        before = dict(_memo(M))
+        M2 = copy(M)
+        assert all(C.carrier is M2 for C in enumerate_congruences(M2))
+        assert _memo(M) == before and list(before) == ["congruences"]
+        assert enumerate_congruences(M) == lattice
+        assert all(C.carrier is M for C in enumerate_congruences(M))
+
+    def test_a_tensors_monoid_keeps_no_lattice(self):
+        T = tensor_product(fresh(saturating_monoid(3)), fresh(cyclic_group(2))).monoid
+        assert enumerate_congruences(T)[0] is not enumerate_congruences(T)[0]
+        assert _memo(T) is None
 
 
 class TestEnumerateCongruences:

@@ -95,3 +95,16 @@ def test_the_naturals_layer_imports_only_core_and_semiideal():
     assert set(imports) == {"natcoeq", "semiideal"}
     assert {name: modules - {"core", "semiideal"} for name, modules in imports.items()} == {
         "natcoeq": set(), "semiideal": set()}
+
+
+def test_only_core_memo_touches_a_monoids_memo():
+    """Memos are read and written through `core._memo` alone: no other scope
+    calls `vars`, reads `__dict__` or names the instance-dict entry."""
+    touching = {f"{path.stem}.{name}"
+                for path in SOURCES
+                for name, scope in _scopes(ast.parse(path.read_text(), str(path)))
+                for node in ast.walk(scope)
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "vars")
+                or (isinstance(node, ast.Attribute) and node.attr == "__dict__")
+                or (isinstance(node, ast.Constant) and node.value == "_memo")}
+    assert touching == {"core._memo"}

@@ -20,6 +20,7 @@ from semimod.core import (
     MonoidHom,
     OutOfRange,
     SemimodError,
+    _memo,
     _product,
     biproduct,
     cyclic_group,
@@ -49,7 +50,7 @@ from semimod.tensor import (
     tensor_with_free,
     universal_factorization,
 )
-from test_validation import relabel
+from test_validation import fresh, relabel
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -579,11 +580,6 @@ class TestBudgets:
                                  budget=2)
 
 
-def fresh(M):
-    """An equal monoid with the same generating set, sharing nothing with M."""
-    return validate_monoid([list(row) for row in M.add])
-
-
 class TestMemo:
     def test_a_second_call_returns_the_first_tensor(self):
         M, N = fresh(SAT3), fresh(Z3)
@@ -631,6 +627,24 @@ class TestMemo:
         gc.collect()
         assert T() is None
 
+    def test_a_copy_keeps_its_tensor_in_its_own_memo(self):
+        M, N = fresh(SAT3), fresh(Z2)
+        T = tensor_product(M, N)
+        M2 = copy(M)
+        T2 = weakref.ref(tensor_product(M2, N))
+        assert T2().source_m is M2 and _memo(M2) is not _memo(M)
+        del M2
+        gc.collect()
+        assert T2() is None
+        assert _memo(M) == {("tensor", id(N)): T}
+
+    def test_a_tensors_monoid_keeps_no_memo(self):
+        T = tensor_product(fresh(SAT3), fresh(Z2)).monoid
+        assert _memo(T) is None
+        assert hom_monoid(T, Z2)[0] is not hom_monoid(T, Z2)[0]
+        assert tensor_product(T, Z2) is not tensor_product(T, Z2)
+        assert tensor_product(Z2, T) is not tensor_product(Z2, T)
+
     def test_outer_brackets_are_not_remembered(self, monkeypatch):
         real, built = tensor.tensor_product, []
 
@@ -651,6 +665,87 @@ class TestMemo:
         gc.collect()
         assert not any(ref() for ref in outer)
         assert all(real(T.source_m, T.source_n) is T for T in inner)
+
+
+def hom_outcome(M, N, budget=DEFAULT_BUDGET):
+    """What `hom_monoid` gives, as comparable values: the table and the homs,
+    or the exception's type and message."""
+    try:
+        H, homs = hom_monoid(M, N, budget)
+    except SemimodError as e:
+        return type(e), str(e)
+    return H, homs
+
+
+def hom_spend(M, N):
+    """The least budget under which the search for Hom(M, N) finishes."""
+    for budget in count():
+        try:
+            enumerate_homs(M, N, budget)
+            return budget
+        except BudgetExceeded:
+            pass
+
+
+class TestHomMemo:
+    def test_a_hit_is_a_cold_call(self):
+        corpus = small_monoid_corpus(4)
+        for M, N in product(corpus, repeat=2):
+            cold_H, cold = hom_monoid(fresh(M), fresh(N))
+            M2, N2 = fresh(M), fresh(N)
+            H, homs = hom_monoid(M2, N2)
+            homs.clear()                    # the caller owns the list
+            H2, homs2 = hom_monoid(M2, N2)
+            assert H2 is H and H.add == cold_H.add and homs2 == cold
+            assert all(h.source is M2 and h.target is N2 for h in homs2)
+            homs2.append(None)
+            assert hom_monoid(M2, N2)[1] == cold
+
+    def test_a_hit_spends_the_budget_of_a_search(self):
+        corpus = small_monoid_corpus(3)
+        for M, N in product(corpus[1:], repeat=2):
+            spend = hom_spend(M, N)
+            M2, N2 = fresh(M), fresh(N)
+            hom_monoid(M2, N2)
+            for budget in (spend - 1, spend, spend - 1, DEFAULT_BUDGET, spend):
+                warm = hom_outcome(M2, N2, budget)
+                assert warm == hom_outcome(fresh(M), fresh(N), budget)
+                assert (warm == (BudgetExceeded, "hom enumeration budget exhausted")) == (
+                    budget < spend)
+
+    def test_the_least_budget_a_search_finished_under_is_remembered(self):
+        M, N = fresh(SAT3), fresh(Z3)
+        spend = hom_spend(M, N)
+        H = hom_monoid(M, N)[0]
+        H2 = hom_monoid(M, N, spend)[0]            # searched again, under less budget
+        assert H2 is not H and H2.add == H.add
+        assert hom_monoid(M, N, spend)[0] is H2 and hom_monoid(M, N)[0] is H2
+
+    def test_equal_factors_get_their_own_homs(self):
+        M, N = fresh(SAT3), fresh(Z3)
+        H = hom_monoid(M, N)[0]
+        for M2, N2 in ((fresh(M), N), (M, fresh(N)), (copy(M), N), (M, copy(N))):
+            H2, homs = hom_monoid(M2, N2)
+            assert hom_monoid(M, N)[0] is H and H2 is not H
+            assert all(h.source is M2 and h.target is N2 for h in homs)
+
+    def test_the_memo_dies_with_its_left_factor(self):
+        M, N = fresh(SAT3), fresh(Z3)
+        H = weakref.ref(hom_monoid(M, N)[0])
+        del M
+        gc.collect()
+        assert H() is None
+
+    def test_a_copy_writes_nothing_into_the_memo_of_its_original(self):
+        M, N = fresh(SAT3), fresh(Z3)
+        hom_monoid(M, N)
+        before = dict(_memo(M))
+        M2 = copy(M)
+        H2 = weakref.ref(hom_monoid(M2, N)[0])
+        assert _memo(M) == before and list(before) == [("homs", id(N))]
+        del M2
+        gc.collect()
+        assert H2() is None
 
 
 class TestBalancedCheck:
@@ -1114,7 +1209,8 @@ class TestAdjunction:
                     assert len(enumerate_homs(T.monoid, N)) == len(enumerate_homs(P, H))
 
     def test_unequal_hom_counts_fail(self, monkeypatch):
-        # the first enumeration is Hom(P (x) M, N); one hom fewer there
+        # the first enumeration is Hom(P (x) M, N); one hom fewer there.  Fresh
+        # monoids, so that Hom(M, N) is not remembered from an earlier test
         calls = []
 
         def short(M, N, budget=None):
@@ -1123,7 +1219,7 @@ class TestAdjunction:
             return homs[:-1] if len(calls) == 1 else homs
 
         monkeypatch.setattr(tensor, "enumerate_homs", short)
-        assert not hom_adjunction_check(Z2, Z2, Z2)
+        assert not hom_adjunction_check(fresh(Z2), fresh(Z2), fresh(Z2))
         assert len(calls) == 3
 
     def test_a_round_trip_other_than_the_identity_fails(self, monkeypatch):

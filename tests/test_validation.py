@@ -79,6 +79,11 @@ def relabel(table, perm):
     return [[perm[table[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
 
 
+def fresh(M):
+    """An equal monoid with the same generating set, sharing nothing with M."""
+    return validate_monoid([list(row) for row in M.add])
+
+
 def family_table(family, n):
     if family == "Z":
         return [list(r) for r in cyclic_group(n).add]
