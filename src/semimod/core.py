@@ -8,7 +8,9 @@ representation: `_light_bytes` on byte rows up to 256 elements, one
 validated monoids, checked integer arguments or a checked congruence (a
 quotient) is a monoid by construction and is built by `_built` unchecked.
 Every monoid keeps X as `gens`, and builds a `Presentation` over it on
-first use; congruences, tensor products and homs work over X instead of
+first use: the spanning tree and the relation edges of a breadth-first walk
+of its Cayley graph, from which each normal-form or relation word is one
+walk away.  Congruences, tensor products and homs work over X instead of
 over every element (a hom is its images of X).  A monoid doubles as a module over the
 nonnegative integers via the repeated-addition action: `scalar` computes
 k*m by doubling, and `orbit` walks m, 2m, ... when asked, so a monoid
@@ -94,22 +96,19 @@ class Orbit:
 class Presentation:
     """A presentation of a finite commutative monoid over a generating set X.
 
-    Words are exponent vectors over X.  Each element's normal form is the
-    word of the path that first reaches it in a breadth-first walk of the
-    Cayley graph from 0 (edges e -> e + x, x in X, in the order of X), and
-    every edge outside that spanning tree gives one relation
-    nf(e) + x = nf(e + x) (Froidure-Pin 1997).  The relations generate
-    every relation between words: any word reduces to a normal form along
-    tree edges and relations, one letter at a time.  As element triples
-    (e, j, t), t = e + x_j, `tree` keeps each t's first edge and `edges` the
-    edge of each relation.  Letters never decrease along a tree path: if
-    e = p + x_i and j < i, the walk visits p + x_j before e, and reaches
-    e + x_j from there.
+    A breadth-first walk of the Cayley graph from 0 (edges e -> e + x, x in
+    X, in the order of X) keeps, as element triples (e, j, t), t = e + x_j,
+    each t's first edge in `tree` and every other edge in `edges`.  The tree
+    is the normal forms: the normal form of t is the word over X spelled
+    along its tree path from 0, and each relation edge is the relation
+    nf(e) + x_j = nf(t) (Froidure-Pin 1997), one walk away.  The relations
+    generate every relation between words: any word reduces to a normal
+    form along tree edges and relations, one letter at a time.  Letters
+    never decrease along a tree path: if e = p + x_i and j < i, the walk
+    visits p + x_j before e, and reaches e + x_j from there.
     """
 
     gens: tuple[int, ...]
-    normal_forms: tuple[tuple[int, ...], ...]         # element -> word
-    relations: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     tree: tuple[tuple[int, int, int], ...]
     edges: tuple[tuple[int, int, int], ...]
 
@@ -119,7 +118,7 @@ class Presentation:
         """The edges grouped for `iter_homs`, built on its first use: for each
         letter j, the tree edges (e, t) of letter j, and the relation edges
         (e, x, t) whose three ends have images once x_j has one."""
-        last = [-1] * len(self.normal_forms)     # element -> letter of its tree edge
+        last = [-1] * (len(self.tree) + 1)   # element -> letter of its tree edge
         define = [[] for _ in self.gens]
         check = [[] for _ in self.gens]
         for e, j, t in self.tree:
@@ -131,23 +130,21 @@ class Presentation:
 
 
 def _present(add: Sequence[Sequence[int]], gens: Sequence[int]) -> Presentation:
-    nf: list[Optional[tuple[int, ...]]] = [None] * len(add)
-    nf[0] = (0,) * len(gens)
-    relations, tree, edges = [], [], []
+    seen = [False] * len(add)
+    seen[0] = True
+    tree, edges = [], []
     order = [0]
     for e in order:                      # grows as the walk reaches new elements
-        w = nf[e]
+        row = add[e]
         for j, x in enumerate(gens):
-            t = add[e][x]
-            wx = w[:j] + (w[j] + 1,) + w[j + 1:]
-            if nf[t] is None:
-                nf[t] = wx
+            t = row[x]
+            if seen[t]:
+                edges.append((e, j, t))
+            else:
+                seen[t] = True
                 order.append(t)
                 tree.append((e, j, t))
-            else:
-                relations.append((wx, nf[t]))
-                edges.append((e, j, t))
-    return Presentation(tuple(gens), tuple(nf), tuple(relations), tuple(tree), tuple(edges))
+    return Presentation(tuple(gens), tuple(tree), tuple(edges))
 
 
 @dataclass(frozen=True)

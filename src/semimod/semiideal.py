@@ -23,10 +23,6 @@ class EmptyIdeal(SemimodError):
     pass
 
 
-class PreconditionFailed(SemimodError):
-    pass
-
-
 class NotDivisible(SemimodError):
     pass
 

@@ -3,7 +3,9 @@
 The tensor is built from the paper's other two universal constructions.
 M (x) F(Y) is the coproduct M^Y, and M (x) - preserves the coequalizer
 F(R) => F(Y) -> N that presents N over its kept generating set Y
-(`FiniteCommMonoid.gens`, with the relations of `core.Presentation`).  So
+(`FiniteCommMonoid.gens`).  N's `core.Presentation` is its spanning tree
+and relation edges: each relation edge e -> e + y is the relation
+nf(e) + y = nf(e + y) between words, each nf spelled along the tree.  So
 M (x) N is M^Y modulo the congruence generated by x.s ~ x.t for each
 relation s = t of N and each x in M's generating set X (enough, since
 a -> a.s is additive in a), where a.s is the vector (s_y a)_y.  Of M^Y and
@@ -153,8 +155,7 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     """
     swap = N.size ** len(M.gens) < M.size ** len(N.gens)
     A, B = (N, M) if swap else (M, N)
-    PB = B.presentation
-    n, k, g = A.size, len(PB.gens), len(A.gens)
+    n, k, g = A.size, len(B.gens), len(A.gens)
     cells = k * g * n ** k
     if cells > budget:
         raise BudgetExceeded(f"generator rows of {cells} cells exceed budget {budget}")
@@ -164,6 +165,7 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     if hit is not None and hit.source_n is N:
         _table_budget(hit.monoid.size, budget)
         return hit
+    PB = B.presentation
     stride = [n ** (k - 1 - j) for j in range(k)]
     rows = _generator_rows(A, stride)
     # x (x) b in A^k for the i-th generator x: x joins coordinate j along e -> e + y_j

@@ -9,7 +9,6 @@ from semimod.core import OutOfRange, SemimodError
 from semimod.semiideal import (
     EmptyIdeal,
     NotDivisible,
-    PreconditionFailed,
     Semiideal,
     bezout_exhaustive_search,
     bezout_nonneg,
@@ -172,6 +171,10 @@ class TestMinimalGenerators:
         assert Semiideal([3, 6, 9]).is_cyclic()
         assert not Semiideal([4, 6]).is_cyclic()
         assert not Semiideal([4, 10]).is_cyclic()
+
+
+class PreconditionFailed(SemimodError):
+    pass
 
 
 def difference_witness_core(M: Semiideal, a: int, d: int, window: int = 50) -> int:

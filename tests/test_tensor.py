@@ -50,7 +50,7 @@ from semimod.tensor import (
     tensor_with_free,
     universal_factorization,
 )
-from test_validation import fresh, relabel
+from test_validation import fresh, relabel, words
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -112,12 +112,12 @@ def product_presentation(M, N) -> PresentedCommMonoid:
     M and N: R holds u (x) y = v (x) y for each relation u = v of M and each
     y in Y, and x (x) s = x (x) t for each relation s = t of N and each x in X
     (right exactness); the word of a generator is its unit vector."""
-    PM, PN = M.presentation, N.presentation
-    gens = tuple(product(PM.gens, PN.gens))
-    xs = [PM.normal_forms[x] for x in PM.gens]
-    ys = [PN.normal_forms[y] for y in PN.gens]
-    relations = [(outer(u, y), outer(v, y)) for u, v in PM.relations for y in ys]
-    relations += [(outer(x, s), outer(x, t)) for s, t in PN.relations for x in xs]
+    (nf_m, rel_m), (nf_n, rel_n) = words(M.presentation), words(N.presentation)
+    gens = tuple(product(M.gens, N.gens))
+    xs = [nf_m[x] for x in M.gens]
+    ys = [nf_n[y] for y in N.gens]
+    relations = [(outer(u, y), outer(v, y)) for u, v in rel_m for y in ys]
+    relations += [(outer(x, s), outer(x, t)) for s, t in rel_n for x in xs]
     # two commuting non-tree edges of a Cayley graph give one relation twice
     return PresentedCommMonoid(gens, wrap_rules(M, N, gens), tuple(dict.fromkeys(relations)))
 
@@ -212,7 +212,8 @@ def saturated_tensor(M, N, pres, bilinear, budget) -> BoxTensor:
 def box_tensor(M, N, budget=DEFAULT_BUDGET) -> BoxTensor:
     """The tensor saturated on the box of the product presentation; m (x) n
     is the class of nf(m) (x) nf(n)."""
-    nf_m, nf_n, ky = M.presentation.normal_forms, N.presentation.normal_forms, len(N.gens)
+    nf_m, nf_n = words(M.presentation)[0], words(N.presentation)[0]
+    ky = len(N.gens)
 
     def bilinear(T, gen_class):
         # m (x) n is the sum of nf(m)[x] nf(n)[y] (x (x) y), summed over y first
@@ -549,8 +550,11 @@ def equivalence_of_pairs(size, pairs):
 
 class TestBudgets:
     def test_tensor_budget(self):
+        M, N = saturating_monoid(7), saturating_monoid(7)
         with pytest.raises(BudgetExceeded, match="generator rows of 4235364 cells"):  # 6*6*7^6
-            tensor_product(saturating_monoid(7), saturating_monoid(7))
+            tensor_product(M, N)
+        # the rows check reads only the generating sets: no presentation is built first
+        assert "presentation" not in vars(M) and "presentation" not in vars(N)
         S3x3 = biproduct(SAT3, SAT3).monoid
         with pytest.raises(BudgetExceeded, match="quotient table of 1679616 cells"):  # 1296^2
             tensor_product(S3x3, S3x3)

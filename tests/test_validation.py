@@ -2,6 +2,7 @@
 the table helpers and subset oracle the other test files import."""
 
 import random
+from dataclasses import fields
 from itertools import chain
 
 import pytest
@@ -31,6 +32,7 @@ from semimod.core import (
     validate_monoid,
 )
 from semimod.natcoeq import CyclicMonoid
+from semimod.tensor import tensor_product
 
 
 def cubic_monoid_oracle(table) -> bool:
@@ -152,44 +154,90 @@ def test_every_small_commutative_table_matches_cubic_oracle():
         assert accepted == len(enumerate_comm_monoid_tables(n)) > 0
 
 
-def test_generating_set_generates_the_whole_table():
-    rng = random.Random(7)
+def relabelled_monoids(seed):
+    """corpus(4), and Z/n, Sat_n and C(n // 3, n - n // 3) for n in (2, 5, 12, 30),
+    each relabelled by a random permutation fixing 0."""
+    rng = random.Random(seed)
     monoids = list(small_monoid_corpus(4))
     for family in ("Z", "Sat", "C"):
         for n in (2, 5, 12, 30):
             rest = list(range(1, n))
             rng.shuffle(rest)
             monoids.append(validate_monoid(relabel(family_table(family, n), [0] + rest)))
-    for M in monoids:
+    return monoids
+
+
+def test_generating_set_generates_the_whole_table():
+    for M in relabelled_monoids(7):
         gens = _generating_set(M.add)
         assert 0 not in gens
         assert submonoid_generated(M, gens) == tuple(M.elements())
 
 
+def words(P):
+    """The words of a presentation, one walk away: each element's normal form
+    spelled along the tree, and the relation nf(e) + x_j = nf(t) of each
+    relation edge (e, j, t)."""
+    def plus(w, j):
+        return w[:j] + (w[j] + 1,) + w[j + 1:]
+
+    nf = [None] * (len(P.tree) + 1)
+    nf[0] = (0,) * len(P.gens)
+    for e, j, t in P.tree:
+        nf[t] = plus(nf[e], j)
+    return tuple(nf), tuple((plus(nf[e], j), nf[t]) for e, j, t in P.edges)
+
+
+def present_with_words(add, gens):
+    """The breadth-first walk building the words as it goes: (normal forms,
+    relations, tree, edges), an oracle for `core._present` and `words`."""
+    nf = [None] * len(add)
+    nf[0] = (0,) * len(gens)
+    relations, tree, edges = [], [], []
+    order = [0]
+    for e in order:
+        w = nf[e]
+        for j, x in enumerate(gens):
+            t = add[e][x]
+            wx = w[:j] + (w[j] + 1,) + w[j + 1:]
+            if nf[t] is None:
+                nf[t] = wx
+                order.append(t)
+                tree.append((e, j, t))
+            else:
+                relations.append((wx, nf[t]))
+                edges.append((e, j, t))
+    return tuple(nf), tuple(relations), tuple(tree), tuple(edges)
+
+
 def test_presentation_over_the_kept_generating_set():
-    rng = random.Random(11)
-    monoids = list(small_monoid_corpus(4))
-    for family in ("Z", "Sat", "C"):
-        for n in (2, 5, 12, 30):
-            rest = list(range(1, n))
-            rng.shuffle(rest)
-            monoids.append(validate_monoid(relabel(family_table(family, n), [0] + rest)))
-    for M in monoids:
+    for M in relabelled_monoids(11):
         assert M.gens == tuple(_generating_set(M.add))
         P = M.presentation
         assert P.gens == M.gens and M.presentation is P
+        normal_forms, relations = words(P)
 
         def value(word):
             return M.sum(M.scalar(k, x) for x, k in zip(P.gens, word))
 
-        assert [value(w) for w in P.normal_forms] == list(M.elements())
-        assert [P.normal_forms[x] for x in P.gens] == [
+        assert [value(w) for w in normal_forms] == list(M.elements())
+        assert [normal_forms[x] for x in P.gens] == [
             tuple(int(i == j) for i in range(len(P.gens))) for j in range(len(P.gens))]
         # one relation per Cayley edge outside the spanning tree of normal forms
-        assert len(P.relations) == M.size * len(P.gens) - (M.size - 1)
-        assert all(value(u) == value(v) for u, v in P.relations)
-    assert cyclic_group(12).presentation.relations == (((12,), (0,)),)
-    assert CyclicMonoid(3, 4).to_monoid().presentation.relations == (((7,), (3,)),)
+        assert len(relations) == M.size * len(P.gens) - (M.size - 1)
+        assert all(value(u) == value(v) for u, v in relations)
+    assert words(cyclic_group(12).presentation)[1] == (((12,), (0,)),)
+    assert words(CyclicMonoid(3, 4).to_monoid().presentation)[1] == (((7,), (3,)),)
+
+
+def test_presentation_is_the_tree_and_edges_of_the_word_building_walk():
+    assert [f.name for f in fields(core.Presentation)] == ["gens", "tree", "edges"]
+    sat5 = saturating_monoid(5)
+    for M in relabelled_monoids(13) + [tensor_product(sat5, sat5).monoid]:
+        P = M.presentation
+        normal_forms, relations, tree, edges = present_with_words(M.add, M.gens)
+        assert (P.tree, P.edges) == (tree, edges)
+        assert words(P) == (normal_forms, relations)
 
 
 def test_generating_set_sizes_of_known_families():
