@@ -3,10 +3,10 @@ validated addition tables, congruences and coequalizers, semiideal
 structure theory, and tensor products."""
 
 from .core import (
+    CyclicMonoid,
     FiniteCommMonoid,
     MonoidHom,
     NatVec,
-    Orbit,
     SemimodError,
     biproduct,
     cyclic_group,
@@ -37,7 +37,6 @@ from .congruence import (
 )
 from .natcoeq import (
     BoundCapExceeded,
-    CyclicMonoid,
     NatQuotient,
     bourne_nat_quotient,
     coequalizer_nat,

@@ -68,9 +68,6 @@ def render_table(M: FiniteCommMonoid, ascii_labels: bool = False,
 
 def cmd_semiideal(args) -> int:
     M = semiideal.Semiideal(args.generators, budget=_budget(args))
-    if M.is_zero:
-        print("error: need at least one nonzero generator", file=sys.stderr)
-        return 1
     info = M.to_json()
     info["quotient"] = f"Z/{M.period()}"
     if args.json:

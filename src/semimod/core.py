@@ -11,15 +11,17 @@ Every monoid keeps X as `gens`, and builds a `Presentation` over it on
 first use: the spanning tree and the relation edges of a breadth-first walk
 of its Cayley graph, from which each normal-form or relation word is one
 walk away.  Congruences, tensor products and homs work over X instead of
-over every element (a hom is its images of X).  A monoid doubles as a module over the
-nonnegative integers via the repeated-addition action: `scalar` computes
-k*m by doubling, and `orbit` walks m, 2m, ... when asked, so a monoid
-keeps no orbit or power tables.  Besides its table, labels and generating
-set it keeps only what is built on first use: its `Presentation` (with
-the edges grouped by letter once `iter_homs` asks), and one memo dict,
-`_memo`, where `congruence.enumerate_congruences` remembers its congruence
-lattice and `tensor.tensor_product` and `tensor.hom_monoid` remember their
-results with it as left factor.  The memo lives and dies with the monoid:
+over every element (a hom is its images of X).  A monoid doubles as a
+module over the nonnegative integers via the repeated-addition action:
+`scalar` computes k*m by doubling, and `orbit(m)` is the cyclic submonoid
+<m> as a `CyclicMonoid` C(i, p), the one type for monogenic monoids, which
+the naturals layer returns too; a monoid keeps no orbit or power tables.
+Besides its table, labels and generating set it keeps only what is built
+on first use: its `Presentation` (with the edges grouped by letter once
+`iter_homs` asks), and one memo dict, `_memo`, where
+`congruence.enumerate_congruences` remembers its congruence lattice and
+`tensor.tensor_product` and `tensor.hom_monoid` remember their results
+with it as left factor.  The memo lives and dies with the monoid:
 `copy.copy(M)` gets a fresh one of its own, and the monoid of a tensor
 `tensor_product` built keeps none.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from operator import countOf, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -81,15 +83,59 @@ class BudgetExceeded(SemimodError):
 
 
 @dataclass(frozen=True)
-class Orbit:
-    """First repetition of the sequence m, 2m, 3m, ...: (index+period)m = index*m.
-
-    The sequence starts at 1*m, so the identity has orbit (1, 1) and an
-    order-n group element has orbit (1, n).
-    """
+class CyclicMonoid:
+    """C(i, p) = <x | (i+p)x = ix>, elements 0..i+p-1 (k for kx): a quotient of
+    the naturals, and <m> in any monoid (`FiniteCommMonoid.orbit`), counted
+    from 0*m, so a unit of order p gives C(0, p), the group Z/p."""
 
     index: int
     period: int
+
+    @property
+    def size(self) -> int:
+        return self.index + self.period
+
+    def project(self, n: int) -> int:
+        """Class of the natural number n."""
+        if n < self.index:
+            return n
+        return self.index + (n - self.index) % self.period
+
+    def _projections(self) -> list[int]:
+        """The projections of 0..2(i + p) - 2, whose slice seq[a:a + size] is row a."""
+        if not _well_formed(self):
+            raise OutOfRange(f"C({self.index!r},{self.period!r}) needs integers i >= 0, p >= 1")
+        i, p = self.index, self.period
+        return [*range(i), *(i + t % p for t in range(i + 2 * p - 1))]
+
+    def _rows(self) -> list[list[int]]:
+        """The rows of the table: row a is seq[a:a + size] of the projections."""
+        seq, size = self._projections(), self.size
+        return [seq[a:a + size] for a in range(size)]
+
+    def joined_rows(self, cells: Sequence[str], sep: str = "") -> list[str]:
+        """sep.join(cells[v] for v in row a) for every row a of the table.
+
+        The 2(i + p) - 1 projections are joined once, and row a is the slice
+        from the start of cell a to the end of cell a + size - 1, found by
+        cumulative offsets, so the cells may differ in width.
+        """
+        size, gap = self.size, len(sep)
+        seq = list(map(cells.__getitem__, self._projections()))
+        starts = [0, *accumulate(len(c) + gap for c in seq)]
+        whole = sep.join(seq)
+        return [whole[starts[a]:starts[a + size] - gap] for a in range(size)]
+
+    def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
+        rows = self._rows()
+        labs = tuple(f"{k}̄" for k in range(len(rows))) if labels else None
+        return validate_monoid(rows, labs)
+
+
+def _well_formed(c) -> bool:
+    """Whether c is C(i, p) with integers i >= 0 and p >= 1."""
+    return (isinstance(c, CyclicMonoid) and type(c.index) is int and type(c.period) is int
+            and c.index >= 0 and c.period >= 1)
 
 
 @dataclass(frozen=True)
@@ -181,17 +227,17 @@ class FiniteCommMonoid:
             return self.labels[m]
         return str(m)
 
-    def orbit(self, m: int) -> Orbit:
-        """The orbit of m, by walking m, 2m, ... along row m to the first repeat."""
+    def orbit(self, m: int) -> CyclicMonoid:
+        """<m> as C(i, p), by walking 0, m, 2m, ... along row m to the first repeat."""
         if not 0 <= m < self.size:
             raise OutOfRange(f"element {m} out of range")
         row = self.add[m]
         first = {}                 # k*m -> k
-        cur, k = m, 1
+        cur, k = 0, 0
         while cur not in first:
             first[cur] = k
             cur, k = row[cur], k + 1
-        return Orbit(first[cur], k - first[cur])
+        return CyclicMonoid(first[cur], k - first[cur])
 
     def scalar(self, k: int, m: int) -> int:
         """k*m = m + ... + m (k times), by doubling: O(log k) table reads."""
@@ -823,13 +869,14 @@ def load_monoid(path: str) -> FiniteCommMonoid:
 # --- handy standard tables -------------------------------------------------
 
 def trivial_monoid() -> FiniteCommMonoid:
-    return _built([[0]])
+    return cyclic_group(1)
 
 
 def cyclic_group(n: int) -> FiniteCommMonoid:
+    """Z/n, the cyclic monoid C(0, n)."""
     if type(n) is not int or n < 1:
         raise OutOfRange(f"Z/n needs an integer n >= 1, not {n!r}")
-    return _built([[(a + b) % n for b in range(n)] for a in range(n)])
+    return _built(CyclicMonoid(0, n)._rows())
 
 
 def saturating_monoid(n: int) -> FiniteCommMonoid:

@@ -1,8 +1,9 @@
 """Congruences and coequalizers on the naturals.
 
 Quotients of the naturals by a generated congruence are either the naturals
-themselves or a cyclic monoid C(i, p): elements 0..i+p-1 where the tail
-from i on wraps with period p.  For seed pairs (a_j, b_j) with a_j < b_j,
+themselves or a cyclic monoid C(i, p) (`core.CyclicMonoid`, the type of
+every monogenic monoid here): elements 0..i+p-1 where the tail from i on
+wraps with period p.  For seed pairs (a_j, b_j) with a_j < b_j,
 i is the least a_j and p the gcd of the differences, and the solver
 certifies that candidate both ways:
 
@@ -23,13 +24,12 @@ difference divisible by p, the two certificates pin the quotient exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .core import BudgetExceeded, FiniteCommMonoid, OutOfRange, SemimodError, validate_monoid
+from .core import BudgetExceeded, CyclicMonoid, OutOfRange, SemimodError, _well_formed
 from . import semiideal as _semiideal
-from .semiideal import EmptyIdeal, _require_ints
+from .semiideal import _require_ints
 
 
 class BoundCapExceeded(BudgetExceeded):
@@ -39,58 +39,6 @@ class BoundCapExceeded(BudgetExceeded):
             f"unverified candidate C({candidate.index},{candidate.period})")
         self.candidate = candidate
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class CyclicMonoid:
-    index: int
-    period: int
-
-    @property
-    def size(self) -> int:
-        return self.index + self.period
-
-    def project(self, n: int) -> int:
-        """Class of the natural number n."""
-        if n < self.index:
-            return n
-        return self.index + (n - self.index) % self.period
-
-    def _projections(self) -> list[int]:
-        """The projections of 0..2(i + p) - 2, whose slice seq[a:a + size] is row a."""
-        if not _well_formed(self):
-            raise OutOfRange(f"C({self.index!r},{self.period!r}) needs integers i >= 0, p >= 1")
-        i, p = self.index, self.period
-        return [*range(i), *(i + t % p for t in range(i + 2 * p - 1))]
-
-    def _rows(self) -> list[list[int]]:
-        """The rows of the table: row a is seq[a:a + size] of the projections."""
-        seq, size = self._projections(), self.size
-        return [seq[a:a + size] for a in range(size)]
-
-    def joined_rows(self, cells: Sequence[str], sep: str = "") -> list[str]:
-        """sep.join(cells[v] for v in row a) for every row a of the table.
-
-        The 2(i + p) - 1 projections are joined once, and row a is the slice
-        from the start of cell a to the end of cell a + size - 1, found by
-        cumulative offsets, so the cells may differ in width.
-        """
-        size, gap = self.size, len(sep)
-        seq = list(map(cells.__getitem__, self._projections()))
-        starts = [0, *accumulate(len(c) + gap for c in seq)]
-        whole = sep.join(seq)
-        return [whole[starts[a]:starts[a + size] - gap] for a in range(size)]
-
-    def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
-        rows = self._rows()
-        labs = tuple(f"{k}̄" for k in range(len(rows))) if labels else None
-        return validate_monoid(rows, labs)
-
-
-def _well_formed(c) -> bool:
-    """Whether c is C(i, p) with integers i >= 0 and p >= 1."""
-    return (isinstance(c, CyclicMonoid) and type(c.index) is int and type(c.period) is int
-            and c.index >= 0 and c.period >= 1)
 
 
 # one chain step: the endpoints u, v with {u, v} = {a + k, b + k}
@@ -312,11 +260,9 @@ def bourne_nat_quotient(generators: Sequence[int]) -> BourneNatQuotient:
 
     Certifies n ~ 0 for the multiples n = d..10d by producing explicit
     members a, b of the ideal with n + a = b.  A generator that is not an
-    int raises `OutOfRange`.
+    int raises `OutOfRange`, and the zero semiideal `EmptyIdeal`.
     """
     M = _semiideal.Semiideal(generators)
-    if M.is_zero:
-        raise EmptyIdeal("need at least one nonzero generator")
     d, c = M.period(), M.footing()
     # the footing c and n + c both lie in the periodic core; verify() checks it
     witnesses = tuple((t * d, (c, t * d + c)) for t in range(1, 11))

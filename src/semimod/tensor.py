@@ -47,17 +47,18 @@ factor M, in M's own memo (`core._memo`), keyed by the identity of N, so a
 sweep of coherence checks over n monoids builds its n^2 inner tensors
 once, not 4 n^3 times, and a sweep of adjunction checks builds each
 Hom(M, N) once.  The memo lives and dies with M and has no size limit; a
-copy of M gets its own.  A hit needs the remembered N to be N itself:
-equal monoids with other generating sets number T and its terms
-otherwise.  The monoid of a tensor `tensor_product` built keeps no memo,
-and no tensor is remembered with it as either factor: those are the outer
+copy of M gets its own.  The key is N itself, not an equal monoid, since
+equal monoids with other generating sets number T and its terms otherwise;
+each entry holds N, so no other object can take N's id while the entry
+lives.  The monoid of a tensor `tensor_product` built keeps no memo, and
+no tensor is remembered with it as either factor: those are the outer
 brackets of an associativity check, each asked for once, and remembering
 them would only hold memory.  A hit is a cold call's answer at every
 budget.  A tensor hit spends the same budget as a build: the rows check
 comes before the lookup and the quotient-table check is applied to the
 remembered T.  The homs are remembered with the budget they were found
-under, and hit only at a budget at least that large: the search spends
-the same at every budget it finishes under, so one that finished under a
+under, and hit only at a budget at least that large: the search spends the
+same at every budget it finishes under, so one that finished under a
 smaller budget finishes under this one.
 """
 
@@ -162,7 +163,7 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     # the tensors remembered on M, by the identity of N; none with a tensor's monoid as a factor
     memo = _memo(M)
     hit = memo.get(("tensor", id(N))) if memo is not None else None
-    if hit is not None and hit.source_n is N:
+    if hit is not None:
         _table_budget(hit.monoid.size, budget)
         return hit
     PB = B.presentation
@@ -420,7 +421,7 @@ def hom_monoid(M: FiniteCommMonoid, N: FiniteCommMonoid,
     """
     memo = _memo(M)
     hit = memo.get(("homs", id(N))) if memo is not None else None
-    if hit is not None and hit[1] is N and budget >= hit[0]:
+    if hit is not None and budget >= hit[0]:
         return hit[2], list(hit[3])
     homs = enumerate_homs(M, N, budget)
     pos = {h.image: i for i, h in enumerate(homs)}
@@ -437,35 +438,17 @@ def hom_adjunction_check(P: FiniteCommMonoid, M: FiniteCommMonoid,
                          budget: int = DEFAULT_BUDGET) -> bool:
     """Hom(P (x) M, N) and Hom(P, Hom(M, N)) are in natural bijection.
 
-    Builds both hom sets by enumeration, transports each way, and checks
-    the round trips.
+    Builds both hom sets by enumeration and transports Hom(P, Hom(M, N))
+    one way, by psi(g) = the factorization of (p, m) -> g(p)(m).  psi(g)
+    agrees with g on pure tensors (`_factor` checks it), so psi is
+    injective; equal counts and equal image sets make it a bijection, whose
+    inverse is currying.
     """
     T = tensor_product(P, M, budget)
     left = enumerate_homs(T.monoid, N, budget)
     H, homs_mn = hom_monoid(M, N, budget)
     right = enumerate_homs(P, H, budget)
-    hom_index = {h.image: i for i, h in enumerate(homs_mn)}
-
-    def phi(f: MonoidHom) -> MonoidHom:
-        image = []
-        for p in range(P.size):
-            curried = tuple(f.image[T.bilinear[p][m]] for m in range(M.size))
-            if curried not in hom_index:
-                return None
-            image.append(hom_index[curried])
-        return MonoidHom(P, H, tuple(image))
-
-    def psi(g: MonoidHom) -> MonoidHom:
-        return _factor(T, N, [homs_mn[h].image for h in g.image])
-
-    # psi(phi(f)) = f makes phi injective, so with equal counts it is onto
     if len(left) != len(right):
         return False
-    right_images = {h.image for h in right}
-    for f in left:
-        g = phi(f)
-        if g is None or g.image not in right_images:
-            return False
-        if psi(g).image != f.image:
-            return False
-    return True
+    return ({_factor(T, N, [homs_mn[h].image for h in g.image]).image for g in right}
+            == {f.image for f in left})

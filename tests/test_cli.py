@@ -98,6 +98,13 @@ def test_semiideal_empty_is_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_semiideal_empty_names_the_zero_ideal(capsys, flags):
+    code, out, err = run(capsys, "semiideal", "0", "0", *flags)
+    assert (code, out) == (1, "")
+    assert err == "error: the zero semiideal has no period or footing\n"
+
+
 def test_monoid_check_valid(tmp_path, capsys):
     p = tmp_path / "m.json"
     p.write_text(json.dumps(monoid_to_json(validate_monoid([[0, 1], [1, 0]]))))

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semimod import core
+from semimod import core, natcoeq
 from semimod.core import (
     BudgetExceeded,
+    CyclicMonoid,
     IdentityNotPreserved,
     MonoidHom,
     NatVec,
@@ -17,7 +18,6 @@ from semimod.core import (
     NotCommutative,
     NotASubmonoid,
     NotIdentity,
-    Orbit,
     OutOfRange,
     SemimodError,
     _product,
@@ -41,10 +41,10 @@ from semimod.core import (
     zero_hom,
 )
 from semimod.congruence import bourne_congruence
-from semimod.natcoeq import CyclicMonoid
 from semimod.tensor import tensor_product
 
-from test_validation import all_submonoids, commutative_tables, family_table, relabel
+from test_validation import (all_submonoids, commutative_tables, family_table, relabel,
+                             relabelled_monoids)
 
 M4_TABLE = [[0, 1, 2, 3], [1, 1, 3, 3], [2, 3, 3, 3], [3, 3, 3, 3]]  # {0,1A,1B,2B}
 C42 = CyclicMonoid(4, 2).to_monoid()
@@ -125,14 +125,18 @@ class TestScalarAction:
 
 
 class TestOrbit:
+    def test_one_type_for_cyclic_monoids(self):
+        assert natcoeq.CyclicMonoid is core.CyclicMonoid and not hasattr(core, "Orbit")
+        assert isinstance(C42.orbit(1), CyclicMonoid)
+
     def test_identity_orbit(self):
-        assert C42.orbit(0) == Orbit(1, 1)
+        assert C42.orbit(0) == CyclicMonoid(0, 1)
 
     def test_group_element(self):
-        assert cyclic_group(3).orbit(1) == Orbit(1, 3)
+        assert cyclic_group(3).orbit(1) == CyclicMonoid(0, 3)
 
     def test_saturating_element(self):
-        assert saturating_monoid(3).orbit(1) == Orbit(1, 1)  # 1 + 1 = 1
+        assert saturating_monoid(3).orbit(1) == CyclicMonoid(1, 1)  # 1 + 1 = 1
 
     def test_minimality(self):
         for M in small_monoid_corpus(4):
@@ -142,21 +146,21 @@ class TestOrbit:
                 for _ in range(o.index + o.period):
                     powers.append(M.plus(powers[-1], m))
                 assert powers[o.index + o.period] == powers[o.index]
-                # no earlier repetition
-                seen = powers[1:o.index + o.period]
+                # no earlier repetition, counting from 0*m
+                seen = powers[:o.index + o.period]
                 assert len(set(seen)) == len(seen)
 
 
 def orbit_tables(size, add):
     """Reference orbits: every element's multiples, walked one addition at a time.
 
-    powers[m] = (0, m, 2m, ..., (i+p-1)m) and orbits[m] = Orbit(i, p).
+    powers[m] = (0, m, 2m, ..., (i+p-1)m) and orbits[m] = C(i, p).
     """
     powers = []
     orbits = []
     for m in range(size):
         seq = [0]  # 0*m
-        seen: dict[int, int] = {}
+        seen: dict[int, int] = {0: 0}
         cur = 0
         k = 0
         while True:
@@ -169,8 +173,18 @@ def orbit_tables(size, add):
             seen[cur] = k
             seq.append(cur)
         powers.append(tuple(seq))
-        orbits.append(Orbit(i, p))
+        orbits.append(CyclicMonoid(i, p))
     return tuple(powers), tuple(orbits)
+
+
+def orbit_from_one(M, m):
+    """(i, p) of the first repeat (i+p)m = im of m, 2m, 3m, ..., counted from
+    1*m: the convention of the former `Orbit`, where the identity had (1, 1)."""
+    first, cur, k = {}, m, 1
+    while cur not in first:
+        first[cur] = k
+        cur, k = M.add[cur][m], k + 1
+    return first[cur], k - first[cur]
 
 
 def table_scalar(powers, orbits, k, m):
@@ -207,6 +221,29 @@ def test_orbit_and_scalar_match_orbit_tables(M):
         assert M.orbit(m) == o
         for k in [*range(3 * (o.index + o.period) + 1), 10**18]:
             assert M.scalar(k, m) == table_scalar(powers, orbits, k, m)
+
+
+def test_orbit_is_the_generated_submonoid():
+    """orbit(m) is <m>: its size, its table up to k -> k*m, and the numbers
+    counted from 1*m once a unit's index 0 reads as 1."""
+    for M in [*relabelled_monoids(11), relabelled_family_monoid("C", 260, 5)]:
+        for m in M.elements():
+            o, members = M.orbit(m), submonoid_generated(M, [m])
+            assert o.size == len(members)
+            S, incl = sub_as_monoid(M, members)
+            pos = {e: s for s, e in enumerate(incl.image)}
+            multiples = [0]
+            for _ in range(o.size - 1):
+                multiples.append(M.add[multiples[-1]][m])
+            iso = hom_check(o.to_monoid(labels=False), S, [pos[e] for e in multiples])
+            assert iso.is_bijective()
+            assert (max(o.index, 1), o.period) == orbit_from_one(M, m)
+
+
+def test_cyclic_group_is_addition_mod_n():
+    for n in range(1, 301):
+        assert cyclic_group(n).add == tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
+    assert trivial_monoid() == cyclic_group(1)
 
 
 class TestHoms:

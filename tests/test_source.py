@@ -57,7 +57,7 @@ def test_every_imported_name_is_used():
 # fillings, C(i, p) (ROADMAP item 1) and the acceptance literals; a table the
 # library builds from validated monoids or a checked congruence is not re-validated
 VALIDATING = {"core.monoid_from_json", "core.enumerate_comm_monoid_tables",
-              "natcoeq.CyclicMonoid.to_monoid", "acceptance.direct_sum_counterexamples"}
+              "core.CyclicMonoid.to_monoid", "acceptance.direct_sum_counterexamples"}
 
 
 def _scopes(tree):

@@ -16,6 +16,7 @@ from semimod.congruence import UnionFind, congruence_closure, quotient
 from semimod.core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    CyclicMonoid,
     FiniteCommMonoid,
     MonoidHom,
     OutOfRange,
@@ -24,6 +25,7 @@ from semimod.core import (
     _product,
     biproduct,
     cyclic_group,
+    enumerate_comm_monoid_tables,
     enumerate_homs,
     hom_check,
     identity_hom,
@@ -33,7 +35,6 @@ from semimod.core import (
     validate_monoid,
     zero_hom,
 )
-from semimod.natcoeq import CyclicMonoid
 from semimod.tensor import (
     IsoWitness,
     NotBalanced,
@@ -93,12 +94,10 @@ def wrap_rules(M, N, pairs):
     """Each generator m (x) n wraps at the shorter orbit of m and n."""
     rules = []
     for m, n in pairs:
-        om, on = M.orbit(m), N.orbit(n)
+        # counted from 1*m, as the box is: a unit's orbit C(0, p) wraps at (1, p)
+        om, on = ((max(o.index, 1), o.period) for o in (M.orbit(m), N.orbit(n)))
         # the smaller wrap bound gives the smaller sound box
-        if om.index + om.period <= on.index + on.period:
-            rules.append((om.index, om.period))
-        else:
-            rules.append((on.index, on.period))
+        rules.append(om if sum(om) <= sum(on) else on)
     return tuple(rules)
 
 
@@ -631,6 +630,17 @@ class TestMemo:
         gc.collect()
         assert T() is None
 
+    def test_the_memo_keeps_its_right_factor_alive(self):
+        # so no other object takes id(N) while the entry keyed by it lives
+        M, N = fresh(SAT3), fresh(SAT2)
+        tensor_product(M, N)
+        N = weakref.ref(N)
+        gc.collect()
+        assert N() is not None
+        del M
+        gc.collect()
+        assert N() is None
+
     def test_a_copy_keeps_its_tensor_in_its_own_memo(self):
         M, N = fresh(SAT3), fresh(Z2)
         T = tensor_product(M, N)
@@ -739,6 +749,16 @@ class TestHomMemo:
         del M
         gc.collect()
         assert H() is None
+
+    def test_the_memo_keeps_its_right_factor_alive(self):
+        M, N = fresh(SAT3), fresh(Z3)
+        hom_monoid(M, N)
+        N = weakref.ref(N)
+        gc.collect()
+        assert N() is not None
+        del M
+        gc.collect()
+        assert N() is None
 
     def test_a_copy_writes_nothing_into_the_memo_of_its_original(self):
         M, N = fresh(SAT3), fresh(Z3)
@@ -1195,6 +1215,30 @@ class TestCoherence:
         assert symmetry_iso(A, B).verify()
 
 
+def adjunction_both_ways(P, M, N, budget=DEFAULT_BUDGET):
+    """The adjunction check that transports every hom both ways: phi curries
+    each f in Hom(P (x) M, N) into Hom(P, Hom(M, N)), and psi(phi(f)) = f for
+    each f makes phi injective, so with equal counts it is onto."""
+    T = tensor_product(P, M, budget)
+    left = enumerate_homs(T.monoid, N, budget)
+    H, homs_mn = hom_monoid(M, N, budget)
+    right = enumerate_homs(P, H, budget)
+    hom_index = {h.image: i for i, h in enumerate(homs_mn)}
+    if len(left) != len(right):
+        return False
+    right_images = {h.image for h in right}
+    for f in left:
+        curried = [tuple(f.image[T.bilinear[p][m]] for m in M.elements()) for p in P.elements()]
+        if any(c not in hom_index for c in curried):
+            return False
+        g = tuple(hom_index[c] for c in curried)
+        if g not in right_images:
+            return False
+        if tensor._factor(T, N, [homs_mn[h].image for h in g]).image != f.image:
+            return False
+    return True
+
+
 class TestAdjunction:
     def test_trivial_p(self):
         assert hom_adjunction_check(trivial_monoid(), Z2, Z3)
@@ -1238,6 +1282,15 @@ class TestAdjunction:
             for M in corpus:
                 for N in corpus:
                     assert hom_adjunction_check(P, M, N)
+
+    def test_one_transport_gives_the_verdict_of_both(self):
+        # corpus(3) cubed, and every labelled triple of order <= 3
+        corpus = small_monoid_corpus(3)
+        labelled = [M for n in (1, 2, 3) for M in enumerate_comm_monoid_tables(n)]
+        assert len(labelled) ** 3 == 1728
+        for monoids in (corpus, labelled):
+            for P, M, N in product(monoids, repeat=3):
+                assert hom_adjunction_check(P, M, N) == adjunction_both_ways(P, M, N)
 
     def test_transport_factors_as_at_the_boundary(self):
         """psi's tables, built from Hom(P, Hom(M, N)), factor by `_factor`
