@@ -93,12 +93,12 @@ def cmd_coeq(args) -> int:
             for c in classes:
                 print(" ", c)
         return 0
-    q = natcoeq.coequalizer_nat(args.a, args.b, bound_cap=args.bound_cap)
+    budget = _budget(args)
+    q = natcoeq.coequalizer_nat(args.a, args.b, bound_cap=budget)
     if q.is_symbolic_nat:
         print(json.dumps(q.to_json()) if args.json else "coequalizer: N0 (identity)")
         return 0
-    cells, budget = q.result.size ** 2, _budget(args)
-    if cells > budget:
+    if (cells := q.result.size ** 2) > budget:
         raise BudgetExceeded(f"table of C({q.result.index},{q.result.period}) "
                              f"has {cells} cells, budget {budget}")
     c = q.result
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("b", type=int)
     s.add_argument("--naive", action="store_true",
                    help="census of the one-step relation instead")
-    s.add_argument("--bound-cap", type=int, default=10**6)
     s.add_argument("--json", action="store_true")
     s.add_argument("--ascii", action="store_true", help="plain cN labels")
     s.set_defaults(func=cmd_coeq)
@@ -253,7 +252,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 2
-    except (SemimodError, OSError, json.JSONDecodeError, UnicodeDecodeError, KeyError) as e:
+    except (SemimodError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -16,12 +16,11 @@ coequalizer of f, g seeds f(y) ~ g(y) for y in the source's X only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Iterable, Optional, Sequence
 
 from .core import (
     DEFAULT_BUDGET,
-    Biproduct,
     BudgetExceeded,
     FiniteCommMonoid,
     MonoidHom,
@@ -30,8 +29,6 @@ from .core import (
     SemimodError,
     _built,
     _memo,
-    biproduct,
-    sub_as_monoid,
 )
 
 
@@ -163,14 +160,9 @@ def congruence_closure(M: FiniteCommMonoid,
     return Congruence(M, _closure(M.size, [M.add[x] for x in M.gens], pairs), pairs)
 
 
-def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, MonoidHom]:
-    """The quotient monoid and its projection; class of 0 is element 0.
-
-    C.rep must be a smallest-member map on M (else `OutOfRange`), closed
-    under translation by M.gens (else `NotACongruence`).  Then the quotient
-    is a monoid and nu a hom by construction, so the table is not validated.
-    A labelled M labels each class by `_class_label` of its members' labels.
-    """
+def _checked_rep(M: FiniteCommMonoid, C: Congruence) -> tuple[int, ...]:
+    """C.rep, if it is a smallest-member map on M (else `OutOfRange`) closed
+    under translation by M.gens (else `NotACongruence`)."""
     rep = C.rep
     if len(rep) != M.size or not all(type(r) is int and 0 <= r <= a and rep[r] == r
                                      for a, r in enumerate(rep)):
@@ -178,6 +170,17 @@ def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, Mono
     if (bad := _translation_failure([M.add[x] for x in M.gens], rep)) is not None:
         a, j = bad
         raise NotACongruence(a, M.gens[j])
+    return rep
+
+
+def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, MonoidHom]:
+    """The quotient monoid and its projection; class of 0 is element 0.
+
+    Once `_checked_rep` accepts C, the quotient is a monoid and nu a hom by
+    construction, so the table is not validated.  A labelled M labels each
+    class by `_class_label` of its members' labels.
+    """
+    rep = _checked_rep(M, C)
     classes = C.classes()
     reps = [c[0] for c in classes]
     index = {r: i for i, r in enumerate(reps)}
@@ -251,14 +254,9 @@ def naive_congruence(f: MonoidHom, g: MonoidHom) -> Congruence:
     M = f.target
     N = f.source
     uf = UnionFind(M.size)
-    for m in M.elements():
-        for m2 in M.elements():
-            for n in N.elements():
-                for n2 in N.elements():
-                    lhs = M.sum([m, f.image[n], g.image[n2]])
-                    rhs = M.sum([m2, f.image[n2], g.image[n]])
-                    if lhs == rhs:
-                        uf.union(m, m2)
+    for m, m2, n, n2 in product(M.elements(), M.elements(), N.elements(), N.elements()):
+        if M.sum([m, f.image[n], g.image[n2]]) == M.sum([m2, f.image[n2], g.image[n]]):
+            uf.union(m, m2)
     C = Congruence(M, tuple(map(uf.find, M.elements())))
     if not C.is_translation_closed():
         raise SemimodError("internal error: the relation is not translation-closed")
@@ -283,33 +281,35 @@ def zero_class(C: Congruence) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class KernelPair:
-    rel: FiniteCommMonoid          # the submonoid of related pairs in M x M
-    elements: tuple[int, ...]      # rel index -> biproduct index
+    rel: FiniteCommMonoid          # the related pairs (a, b) under componentwise +
+    elements: tuple[int, ...]      # rel index -> a·|M| + b, increasing
     p1: MonoidHom
     p2: MonoidHom
-    ambient: Biproduct
 
     def pairing(self, g: MonoidHom, h: MonoidHom) -> MonoidHom:
         """The unique map x -> (g(x), h(x)) into the relation submonoid."""
-        pos = {bp: i for i, bp in enumerate(self.elements)}
-        image = []
-        for x in g.source.elements():
-            bp = self.ambient.pair(g.image[x], h.image[x])
-            if bp not in pos:
-                raise SemimodError("the pair (g, h) does not land in the relation")
-            image.append(pos[bp])
-        return MonoidHom(g.source, self.rel, tuple(image))
+        pos = {code: i for i, code in enumerate(self.elements)}
+        codes = [g.image[x] * self.p1.target.size + h.image[x] for x in g.source.elements()]
+        if not all(code in pos for code in codes):
+            raise SemimodError("the pair (g, h) does not land in the relation")
+        return MonoidHom(g.source, self.rel, tuple(map(pos.__getitem__, codes)))
 
 
 def kernel_pair_of_congruence(C: Congruence) -> KernelPair:
+    """R = {(a, b) : a ~ b} and its projections, from C's classes (checked as
+    `quotient` checks them) with no M x M table: (a, b) is R's element
+    start[a] + rank[b], so R's table is |R|² lookups, left unchecked."""
     M = C.carrier
-    bp = biproduct(M, M)
-    Rel, incl = sub_as_monoid(bp.monoid, [bp.pair(a, b) for a in M.elements()
-                                          for b in M.elements() if C.same(a, b)])
-    members = incl.image
-    p1 = MonoidHom(Rel, M, tuple(bp.unpair(x)[0] for x in members))
-    p2 = MonoidHom(Rel, M, tuple(bp.unpair(x)[1] for x in members))
-    return KernelPair(Rel, members, p1, p2, bp)
+    rep = _checked_rep(M, C)
+    members = {c[0]: c for c in C.classes()}   # representative -> its class
+    rank = [members[r].index(a) for a, r in enumerate(rep)]    # a's place in its class
+    pairs = [(a, b) for a, r in enumerate(rep) for b in members[r]]
+    # start[a]: the pairs whose first entry is below a
+    start = list(accumulate((len(members[r]) for r in rep), initial=0))
+    R = _built([start[ra[c]] + rank[rb[d]] for c, d in pairs]
+               for ra, rb in ((M.add[a], M.add[b]) for a, b in pairs))
+    p1, p2 = (MonoidHom(R, M, side) for side in zip(*pairs))
+    return KernelPair(R, tuple(a * M.size + b for a, b in pairs), p1, p2)
 
 
 def kernel_pair(f: MonoidHom) -> KernelPair:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semimod import acceptance
+from semimod import acceptance, semiideal
 from semimod.cli import main, render_table
 from semimod.congruence import enumerate_congruences, quotient
 from semimod.core import monoid_to_json, small_monoid_corpus, validate_monoid
@@ -44,19 +44,39 @@ def test_coeq_naive(capsys):
     assert len(json.loads(out)["naive_classes"]) == 2
 
 
-def test_coeq_bound_cap_exit_2(capsys):
-    code, out, err = run(capsys, "coeq", "10", "30", "--bound-cap", "12")
+def test_coeq_bound_cap_exit_2(capsys, monkeypatch):
+    # SEMIMOD_BUDGET also caps the largest number the merge chain touches
+    monkeypatch.setenv("SEMIMOD_BUDGET", "12")
+    code, out, err = run(capsys, "coeq", "10", "30")
     assert (code, out) == (2, "")
     assert err.startswith("budget exceeded: certificate B would touch numbers above")
 
 
-def test_coeq_negative_bound_cap_exit_1(capsys):
+def test_coeq_negative_bound_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("SEMIMOD_BUDGET", "-1")
     for a in ("5", "0"):            # also when the multipliers are equal
-        code, out, err = run(capsys, "coeq", "0", a, "--bound-cap", "-1")
-        assert (code, out, err) == (1, "", "error: bound cap -1 is not an integer >= 0\n")
-    code, out, err = run(capsys, "coeq", "0", "5", "--bound-cap", "0")
+        code, out, err = run(capsys, "coeq", "0", a)
+        assert (code, out, err) == (1, "", "error: budget -1 is negative\n")
+    monkeypatch.setenv("SEMIMOD_BUDGET", "0")
+    code, out, err = run(capsys, "coeq", "0", "5")
     assert (code, out) == (2, "")
     assert err.startswith("budget exceeded: certificate B would touch numbers above the bound cap 0")
+
+
+def test_coeq_takes_no_bound_cap_option(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["coeq", "4", "6", "--bound-cap", "12"])
+    assert e.value.code == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --bound-cap 12" in out.err
+
+
+def test_internal_key_errors_are_not_reported_as_input_errors(monkeypatch):
+    def broken(self):
+        raise KeyError("internal")
+    monkeypatch.setattr(semiideal.Semiideal, "to_json", broken)
+    with pytest.raises(KeyError):
+        main(["semiideal", "3", "5"])
 
 
 def test_coeq_naive_text(capsys):

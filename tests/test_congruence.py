@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import re
+import tracemalloc
 import weakref
 from copy import copy
 
@@ -127,12 +128,15 @@ def all_pairs_separated(f, C):
 
 
 def relation_table(C):
-    """Reference relation monoid of C: its pairs in order, and their table."""
+    """Reference relation monoid of C, carved out of M x M: its pairs in order,
+    their table, its generating set by validation, and the two projections."""
     bp = biproduct(C.carrier, C.carrier)
     members = tuple(bp.pair(a, b) for a in C.carrier.elements() for b in C.carrier.elements()
                     if C.same(a, b))
     pos = {x: i for i, x in enumerate(members)}
-    return members, tuple(tuple(pos[bp.monoid.add[a][b]] for b in members) for a in members)
+    table = tuple(tuple(pos[bp.monoid.add[a][b]] for b in members) for a in members)
+    p1, p2 = zip(*map(bp.unpair, members))
+    return members, table, validate_monoid(table).gens, p1, p2
 
 
 def coequalizer_universal_probe(f, g, targets, budget=DEFAULT_BUDGET) -> bool:
@@ -583,7 +587,7 @@ class TestKernelPair:
         f = hom_check(C42, cyclic_group(2), [m % 2 for m in range(6)])
         kp = kernel_pair(f)
         for i, bp_index in enumerate(kp.elements):
-            a, b = kp.ambient.unpair(bp_index)
+            a, b = divmod(bp_index, C42.size)
             assert kp.p1.image[i] == a and kp.p2.image[i] == b
             assert f.image[a] == f.image[b]
 
@@ -608,10 +612,51 @@ class TestKernelPair:
                 assert C2.rep == C.rep
 
     def test_relation_monoid_matches_its_table_on_corpus4(self):
-        for M in small_monoid_corpus(4):
-            for C in enumerate_congruences(M):
-                kp = kernel_pair_of_congruence(C)
-                assert (kp.elements, kp.rel.add) == relation_table(C)
+        rng = random.Random(4)
+        congruences = [C for M in small_monoid_corpus(4) for C in enumerate_congruences(M)]
+        for family in ("Z", "Sat", "C"):
+            for n in (5, 12):
+                M = validate_monoid(relabel(family_table(family, n),
+                                            [0] + rng.sample(range(1, n), n - 1)))
+                congruences += [identity_congruence(M), congruence_closure(M, [(1, n - 1)]),
+                                congruence_closure(M, [(0, b) for b in M.elements()])]
+        for C in congruences:
+            kp = kernel_pair_of_congruence(C)
+            assert (kp.elements, kp.rel.add, kp.rel.gens, kp.p1.image, kp.p2.image) \
+                == relation_table(C)
+            assert kp.rel.labels is None
+
+    def test_builds_no_square_table(self):
+        # M x M has 40^4 cells; the diagonal's own table has 40^2
+        C = identity_congruence(cyclic_group(40))
+        tracemalloc.start()
+        try:
+            kp = kernel_pair_of_congruence(C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kp.rel.size == 40 and peak < 2**20
+
+    def test_checks_the_congruence_as_quotient_does(self):
+        # the same error, message and witness as `quotient`, on every
+        # partition of every table of order <= 4 and on malformed maps
+        cases = [Congruence(M, rep) for M in TABLES4 for rep in set_partitions(M.size)]
+        cases += [Congruence(saturating_monoid(3), rep)
+                  for rep in [(0, 1), (0, 5, 2), (1, 1, 2), (0, 2, 2), (0, 0, 1),
+                              (0, 1, 2.0), (0, 1, True)]]
+        rejected = set()
+        for C in cases:
+            try:
+                quotient(C.carrier, C)
+            except (NotACongruence, OutOfRange) as e:
+                with pytest.raises(type(e)) as e2:
+                    kernel_pair_of_congruence(C)
+                assert str(e2.value) == str(e)
+                assert getattr(e2.value, "witness", None) == getattr(e, "witness", None)
+                rejected.add(type(e))
+            else:
+                kernel_pair_of_congruence(C)
+        assert rejected == {NotACongruence, OutOfRange}
 
     def test_congruence_embeds_in_chain_of_projections(self):
         M = saturating_monoid(3)
