@@ -29,6 +29,7 @@ from .core import (
     SemimodError,
     _built,
     _memo,
+    hom_check,
 )
 
 
@@ -204,7 +205,8 @@ def _class_label(names: Iterable[str]) -> str:
 
 
 def kernel_congruence(f: MonoidHom) -> Congruence:
-    """Partition of the source by the fibers of f."""
+    """Partition of the source by the fibers of f, once f passes `hom_check`."""
+    hom_check(f.source, f.target, f.image)
     first: dict[int, int] = {}
     C = Congruence(f.source, tuple(first.setdefault(v, m) for m, v in enumerate(f.image)))
     if not C.is_translation_closed():
@@ -248,9 +250,11 @@ def coequalizer_finite(f: MonoidHom, g: MonoidHom) -> tuple[FiniteCommMonoid, Mo
 def naive_congruence(f: MonoidHom, g: MonoidHom) -> Congruence:
     """m ~ m' iff m + f(n) + g(n') = m' + f(n') + g(n) for some n, n'.
 
-    Computed by exhaustive enumeration over the finite source; the relation
-    is already a congruence, which is re-checked.
+    Computed by exhaustive enumeration over the finite source once f and g
+    pass `hom_check`; the relation is then a congruence, which is re-checked.
     """
+    for h in (f, g):
+        hom_check(h.source, h.target, h.image)
     M = f.target
     N = f.source
     uf = UnionFind(M.size)
@@ -320,9 +324,9 @@ def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> 
     """All congruences of a small monoid, by filtering its B(n) set partitions,
     in lexicographic order of their smallest-member maps.
 
-    The lattice is remembered on M (`core._memo`), unless M is the monoid of
-    a tensor.  A later call checks B(n) against its budget as a first call
-    does, then returns a new list of the same congruences.
+    The lattice is remembered on M (`core._memo`).  A later call checks
+    B(n) against its budget as a first call does, then returns a new list of
+    the same congruences.
     """
     n = M.size
     row = [1]                 # a row of the Bell triangle; row r ends in B(r) <= B(n)
@@ -331,7 +335,7 @@ def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> 
     if row[-1] > budget:
         raise BudgetExceeded(f"B({n}) set partitions exceed budget {budget}")
     memo = _memo(M)
-    if memo is not None and "congruences" in memo:
+    if "congruences" in memo:
         return list(memo["congruences"])
     # smallest-member maps depth first, each prefix with its representatives:
     # element i joins a representative, in increasing order, or opens its own class
@@ -347,6 +351,5 @@ def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> 
             continue
         stack.append((rep + (i,), reps + (i,)))
         stack.extend((rep + (r,), reps) for r in reversed(reps))
-    if memo is not None:
-        memo["congruences"] = tuple(out)
+    memo["congruences"] = tuple(out)
     return out

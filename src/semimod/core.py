@@ -21,9 +21,10 @@ on first use: its `Presentation` (with the edges grouped by letter once
 `iter_homs` asks), and one memo dict, `_memo`, where
 `congruence.enumerate_congruences` remembers its congruence lattice and
 `tensor.tensor_product` and `tensor.hom_monoid` remember their results
-with it as left factor.  The memo lives and dies with the monoid:
-`copy.copy(M)` gets a fresh one of its own, and the monoid of a tensor
-`tensor_product` built keeps none.
+with it as left factor.  The memo lives and dies with the monoid, and
+`copy.copy(M)` gets a fresh one of its own.  `tensor_product` interns the
+monoids it builds, so tensors with equal tables share one monoid and its
+memo while any of them lives.
 """
 
 from __future__ import annotations
@@ -460,10 +461,8 @@ def _built(rows: Iterable[Sequence[int]], labels=None) -> FiniteCommMonoid:
     return FiniteCommMonoid(len(rows), rows, labels)
 
 
-def _memo(M: FiniteCommMonoid, keep: bool = True) -> Optional[dict]:
-    """M's own memo dict, made on first use, or None for a monoid that keeps
-    none: `tensor.tensor_product` marks each monoid it builds by a first
-    call with keep=False.
+def _memo(M: FiniteCommMonoid) -> dict:
+    """M's own memo dict, made on first use.
 
     The instance dict holds the memo beside the id of its owner, so a copy
     of M, whose instance dict is a copy of M's, finds another id and gets a
@@ -471,7 +470,7 @@ def _memo(M: FiniteCommMonoid, keep: bool = True) -> Optional[dict]:
     """
     owner, memo = vars(M).get("_memo", (None, None))
     if owner != id(M):
-        memo = {} if keep else None
+        memo = {}
         vars(M)["_memo"] = id(M), memo
     return memo
 

@@ -33,6 +33,8 @@ from semimod.congruence import (
 from semimod.core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    MonoidHom,
+    NotAdditive,
     OutOfRange,
     SemimodError,
     _memo,
@@ -396,6 +398,18 @@ class TestKernelCongruence:
         f = hom_check(C42, cyclic_group(2), [m % 2 for m in range(6)])
         assert kernel_congruence(f).num_classes() == 2
 
+    @pytest.mark.parametrize("target, image", [(cyclic_group(2), (0, 0, 1, 1)),
+                                               (cyclic_group(4), (0, 2, 1, 3))])
+    def test_a_map_that_is_not_a_hom_is_the_callers(self, target, image):
+        # built directly, not through hom_check: f(1 + 1) != f(1) + f(1)
+        f = MonoidHom(cyclic_group(4), target, image)
+        with pytest.raises(NotAdditive) as direct:
+            hom_check(f.source, f.target, f.image)
+        for build in (kernel_congruence, kernel_pair):
+            with pytest.raises(NotAdditive) as e:
+                build(f)
+            assert e.value.witness == direct.value.witness == (1, 1)
+
 
 class TestFactorThrough:
     def test_identity_congruence(self):
@@ -465,6 +479,14 @@ class TestChainAndNaive:
         N = saturating_monoid(3)
         C = naive_congruence(identity_hom(N), identity_hom(N))
         assert C.num_classes() == 1  # 0 ~ 1 via n = n' = 1
+
+    def test_naive_names_the_callers_map_that_is_not_a_hom(self):
+        Z4, Z2 = cyclic_group(4), cyclic_group(2)
+        f, zero = MonoidHom(Z4, Z2, (0, 0, 1, 1)), zero_hom(Z4, Z2)
+        for pair in ((f, zero), (zero, f)):
+            with pytest.raises(NotAdditive) as e:
+                naive_congruence(*pair)
+            assert e.value.witness == (1, 1)
 
     def test_naive_contains_seed_pairs(self):
         M, N = C42, cyclic_group(2)
@@ -733,10 +755,12 @@ class TestLatticeMemo:
         assert enumerate_congruences(M) == lattice
         assert all(C.carrier is M for C in enumerate_congruences(M))
 
-    def test_a_tensors_monoid_keeps_no_lattice(self):
+    def test_a_tensors_monoid_remembers_its_lattice(self):
         T = tensor_product(fresh(saturating_monoid(3)), fresh(cyclic_group(2))).monoid
-        assert enumerate_congruences(T)[0] is not enumerate_congruences(T)[0]
-        assert _memo(T) is None
+        first = enumerate_congruences(T)
+        hit = enumerate_congruences(T)
+        assert hit == first == enumerate_congruences(fresh(T))
+        assert all(a is b for a, b in zip(hit, first)) and hit is not first
 
 
 class TestEnumerateCongruences:

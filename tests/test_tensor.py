@@ -583,6 +583,16 @@ class TestBudgets:
                                  budget=2)
 
 
+def closure_runs(monkeypatch):
+    """A list that grows by one at each `_closure` run of `tensor_product`,
+    over an empty intern table of its own, so that no tensor another test
+    keeps alive (`pool_tensor`) shares a monoid with this one's."""
+    runs, closure = [], tensor._closure
+    monkeypatch.setattr(tensor, "_closure", lambda *args: runs.append(1) or closure(*args))
+    monkeypatch.setattr(tensor, "_INTERNED", type(tensor._INTERNED)())
+    return runs
+
+
 class TestMemo:
     def test_a_second_call_returns_the_first_tensor(self):
         M, N = fresh(SAT3), fresh(Z3)
@@ -652,33 +662,53 @@ class TestMemo:
         assert T2() is None
         assert _memo(M) == {("tensor", id(N)): T}
 
-    def test_a_tensors_monoid_keeps_no_memo(self):
-        T = tensor_product(fresh(SAT3), fresh(Z2)).monoid
-        assert _memo(T) is None
-        assert hom_monoid(T, Z2)[0] is not hom_monoid(T, Z2)[0]
-        assert tensor_product(T, Z2) is not tensor_product(T, Z2)
-        assert tensor_product(Z2, T) is not tensor_product(Z2, T)
+    def test_equal_tensors_share_one_monoid_which_keeps_a_memo(self):
+        A, B = tensor_product(fresh(SAT3), fresh(Z2)), tensor_product(fresh(SAT3), fresh(Z2))
+        assert A is not B and A.monoid is B.monoid
+        T = A.monoid
+        assert hom_monoid(T, Z2)[0] is hom_monoid(T, Z2)[0]
+        assert tensor_product(T, Z2) is tensor_product(T, Z2)
+        assert tensor_product(Z2, T) is tensor_product(Z2, T)
 
-    def test_outer_brackets_are_not_remembered(self, monkeypatch):
-        real, built = tensor.tensor_product, []
+    def test_outer_brackets_are_remembered_and_die_with_their_inputs(self, monkeypatch):
+        real, built, runs = tensor.tensor_product, [], closure_runs(monkeypatch)
 
         def spy(M, N, budget=DEFAULT_BUDGET):
             T = real(M, N, budget)
             built.append(T)
             return T
 
-        corpus = [fresh(M) for M in small_monoid_corpus(3)[1:4]]
+        corpus = [fresh(M) for M in small_monoid_corpus(3)]
         monkeypatch.setattr(tensor, "tensor_product", spy)
-        for M, N, P in product(corpus, repeat=3):
-            assert associativity_iso(M, N, P).verify()
+        for first in (True, False):
+            runs.clear()
+            for M, N, P in product(corpus, repeat=3):
+                assert associativity_iso(M, N, P).verify()
+            assert bool(runs) is first
         # calls 1 and 3 of each triple are (M (x) N) (x) P and M (x) (N (x) P)
-        inner = [T for i, T in enumerate(built) if i % 4 in (0, 2)]
+        half = len(built) // 2
+        assert half == 4 * len(corpus) ** 3
+        assert all(T is built[i + half] for i, T in enumerate(built[:half]))
         outer = [weakref.ref(T.monoid) for i, T in enumerate(built) if i % 4 in (1, 3)]
-        assert len(outer) == 2 * 27
-        del built
+        del built, corpus, M, N, P
         gc.collect()
         assert not any(ref() for ref in outer)
-        assert all(real(T.source_m, T.source_n) is T for T in inner)
+        assert len(tensor._INTERNED) == 0
+
+    def test_a_sweep_of_every_labelled_triple_builds_each_bracket_once(self, monkeypatch):
+        # 12 labelled monoids of order <= 3: 144 inner tensors, and 192 distinct
+        # inputs for each outer bracket among the 1,728 triples
+        runs = closure_runs(monkeypatch)
+        labelled = [M for n in (1, 2, 3) for M in enumerate_comm_monoid_tables(n)]
+        for expected in (528, 0):
+            runs.clear()
+            for M, N, P in product(labelled, repeat=3):
+                assert associativity_iso(M, N, P).verify()
+            assert len(runs) == expected
+        assert len(tensor._INTERNED) > 0
+        del labelled, M, N, P
+        gc.collect()
+        assert len(tensor._INTERNED) == 0
 
 
 def hom_outcome(M, N, budget=DEFAULT_BUDGET):
