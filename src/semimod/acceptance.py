@@ -125,11 +125,11 @@ def structure_constants() -> bool:
 def bourne_quotient() -> bool:
     """N/(4, 6) is Z/2 by a unique isomorphism, N/(2, 3) is trivial, and both verify."""
     q = bourne_nat_quotient([4, 6])
-    Q = q.quotient.to_monoid(labels=False)
+    Q = q.result.to_monoid(labels=False)
     isos = [h for h in enumerate_homs(Q, cyclic_group(2)) if h.is_bijective()]
     q2 = bourne_nat_quotient([2, 3])
-    return (q.modulus == 2 and q.verify() and len(isos) == 1
-            and q2.modulus == 1 and q2.quotient.to_monoid().size == 1 and q2.verify())
+    return (q.result.period == 2 and q.verify() and len(isos) == 1
+            and q2.result.period == 1 and q2.result.to_monoid().size == 1 and q2.verify())
 
 
 def direct_sum_counterexamples() -> bool:

@@ -229,16 +229,21 @@ def factor_through(f: MonoidHom, C: Congruence) -> MonoidHom:
     return MonoidHom(Q, f.target, tuple(f.image[r] for r in reps))
 
 
+def _require_parallel(f: MonoidHom, g: MonoidHom) -> None:
+    """`SemimodError` unless f and g share their source and their target."""
+    if f.source is not g.source and f.source != g.source:
+        raise SemimodError("mismatched sources")
+    if f.target is not g.target and f.target != g.target:
+        raise SemimodError("mismatched targets")
+
+
 def chain_congruence(f: MonoidHom, g: MonoidHom) -> Congruence:
     """Closure of the pairs f(n) ~ g(n); its quotient is the coequalizer.
 
     Seeding n in the source's gens is enough: f and g are additive, so
     f(n) ~ g(n) for every sum n of generators follows.
     """
-    if f.source is not g.source and f.source != g.source:
-        raise SemimodError("mismatched sources")
-    if f.target is not g.target and f.target != g.target:
-        raise SemimodError("mismatched targets")
+    _require_parallel(f, g)
     seeds = [(f.image[n], g.image[n]) for n in f.source.gens]
     return congruence_closure(f.target, seeds)
 
@@ -251,8 +256,10 @@ def naive_congruence(f: MonoidHom, g: MonoidHom) -> Congruence:
     """m ~ m' iff m + f(n) + g(n') = m' + f(n') + g(n) for some n, n'.
 
     Computed by exhaustive enumeration over the finite source once f and g
-    pass `hom_check`; the relation is then a congruence, which is re-checked.
+    are parallel and pass `hom_check`; the relation is then a congruence,
+    which is re-checked.
     """
+    _require_parallel(f, g)
     for h in (f, g):
         hom_check(h.source, h.target, h.image)
     M = f.target

@@ -19,6 +19,16 @@ certifies that candidate both ways:
 
 Since every translated seed instance has both members >= i and a
 difference divisible by p, the two certificates pin the quotient exactly.
+
+The quotient of the naturals by a semiideal K, Bourne's congruence
+m ~ m' iff m + a = m' + b for some a, b in K, is one such quotient: that
+of the pairs (0, c) and (0, c + d), for the footing c and the period d of
+K.  Both c and c + d are members, so the Bourne congruence holds both
+pairs and contains the congruence they generate.  Every member is a
+multiple of d, so m + a = m' + b gives m = m' mod d: the Bourne congruence
+lies inside congruence mod d.  And congruence mod d is the one the pairs
+generate, for the certificates pin their quotient as C(0, d), with a
+chain of at most two steps.
 """
 
 from __future__ import annotations
@@ -234,39 +244,19 @@ def naive_nat_classes(a: int, b: int, probe_limit: int = 20) -> list[list[int]]:
     return [list(range(r, probe_limit + 1, d)) for r in range(min(d, probe_limit + 1))]
 
 
-@dataclass(frozen=True)
-class BourneNatQuotient:
-    generators: tuple[int, ...]
-    modulus: int
-    quotient: CyclicMonoid                      # C(0, d), the group Z/d
-    witnesses: tuple[tuple[int, tuple[int, int]], ...]
-    # (n, (a, b)): members a, b of the ideal with n + a = b, certifying n ~ 0
+def bourne_nat_quotient(generators: Sequence[int]) -> NatQuotient:
+    """The quotient of the naturals by the semiideal K of the generators: Z/d.
 
-    def verify(self) -> bool:
-        M = _semiideal.Semiideal(self.generators)
-        d = self.modulus
-        if d != M.period():
-            return False
-        for n, (a, b) in self.witnesses:
-            if n % d != 0 or n + a != b:
-                return False
-            if not (M.contains(a) and M.contains(b)):
-                return False
-        return True
-
-
-def bourne_nat_quotient(generators: Sequence[int]) -> BourneNatQuotient:
-    """The quotient of the naturals by a semiideal: the group Z/d.
-
-    Certifies n ~ 0 for the multiples n = d..10d by producing explicit
-    members a, b of the ideal with n + a = b.  A generator that is not an
-    int raises `OutOfRange`, and the zero semiideal `EmptyIdeal`.
+    With c the footing and d the period of K, it is the `NatQuotient` of the
+    pairs (0, c) and (0, c + d), whose certificates pin C(0, d).  That is the
+    Bourne congruence (m ~ m' iff m + a = m' + b for some a, b in K): c and
+    c + d are members, so the Bourne congruence holds both pairs, and every
+    member is a multiple of d, so m ~ m' gives m = m' mod d.  A generator
+    that is not an int raises `OutOfRange`, and the zero semiideal
+    `EmptyIdeal`.
     """
-    M = _semiideal.Semiideal(generators)
-    d, c = M.period(), M.footing()
-    # the footing c and n + c both lie in the periodic core; verify() checks it
-    witnesses = tuple((t * d, (c, t * d + c)) for t in range(1, 11))
-    out = BourneNatQuotient(M.generators, d, CyclicMonoid(0, d), witnesses)
-    if not out.verify():
-        raise SemimodError("internal error: the Bourne quotient does not verify")
-    return out
+    K = _semiideal.Semiideal(generators)
+    c, d = K.perc()
+    if not (K.contains(c) and K.contains(c + d)):
+        raise SemimodError(f"internal error: {c} or {c + d} is not a member of {K}")
+    return nat_congruence_quotient([(0, c), (0, c + d)], bound_cap=c + d)

@@ -488,6 +488,17 @@ class TestChainAndNaive:
                 naive_congruence(*pair)
             assert e.value.witness == (1, 1)
 
+    @pytest.mark.parametrize("sources, targets, message", [
+        ((3, 2), (4, 4), "^mismatched sources$"),   # was a bare IndexError
+        ((2, 3), (4, 4), "^mismatched sources$"),   # was the identity partition
+        ((2, 2), (4, 3), "^mismatched targets$"),   # answered on Z/4
+        ((2, 2), (3, 4), "^mismatched targets$"),   # answered on Z/3
+    ])
+    def test_naive_rejects_maps_that_are_not_parallel(self, sources, targets, message):
+        f, g = (zero_hom(cyclic_group(m), cyclic_group(n)) for m, n in zip(sources, targets))
+        with pytest.raises(SemimodError, match=message):
+            naive_congruence(f, g)
+
     def test_naive_contains_seed_pairs(self):
         M, N = C42, cyclic_group(2)
         for f in enumerate_homs(N, M):

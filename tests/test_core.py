@@ -40,8 +40,8 @@ from semimod.core import (
     validate_monoid,
     zero_hom,
 )
-from semimod.congruence import bourne_congruence
-from semimod.tensor import tensor_product
+from semimod.congruence import bourne_congruence, chain_congruence, kernel_pair
+from semimod.tensor import induced_map, tensor_product, tensor_with_free
 
 from test_validation import (all_submonoids, commutative_tables, family_table, relabel,
                              relabelled_monoids)
@@ -774,6 +774,52 @@ class TestFreeVectors:
         assert g(u + v) == M.plus(g(u), g(v))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_free_universal_map_is_n_linear_and_natural(data):
+    M = data.draw(st.sampled_from(small_monoid_corpus(3) + [C42]))
+    X = ["x", "y", "z"]
+    f = {x: data.draw(st.integers(0, M.size - 1)) for x in X}
+    mult = data.draw(st.dictionaries(st.sampled_from(X), st.integers(0, 40)))
+    k = data.draw(st.integers(0, 40))
+    g, v = free_universal_map(X, f, M), NatVec.of(mult)
+    assert [v.get(x) for x in X] == [mult.get(x, 0) for x in X]
+    assert g(v.scale(k)) == M.scalar(k, g(v))
+    assert [g(NatVec.unit(x)) for x in X] == [f[x] for x in X]
+    # a hom h after g is the universal map of h o f
+    h = data.draw(st.sampled_from(enumerate_homs(M, C42)))
+    assert h(g(v)) == free_universal_map(X, {x: h(f[x]) for x in X}, C42)(v)
+
+
 def test_json_round_trip():
     M = validate_monoid(M4_TABLE, ["0", "1A", "1B", "2B"])
     assert monoid_from_json(monoid_to_json(M)) == M
+
+
+Z2, Z3, Z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: chain_congruence(zero_hom(Z2, Z4), zero_hom(Z3, Z4)),
+     SemimodError, "^mismatched sources$"),
+    (lambda: chain_congruence(zero_hom(Z2, Z4), zero_hom(Z2, Z3)),
+     SemimodError, "^mismatched targets$"),
+    (lambda: induced_map(identity_hom(Z2), identity_hom(Z3),
+                         tensor_product(Z3, Z3), tensor_product(Z2, Z3)),
+     SemimodError, "^T must be the tensor of the sources$"),
+    (lambda: induced_map(identity_hom(Z2), identity_hom(Z3),
+                         tensor_product(Z2, Z3), tensor_product(Z3, Z3)),
+     SemimodError, "^T2 must be the tensor of the targets$"),
+    (lambda: kernel_pair(identity_hom(Z2)).pairing(identity_hom(Z2), zero_hom(Z2, Z2)),
+     SemimodError, r"^the pair \(g, h\) does not land in the relation$"),
+    (lambda: tensor_with_free(cyclic_group(11), range(3)),
+     BudgetExceeded, "^power table of 1771561 cells exceeds budget"),
+    (lambda: Z3.orbit(3), OutOfRange, "^element 3 out of range$"),
+    (lambda: Z3.orbit(-1), OutOfRange, "^element -1 out of range$"),
+    (lambda: Z3.scalar(2, 3), OutOfRange, "^element 3 out of range$"),
+    (lambda: Z3.scalar(-1, 1), OutOfRange, "^scalar must be nonnegative$"),
+    (lambda: hom_check(Z2, Z3, (0,)), OutOfRange, "^image table length mismatch$"),
+])
+def test_library_boundaries_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

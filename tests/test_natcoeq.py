@@ -1,5 +1,7 @@
 import json
+import random
 import re
+from math import gcd
 
 import pytest
 
@@ -9,7 +11,6 @@ from semimod.congruence import UnionFind, congruence_closure
 from semimod.core import BudgetExceeded, OutOfRange, SemimodError
 from semimod.natcoeq import (
     BoundCapExceeded,
-    BourneNatQuotient,
     CyclicMonoid,
     NatQuotient,
     bourne_nat_quotient,
@@ -282,18 +283,19 @@ class TestNaiveClasses:
 class TestBourneQuotient:
     def test_four_six(self):
         q = bourne_nat_quotient([4, 6])
-        assert q.modulus == 2
-        assert q.quotient == CyclicMonoid(0, 2)
+        assert q.pairs == ((0, 4), (0, 6))
+        assert q.result == CyclicMonoid(0, 2)
         assert q.verify()
 
     def test_single_generator(self):
         q = bourne_nat_quotient([5])
-        assert q.modulus == 5
+        assert q.result == CyclicMonoid(0, 5)
+        assert len(q.cert_b) == 1
 
     def test_adjacent_generators_trivial(self):
         q = bourne_nat_quotient([2, 3])
-        assert q.modulus == 1
-        assert q.quotient.to_monoid().size == 1
+        assert q.result == CyclicMonoid(0, 1)
+        assert q.result.to_monoid().size == 1
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyIdeal, match="^the zero semiideal has no period or footing$"):
@@ -305,18 +307,38 @@ class TestBourneQuotient:
             bourne_nat_quotient(*args)
 
     def test_a_witness_outside_the_ideal_is_caught(self, monkeypatch):
-        # the witnesses are checked by verify() alone
+        # the footing and the footing + period are checked to be members
         contains = Semiideal.contains
         monkeypatch.setattr(Semiideal, "contains",
                             lambda self, n: n != self.footing() and contains(self, n))
-        with pytest.raises(SemimodError, match="does not verify"):
+        with pytest.raises(SemimodError, match="^internal error: 4 or 6 is not a member"):
             bourne_nat_quotient([4, 6])
 
     def test_tampered_witnesses_rejected(self):
         q = bourne_nat_quotient([4, 6])
-        bad = BourneNatQuotient(q.generators, q.modulus, q.quotient,
-                                tuple((n + 1, w) for n, w in q.witnesses))
-        assert not bad.verify()
+        for j, (u, v, s, k) in enumerate(q.cert_b):
+            chain = q.cert_b[:j] + ((u, v, s, k + 1),) + q.cert_b[j + 1:]
+            assert not NatQuotient(q.pairs, q.result, True, chain).verify()
+
+    def test_is_the_quotient_by_the_footing_and_the_next_member(self):
+        rng = random.Random(28)
+        sets = 0
+        while sets < 5000:
+            gens = [rng.randrange(300) for _ in range(rng.randint(1, 5))]
+            if not any(gens):
+                continue
+            sets += 1
+            K = Semiideal(gens)
+            c, d = K.footing(), gcd(*gens)
+            q = bourne_nat_quotient(gens)
+            assert q.pairs == ((0, c), (0, c + d))
+            assert q.result == CyclicMonoid(0, d)
+            assert len(q.cert_b) <= 2 and q.verify()
+
+    def test_reach(self):
+        assert bourne_nat_quotient([2, 10**6 + 1]).result == CyclicMonoid(0, 1)
+        with pytest.raises(BudgetExceeded):
+            bourne_nat_quotient([600000, 600001])
 
 
 def json_by_validated_table(q):
