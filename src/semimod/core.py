@@ -4,7 +4,10 @@ Element 0 is always the identity.  A table from outside goes through
 `validate_monoid`, which checks associativity by Light's test over a greedy
 generating set X (O(n^2 |X|), not O(n^3)), by one kernel per
 representation: `_light_bytes` on byte rows up to 256 elements, one
-`bytes.translate` per x in X, and `_light_rows` above.  A table derived from
+`bytes.translate` per x in X, and `_light_rows` above.  Rows given as
+`bytes` skip the per-entry type test, since their entries are ints by
+construction; C(i, p) is validated from byte slices of its projections
+that way (`CyclicMonoid.to_monoid`).  A table derived from
 validated monoids, checked integer arguments or a checked congruence (a
 quotient) is a monoid by construction and is built by `_built` unchecked.
 Every monoid keeps X as `gens`, and builds a `Presentation` over it on
@@ -128,9 +131,11 @@ class CyclicMonoid:
         return [whole[starts[a]:starts[a + size] - gap] for a in range(size)]
 
     def to_monoid(self, labels: bool = True) -> FiniteCommMonoid:
-        rows = self._rows()
-        labs = tuple(f"{k}̄" for k in range(len(rows))) if labels else None
-        return validate_monoid(rows, labs)
+        """The validated table, row a the slice seq[a:a + size], bytes up to 256 elements."""
+        seq, size = self._projections(), self.size
+        seq = bytes(seq) if size <= 256 else seq
+        labs = tuple(f"{k}̄" for k in range(size)) if labels else None
+        return validate_monoid([seq[a:a + size] for a in range(size)], labs)
 
 
 def _well_formed(c) -> bool:
@@ -392,9 +397,15 @@ def validate_monoid(table: Sequence[Sequence[int]],
     Labels, if given, are n distinct strings, so that no two rows of a
     rendered table read alike.  Before Light's test come the entries, the
     identity and commutativity.
-    Every entry must be an `int` by an exact type test, which stays a
+    A row is a list or tuple of ints, or `bytes`.  Every entry of a list or
+    tuple row must be an `int` by an exact type test, which stays a
     per-entry pass because `bytes()` also accepts bools and any object
-    with `__index__`.  For n <= 256 the byte rows are joined once: an
+    with `__index__`.  A `bytes` row holds exact ints in [0, 256) by
+    construction, so it skips the type test and, for n <= 256, is used as
+    it is instead of copied by `bytes()`; every other check still reads
+    it, and the monoid's `add` is int tuples whatever the rows were.  A
+    table answers the same, monoid or exception, whichever of its rows
+    are bytes.  For n <= 256 the byte rows are joined once: an
     entry is out of range when deleting the bytes 0..n-1 leaves anything
     (`bytes.translate`), and the table is commutative when it equals its
     byte transpose, column j being every n-th byte from j.  Only a failed
@@ -412,19 +423,20 @@ def validate_monoid(table: Sequence[Sequence[int]],
     if labels is not None and len(set(labels)) != n:
         raise OutOfRange("labels must be distinct")
     for i, row in enumerate(table):
-        if not isinstance(row, (list, tuple)):
+        if not isinstance(row, (list, tuple, bytes)):
             raise OutOfRange(f"row {i} is a {type(row).__name__}, not a list")
         if len(row) != n:
             raise OutOfRange("table is not square")
     rows = tuple(map(tuple, table))
     # the type test comes first: bools and integral floats compare as ints,
     # bytes() accepts them and any __index__ object, and other values may
-    # not compare with ints at all
-    if countOf(map(type, chain.from_iterable(rows)), int) != n * n:
+    # not compare with ints at all; a bytes row holds exact ints already
+    typed = [r for r, row in zip(rows, table) if type(row) is not bytes]
+    if countOf(map(type, chain.from_iterable(typed)), int) != n * len(typed):
         raise _out_of_range(rows, n)
     if n <= 256:
         try:
-            rb = list(map(bytes, rows))
+            rb = [row if type(row) is bytes else bytes(r) for r, row in zip(rows, table)]
         except ValueError:                 # an entry outside [0, 256)
             raise _out_of_range(rows, n) from None
         whole = b"".join(rb)
@@ -719,8 +731,13 @@ def direct_summand_analysis(N: FiniteCommMonoid, M: Sequence[int],
     complement is the least kernel, in tuple order, that passes
     `internal_direct_sum_check`, and finding it takes the whole stream.  A
     retraction need not have a complement (`direct_sum_counterexamples`).
+    With M = N the only retraction is the identity, with kernel (0,), and
+    N = N (+) {0}: that is the stream's answer, returned without it.
     """
     Msub, incl = sub_as_monoid(N, M)
+    if incl.image == tuple(range(N.size)):
+        r = MonoidHom(N, Msub, incl.image)
+        return SummandAnalysis((0,), r, incl.compose(r))
     identity = identity_hom(Msub)
     first, kernels = None, set()
     for r in iter_homs(N, Msub, budget):

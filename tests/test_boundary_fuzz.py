@@ -1,8 +1,10 @@
-"""Fuzz tests of the input boundary: the JSON loader and the CLI argv.
+"""Fuzz tests of the input boundary: the JSON loader, `validate_monoid`'s
+rows and the CLI argv.
 
 Whatever arrives, the loader returns a validated monoid or raises a
-SemimodError, and `main` exits 0, 1 or 2, printing a message on stderr
-whenever it exits nonzero; no other exception escapes.
+SemimodError, a table answers the same whether its rows are lists or bytes,
+and `main` exits 0, 1 or 2, printing a message on stderr whenever it exits
+nonzero; no other exception escapes.
 """
 
 import io
@@ -17,13 +19,17 @@ from hypothesis import strategies as st
 
 from semimod.cli import main
 from semimod.core import (
+    CyclicMonoid,
     FiniteCommMonoid,
     SemimodError,
+    _product,
     cyclic_group,
     monoid_from_json,
     monoid_to_json,
     saturating_monoid,
+    small_monoid_corpus,
     trivial_monoid,
+    validate_monoid,
 )
 
 json_values = st.recursive(
@@ -52,6 +58,55 @@ def test_loader_accepts_or_rejects(data):
         return
     assert isinstance(M, FiniteCommMonoid)
     assert monoid_to_json(M)["add"] == data["add"]
+
+
+# monoids of order <= 6 whose tables the corruptions below start from
+MONOIDS = small_monoid_corpus(3) + [
+    *(CyclicMonoid(i, n - i).to_monoid(labels=False) for n in range(4, 7) for i in range(n)),
+    *(saturating_monoid(n) for n in range(4, 7)),
+    _product([cyclic_group(2), cyclic_group(2)]), _product([cyclic_group(2), saturating_monoid(3)])]
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A monoid's table as lists of ints, with up to three cells rewritten to
+    values in [0, 256): anywhere, in the identity's row or column, off the
+    diagonal on one side only, or on the diagonal."""
+    M = draw(st.sampled_from(MONOIDS))
+    n = M.size
+    table = [list(r) for r in M.add]
+    kind = draw(st.sampled_from(["cells", "identity", "commutativity", "diagonal"]))
+    where = {"cells": st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+             "identity": st.integers(0, n - 1).flatmap(
+                 lambda m: st.sampled_from([(0, m), (m, 0)])),
+             "commutativity": st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                 lambda c: c[0] != c[1]),
+             "diagonal": st.integers(0, n - 1).map(lambda a: (a, a))}[kind]
+    for a, b in draw(st.lists(where, max_size=3)):
+        table[a][b] = draw(st.integers(0, n - 1) | st.integers(n, 255))
+    labels = draw(st.none() | st.just([f"m{a}" for a in range(n)]))
+    return table, labels
+
+
+def validation_outcome(table, labels):
+    try:
+        M = validate_monoid(table, labels)
+    except SemimodError as e:
+        return type(e), str(e)
+    return M.add, M.gens, M.labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_tables(), st.data())
+def test_bytes_rows_validate_as_lists(case, data):
+    table, labels = case
+    as_bytes = data.draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table)))
+    outcome = validation_outcome(table, labels)
+    assert validation_outcome(list(map(bytes, table)), labels) == outcome
+    mixed = [bytes(r) if b else r for r, b in zip(table, as_bytes)]
+    assert validation_outcome(mixed, labels) == outcome
+    if not isinstance(outcome[0], type):
+        assert all(type(r) is tuple and all(type(v) is int for v in r) for r in outcome[0])
 
 
 def run_main(argv):

@@ -110,10 +110,12 @@ def test_cyclic_groups_and_saturating_monoids():
 
 
 def test_cyclic_monoids():
-    for size in range(1, 41):
-        for i in range(size):
-            for labels in (False, True):
-                assert_as_validated(CyclicMonoid(i, size - i).to_monoid(labels=labels))
+    # byte rows up to 256 elements, list rows above
+    cases = [(size, i) for size in range(1, 41) for i in range(size)]
+    cases += [(size, i) for size in (255, 256, 257, 300) for i in (0, 1, 40, size - 1)]
+    for size, i in cases:
+        for labels in (False, True):
+            assert_as_validated(CyclicMonoid(i, size - i).to_monoid(labels=labels))
 
 
 @pytest.mark.parametrize("build", [

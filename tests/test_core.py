@@ -101,6 +101,21 @@ class TestValidation:
                     validate_monoid(table)
                 assert str(e.value) == f"entry {bad} is not an integer in [0, {n})"
 
+    def test_out_of_range_beside_bytes_rows(self):
+        # bytes rows skip the type test, not the bound n: a bytes entry in
+        # [n, 256), and a bad entry in a list row among bytes rows, are named
+        # as in the list form
+        for n in (255, 256):
+            rows = [bytes(r) for r in cyclic_group(n).add]
+            bads = [(bad, [*rows[n - 1][:-1], bad]) for bad in (n, -1, True, 1.0)]
+            if n < 256:
+                bads.append((n, rows[n - 1][:-1] + bytes([n])))
+            for bad, last in bads:
+                for table in (rows[:-1] + [last], [list(r) for r in rows[:-1]] + [list(last)]):
+                    with pytest.raises(OutOfRange) as e:
+                        validate_monoid(table)
+                    assert str(e.value) == f"entry {bad!r} is not an integer in [0, {n})"
+
 
 class TestScalarAction:
     def test_zero_scalar(self):
@@ -722,7 +737,36 @@ class TestDirectSummand:
         for M in all_submonoids(N):
             searches.clear()
             direct_summand_analysis(N, M)
-            assert searches == [(N, len(M))]
+            # M = N needs no search: its only retraction is the identity
+            assert searches == ([] if len(M) == N.size else [(N, len(M))])
+
+    @staticmethod
+    def stream_analysis(N, M):
+        """The answer of the retraction stream, run to its end."""
+        Msub, incl = sub_as_monoid(N, M)
+        retractions = [r for r in iter_homs(N, Msub) if r.compose(incl) == identity_hom(Msub)]
+        kernels = sorted({tuple(x for x, v in enumerate(r.image) if v == 0) for r in retractions})
+        complement = next((S for S in kernels
+                           if internal_direct_sum_check(N, [incl.image, S]).is_internal_direct_sum), None)
+        first = retractions[0] if retractions else None
+        return core.SummandAnalysis(complement, first, incl.compose(first) if first else None)
+
+    def test_the_whole_monoid_is_answered_without_the_stream(self, monkeypatch):
+        for N in small_monoid_corpus(4):
+            M = tuple(N.elements())
+            a = direct_summand_analysis(N, M)
+            assert a == self.stream_analysis(N, M)
+            assert a.complement == (0,) and a.idempotent == identity_hom(N)
+
+        def stream(*args):
+            raise AssertionError("the hom stream ran")
+
+        # Sat4 x Sat4 has 160,000 endomorphisms, which the stream would read
+        monkeypatch.setattr(core, "iter_homs", stream)
+        S = saturating_monoid(4)
+        N = biproduct(S, S).monoid
+        a = direct_summand_analysis(N, reversed(range(N.size)), budget=0)
+        assert a.complement == (0,) and a.retraction.image == tuple(range(16))
 
     def test_complement_search_honours_the_budget(self, monkeypatch):
         # Sat22 -> {0, 1} takes 462 generator images; a retraction's kernel
