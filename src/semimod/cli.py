@@ -99,8 +99,7 @@ def cmd_coeq(args) -> int:
         print(json.dumps(q.to_json()) if args.json else "coequalizer: N0 (identity)")
         return 0
     if (cells := q.result.size ** 2) > budget:
-        raise BudgetExceeded(f"table of C({q.result.index},{q.result.period}) "
-                             f"has {cells} cells, budget {budget}")
+        raise BudgetExceeded("coeq table cells", cells, budget)
     c = q.result
     if args.json:
         # the bytes of json.dumps(q.to_json()), the table's rows sliced from one encoding

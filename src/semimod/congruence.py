@@ -71,7 +71,6 @@ class Congruence:
     carrier: FiniteCommMonoid
     # element -> smallest member of its class: rep[a] <= a and rep[rep[a]] == rep[a]
     rep: tuple[int, ...]
-    generators: tuple[tuple[int, int], ...] = ()
 
     def same(self, a: int, b: int) -> bool:
         return self.rep[a] == self.rep[b]
@@ -158,7 +157,7 @@ def congruence_closure(M: FiniteCommMonoid,
         if not (isinstance(p, (tuple, list)) and len(p) == 2
                 and all(type(v) is int and 0 <= v < M.size for v in p)):
             raise OutOfRange(f"pair {p!r} is not two integers in [0, {M.size})")
-    return Congruence(M, _closure(M.size, [M.add[x] for x in M.gens], pairs), pairs)
+    return Congruence(M, _closure(M.size, [M.add[x] for x in M.gens], pairs))
 
 
 def _checked_rep(M: FiniteCommMonoid, C: Congruence) -> tuple[int, ...]:
@@ -340,7 +339,7 @@ def enumerate_congruences(M: FiniteCommMonoid, budget: int = DEFAULT_BUDGET) -> 
     while len(row) < n and row[-1] <= budget:
         row = list(accumulate(row, initial=row[-1]))
     if row[-1] > budget:
-        raise BudgetExceeded(f"B({n}) set partitions exceed budget {budget}")
+        raise BudgetExceeded("congruence partitions", row[-1], budget)
     memo = _memo(M)
     if "congruences" in memo:
         return list(memo["congruences"])

@@ -83,7 +83,16 @@ class NotASubmonoid(SemimodError):
 
 
 class BudgetExceeded(SemimodError):
-    pass
+    def __init__(self, phase: str, spent: int, limit: int):
+        super().__init__(f"{phase}: {spent} exceeds budget {limit}")
+        self.phase, self.spent, self.limit = phase, spent, limit
+
+
+def _require_ints(*values) -> None:
+    """`OutOfRange` for the first value that is not an exact int (a bool is not)."""
+    for v in values:
+        if type(v) is not int:
+            raise OutOfRange(f"{v!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -235,6 +244,7 @@ class FiniteCommMonoid:
 
     def orbit(self, m: int) -> CyclicMonoid:
         """<m> as C(i, p), by walking 0, m, 2m, ... along row m to the first repeat."""
+        _require_ints(m)
         if not 0 <= m < self.size:
             raise OutOfRange(f"element {m} out of range")
         row = self.add[m]
@@ -247,6 +257,7 @@ class FiniteCommMonoid:
 
     def scalar(self, k: int, m: int) -> int:
         """k*m = m + ... + m (k times), by doubling: O(log k) table reads."""
+        _require_ints(k, m)
         if not 0 <= m < self.size:
             raise OutOfRange(f"element {m} out of range")
         if k < 0:
@@ -592,7 +603,7 @@ def iter_homs(M: FiniteCommMonoid, N: FiniteCommMonoid,
         tried[j] = v
         spent += 1
         if spent > budget:
-            raise BudgetExceeded("hom enumeration budget exhausted")
+            raise BudgetExceeded("hom images tried", spent, budget)
         for e, t in define[j]:
             image[t] = nadd[image[e]][v]
         for e, x, t in check[j]:
@@ -757,6 +768,7 @@ class NatVec:
 
     @staticmethod
     def of(mapping: Mapping) -> "NatVec":
+        _require_ints(*mapping.values())
         items = tuple(sorted((x, k) for x, k in mapping.items() if k != 0))
         for _, k in items:
             if k < 0:

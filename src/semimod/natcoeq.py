@@ -37,16 +37,14 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from .core import BudgetExceeded, CyclicMonoid, OutOfRange, SemimodError, _well_formed
+from .core import (DEFAULT_BUDGET, BudgetExceeded, CyclicMonoid, OutOfRange, SemimodError,
+                   _require_ints, _well_formed)
 from . import semiideal as _semiideal
-from .semiideal import _require_ints
 
 
 class BoundCapExceeded(BudgetExceeded):
-    def __init__(self, candidate: "CyclicMonoid", cap: int):
-        super().__init__(
-            f"certificate B would touch numbers above the bound cap {cap}; "
-            f"unverified candidate C({candidate.index},{candidate.period})")
+    def __init__(self, candidate: CyclicMonoid, spent: int, cap: int):
+        super().__init__("certificate B reach", spent, cap)
         self.candidate = candidate
         self.cap = cap
 
@@ -146,7 +144,7 @@ def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
     seeds = sorted(set(seeds))
     top = max(a for a, _ in seeds)
     if top + p > bound_cap:         # the walk ends at floor + p >= top + p
-        raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
+        raise BoundCapExceeded(CyclicMonoid(i, p), top + p, bound_cap)
     climb: list[ChainStep] = []
     at = i
     while at < top:
@@ -176,19 +174,20 @@ def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
         if not todo[2]:
             del side[j]
     if peak > bound_cap:
-        raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
+        raise BoundCapExceeded(CyclicMonoid(i, p), peak, bound_cap)
     descent = [(v + p, u + p, s, k + p) for u, v, s, k in reversed(climb)]
     return climb + walk + descent, peak
 
 
 def nat_congruence_quotient(pairs: Iterable[tuple[int, int]],
-                            bound_cap: int = 10**6) -> NatQuotient:
+                            bound_cap: int = DEFAULT_BUDGET) -> NatQuotient:
     """Quotient of the naturals by the congruence generated by the pairs.
 
     The pairs may be any iterable; they are read once, and each must be a
     list or tuple of two integers >= 0 (else `OutOfRange`).  Certificate B
     touches no number above bound_cap, an integer >= 0 (else `OutOfRange`,
-    checked first); if it would, this raises BoundCapExceeded.
+    checked first, `DEFAULT_BUDGET` by default); if it would, this raises
+    `BoundCapExceeded` for the unverified candidate, phase "certificate B reach".
     """
     if type(bound_cap) is not int or bound_cap < 0:
         raise OutOfRange(f"bound cap {bound_cap!r} is not an integer >= 0")
@@ -212,7 +211,7 @@ def nat_congruence_quotient(pairs: Iterable[tuple[int, int]],
     return q
 
 
-def coequalizer_nat(a: int, b: int, bound_cap: int = 10**6) -> NatQuotient:
+def coequalizer_nat(a: int, b: int, bound_cap: int = DEFAULT_BUDGET) -> NatQuotient:
     """Coequalizer of the multiplication maps a* and b* on the naturals.
 
     The single seed pair (a, b) generates the whole congruence: the pair

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import DEFAULT_BUDGET, BudgetExceeded, OutOfRange, SemimodError
+from .core import DEFAULT_BUDGET, BudgetExceeded, OutOfRange, SemimodError, _require_ints
 
 
 class EmptyIdeal(SemimodError):
@@ -25,13 +25,6 @@ class EmptyIdeal(SemimodError):
 
 class NotDivisible(SemimodError):
     pass
-
-
-def _require_ints(*values) -> None:
-    """`OutOfRange` for the first value that is not an exact int (a bool is not)."""
-    for v in values:
-        if type(v) is not int:
-            raise OutOfRange(f"{v!r} is not an integer")
 
 
 class Semiideal:
@@ -82,10 +75,8 @@ class Semiideal:
             return self._apery
         self._require_nonempty()
         a, *rest = self._scaled
-        if a * len(self._scaled) > self._budget:
-            raise BudgetExceeded(
-                f"Apéry table of {a} residues for {len(self._scaled)} generators "
-                f"exceeds budget {self._budget}")
+        if (steps := a * len(self._scaled)) > self._budget:
+            raise BudgetExceeded("Apéry table steps", steps, self._budget)
         unreached = float("inf")
         ap = [0] + [unreached] * (a - 1)
         minimal = [a]

@@ -24,8 +24,8 @@ row x of A, and the same translation check that `quotient` runs is applied
 to the result.  The rest is done in the quotient T: the generator rows give
 T's translations, which build T's table by a walk of T's Cayley graph from 0
 (Froidure-Pin) and the pure tensors along B's spanning tree.  The budget
-counts the k |X_A| |A|^k row cells before building them, and the |T|^2
-table cells before building the table.
+counts the k |X_A| |A|^k row cells before building them (phase "tensor row
+cells"), and the |T|^2 cells before building the table ("tensor table cells").
 
 Both sides of the universal property are checked over generating sets.
 A map f: M x N -> A is balanced when it satisfies the zero laws and is
@@ -148,9 +148,9 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     """M (x) N as the coequalizer M^Y / <x.s ~ x.t>, or N^X / <y.u ~ y.v>,
     over the generator rows of the power A^k, whose table is never built.
 
-    Raises `BudgetExceeded` before building the rows when their
-    k |X_A| |A|^k cells exceed the budget, and before building the quotient
-    table when its |T|^2 cells do.
+    Raises `BudgetExceeded`, phase "tensor row cells", before building the
+    rows when their k |X_A| |A|^k cells exceed the budget, and "tensor table
+    cells" before building the quotient table when its |T|^2 cells do.
 
     The result is remembered on M for this very N (by identity, since T's
     numbering depends on the generating sets).  A later call with the same
@@ -162,11 +162,12 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     n, k, g = A.size, len(B.gens), len(A.gens)
     cells = k * g * n ** k
     if cells > budget:
-        raise BudgetExceeded(f"generator rows of {cells} cells exceed budget {budget}")
+        raise BudgetExceeded("tensor row cells", cells, budget)
     # the tensors remembered on M, by the identity of N
     memo = _memo(M)
     if (hit := memo.get(("tensor", id(N)))) is not None:
-        _table_budget(hit.monoid.size, budget)
+        if (cells := hit.monoid.size ** 2) > budget:
+            raise BudgetExceeded("tensor table cells", cells, budget)
         return hit
     PB = B.presentation
     stride = [n ** (k - 1 - j) for j in range(k)]
@@ -184,7 +185,8 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     if (bad := _translation_failure(rows, rep)) is not None:
         raise SemimodError(f"internal error: tensor congruence not closed at {bad}")
     reps = sorted(set(rep))
-    _table_budget(len(reps), budget)
+    if (cells := len(reps) ** 2) > budget:
+        raise BudgetExceeded("tensor table cells", cells, budget)
     index = {r: i for i, r in enumerate(reps)}
     nu = list(map(index.__getitem__, rep))
     # T's translations by the generators; walk T's Cayley graph from 0, row
@@ -214,12 +216,6 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
         raise SemimodError(f"internal error: tensor table not balanced at {witness}")
     memo["tensor", id(N)] = out
     return out
-
-
-def _table_budget(size: int, budget: int) -> None:
-    """Raise `BudgetExceeded` when a quotient table of |T|^2 cells exceeds the budget."""
-    if size * size > budget:
-        raise BudgetExceeded(f"quotient table of {size * size} cells exceeds budget {budget}")
 
 
 def balanced_check(M: FiniteCommMonoid, N: FiniteCommMonoid,
@@ -311,9 +307,8 @@ def enumerate_balanced_maps(M: FiniteCommMonoid, N: FiniteCommMonoid,
                             A: FiniteCommMonoid) -> list[tuple[tuple[int, ...], ...]]:
     """All balanced maps M x N -> A, by filtering the full function space."""
     cells = [(m, n) for m in range(1, M.size) for n in range(1, N.size)]
-    if A.size ** len(cells) > DEFAULT_BUDGET:
-        raise BudgetExceeded(
-            f"{A.size}^{len(cells)} candidate maps exceed budget {DEFAULT_BUDGET}")
+    if (maps := A.size ** len(cells)) > DEFAULT_BUDGET:
+        raise BudgetExceeded("balanced map candidates", maps, DEFAULT_BUDGET)
     out = []
     for values in product(range(A.size), repeat=len(cells)):
         f = [[0] * N.size for _ in range(M.size)]
@@ -348,7 +343,7 @@ def tensor_with_free(M: FiniteCommMonoid, X: Sequence) -> tuple[FiniteCommMonoid
         raise SemimodError(f"label {max(X, key=X.count)!r} is repeated")
     cells = M.size ** (2 * len(X))
     if cells > DEFAULT_BUDGET:
-        raise BudgetExceeded(f"power table of {cells} cells exceeds budget {DEFAULT_BUDGET}")
+        raise BudgetExceeded("free power cells", cells, DEFAULT_BUDGET)
     P = _product([M] * len(X))
 
     def pure(m: int, x) -> int:

@@ -344,8 +344,9 @@ class TestHoms:
     def test_budget_counts_generator_images(self):
         Z12 = cyclic_group(12)
         assert len(enumerate_homs(Z12, Z12, budget=12)) == 12
-        with pytest.raises(BudgetExceeded, match="^hom enumeration budget exhausted$"):
+        with pytest.raises(BudgetExceeded, match="^hom images tried: 12 exceeds budget 11$") as e:
             enumerate_homs(Z12, Z12, budget=11)
+        assert (e.value.phase, e.value.spent, e.value.limit) == ("hom images tried", 12, 11)
 
 
 def enumerate_homs_oracle(M, N):
@@ -408,7 +409,7 @@ def enumerate_homs_recursive(M, N, budget=core.DEFAULT_BUDGET, out=None):
         for v in range(N.size):
             spent += 1
             if spent > budget:
-                raise BudgetExceeded("hom enumeration budget exhausted")
+                raise BudgetExceeded("hom images tried", spent, budget)
             for e, t in define[j]:
                 image[t] = nadd[image[e]][v]
             for e, x, t in check[j]:
@@ -438,8 +439,10 @@ def test_iter_homs_matches_the_recursive_backtracking():
         assert enumerate_homs(M, N, budget=spent) == want
         if not spent:                      # the trivial M has no generator to image
             continue
-        with pytest.raises(BudgetExceeded, match="^hom enumeration budget exhausted$"):
+        with pytest.raises(BudgetExceeded,
+                           match=f"^hom images tried: {spent} exceeds budget {spent - 1}$") as e:
             enumerate_homs(M, N, budget=spent - 1)
+        assert (e.value.phase, e.value.spent, e.value.limit) == ("hom images tried", spent, spent - 1)
 
 
 def test_edges_are_grouped_by_letter_once_and_only_for_hom_searches():
@@ -857,11 +860,21 @@ Z2, Z3, Z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
     (lambda: kernel_pair(identity_hom(Z2)).pairing(identity_hom(Z2), zero_hom(Z2, Z2)),
      SemimodError, r"^the pair \(g, h\) does not land in the relation$"),
     (lambda: tensor_with_free(cyclic_group(11), range(3)),
-     BudgetExceeded, "^power table of 1771561 cells exceeds budget"),
+     BudgetExceeded, "^free power cells: 1771561 exceeds budget 1000000$"),
     (lambda: Z3.orbit(3), OutOfRange, "^element 3 out of range$"),
     (lambda: Z3.orbit(-1), OutOfRange, "^element -1 out of range$"),
     (lambda: Z3.scalar(2, 3), OutOfRange, "^element 3 out of range$"),
     (lambda: Z3.scalar(-1, 1), OutOfRange, "^scalar must be nonnegative$"),
+    # exact ints only: a float, a string or a bool is refused, not indexed or compared
+    (lambda: Z3.orbit(1.0), OutOfRange, r"^1\.0 is not an integer$"),
+    (lambda: Z3.orbit("a"), OutOfRange, "^'a' is not an integer$"),
+    (lambda: Z3.orbit(True), OutOfRange, "^True is not an integer$"),
+    (lambda: Z3.scalar(2, 1.0), OutOfRange, r"^1\.0 is not an integer$"),
+    (lambda: Z3.scalar(1.5, 1), OutOfRange, r"^1\.5 is not an integer$"),
+    (lambda: NatVec.of({"x": 1.5}), OutOfRange, r"^1\.5 is not an integer$"),
+    (lambda: NatVec.of({"x": "a"}), OutOfRange, "^'a' is not an integer$"),
+    (lambda: free_universal_map(["x"], {"x": 1}, Z3)(NatVec((("x", 1.5),))),
+     OutOfRange, r"^1\.5 is not an integer$"),
     (lambda: hom_check(Z2, Z3, (0,)), OutOfRange, "^image table length mismatch$"),
 ])
 def test_library_boundaries_raise(call, error, message):

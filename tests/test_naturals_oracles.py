@@ -180,7 +180,7 @@ def certificate_b_by_generators(seeds, i, p, bound_cap):
     seeds = sorted(set(seeds))
     top = max(a for a, _ in seeds)
     if top + p > bound_cap:
-        raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
+        raise BoundCapExceeded(CyclicMonoid(i, p), top + p, bound_cap)
     climb = []
     at = i
     while at < top:
@@ -201,7 +201,7 @@ def certificate_b_by_generators(seeds, i, p, bound_cap):
         if not todo[seed]:
             del todo[seed]
     if peak > bound_cap:
-        raise BoundCapExceeded(CyclicMonoid(i, p), bound_cap)
+        raise BoundCapExceeded(CyclicMonoid(i, p), peak, bound_cap)
     descent = [(v + p, u + p, s, k + p) for u, v, s, k in reversed(climb)]
     return climb + walk + descent, peak
 
@@ -210,7 +210,7 @@ def certificate_outcome(certify, seeds, i, p, bound_cap):
     try:
         return certify(seeds, i, p, bound_cap)
     except BoundCapExceeded as e:
-        return type(e), str(e), e.candidate, e.cap
+        return type(e), str(e), e.candidate, e.phase, e.spent, e.limit, e.cap
 
 
 def test_certificate_b_walk_matches_the_generator_scan():

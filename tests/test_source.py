@@ -108,3 +108,36 @@ def test_only_core_memo_touches_a_monoids_memo():
                 or (isinstance(node, ast.Attribute) and node.attr == "__dict__")
                 or (isinstance(node, ast.Constant) and node.value == "_memo")}
     assert touching == {"core._memo"}
+
+
+
+def _million(node) -> bool:
+    """Whether node is the literal 10**6 or 1000000."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return [getattr(node.left, "value", None), getattr(node.right, "value", None)] == [10, 6]
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 10**6
+
+
+def test_every_budget_refusal_is_built_from_phase_spent_and_limit():
+    """`BudgetExceeded` builds the one message from (phase, spent, limit), so a
+    raise site passes exactly three positional values and writes no message of
+    its own; `tensor._table_budget` stays gone; and the one default budget is
+    `DEFAULT_BUDGET`, the only literal 10**6."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        default = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["DEFAULT_BUDGET"]]
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            name = getattr(getattr(node, "func", None), "id",
+                           getattr(getattr(node, "func", None), "attr", None))
+            if (isinstance(node, ast.Call) and name in ("BudgetExceeded", "BoundCapExceeded")
+                    and (len(node.args) != 3 or node.keywords
+                         or any(isinstance(a, ast.Starred) for a in node.args))):
+                found.append(f"{where} {name}(...)")
+            elif isinstance(node, ast.FunctionDef) and node.name == "_table_budget":
+                found.append(f"{where} def _table_budget")
+            elif _million(node) and not any(node is d for d in default):
+                found.append(f"{where} 10**6")
+    assert found == []

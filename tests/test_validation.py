@@ -105,7 +105,7 @@ def all_submonoids(M, budget=DEFAULT_BUDGET):
     found = set()
     nonzero = [m for m in M.elements() if m != 0]
     if 1 << len(nonzero) > budget:
-        raise BudgetExceeded(f"2^{len(nonzero)} subsets exceed budget {budget}")
+        raise BudgetExceeded("submonoid subsets", 1 << len(nonzero), budget)
     for mask in range(1 << len(nonzero)):
         gens = [nonzero[i] for i in range(len(nonzero)) if mask >> i & 1]
         found.add(core.submonoid_generated(M, gens))
