@@ -102,11 +102,11 @@ def cmd_coeq(args) -> int:
         raise BudgetExceeded("coeq table cells", cells, budget)
     c = q.result
     if args.json:
-        # the bytes of json.dumps(q.to_json()), the table's rows sliced from one encoding
-        fields = {k: json.dumps(v) for k, v in q._json_fields(None).items()}
-        digits = list(map(str, range(c.size)))
-        fields["table"] = "[[" + "], [".join(c.joined_rows(digits, ", ")) + "]]"
-        print("{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}")
+        # the bytes of json.dumps(q.to_json()): one encoding with a null table,
+        # whose first '"table": null' (after two ints) takes the joined rows
+        head, tail = json.dumps(q._json_fields(None)).split('"table": null', 1)
+        rows = "], [".join(c.joined_rows(list(map(str, range(c.size))), ", "))
+        print(f'{head}"table": [[{rows}]]{tail}')
     else:
         print(f"coequalizer: C(index={c.index}, period={c.period}), {c.size} classes")
         print(render_table(c.to_monoid(), args.ascii, c.joined_rows))
@@ -199,53 +199,72 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parsing leaves it unchanged."""
+def build_parser() -> _Parser:
+    """The parser, built once per process; parsing leaves it unchanged.
+
+    Its `commands` maps each command name to that command's own parser.
+    """
     p = _Parser(prog="semimod")
     sub = p.add_subparsers(dest="command", required=True)
+    p.commands = {}
 
-    s = sub.add_parser("semiideal", help="period, footing, and canonical generators")
+    def command(name, func, help):
+        s = p.commands[name] = sub.add_parser(name, help=help)
+        s.set_defaults(func=func)
+        return s
+
+    s = command("semiideal", cmd_semiideal, "period, footing, and canonical generators")
     s.add_argument("generators", type=int, nargs="+")
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_semiideal)
 
-    s = sub.add_parser("coeq", help="coequalizer of two multiplication maps on N0")
+    s = command("coeq", cmd_coeq, "coequalizer of two multiplication maps on N0")
     s.add_argument("a", type=int)
     s.add_argument("b", type=int)
     s.add_argument("--naive", action="store_true",
                    help="census of the one-step relation instead")
     s.add_argument("--json", action="store_true")
     s.add_argument("--ascii", action="store_true", help="plain cN labels")
-    s.set_defaults(func=cmd_coeq)
 
-    s = sub.add_parser("quotient", help="quotient of a monoid file by generated pairs")
+    s = command("quotient", cmd_quotient, "quotient of a monoid file by generated pairs")
     s.add_argument("monoid")
     s.add_argument("pairs", type=int, nargs="*", help="flat list a1 b1 a2 b2 ...")
     s.add_argument("--json", action="store_true")
     s.add_argument("--ascii", action="store_true")
-    s.set_defaults(func=cmd_quotient)
 
-    s = sub.add_parser("tensor", help="tensor product of two monoid files")
+    s = command("tensor", cmd_tensor, "tensor product of two monoid files")
     s.add_argument("monoid_m")
     s.add_argument("monoid_n")
     s.add_argument("--check-coherence", action="store_true")
     s.add_argument("--budget", type=int, default=None)
     s.add_argument("--json", action="store_true")
-    s.set_defaults(func=cmd_tensor)
 
-    s = sub.add_parser("monoid-check", help="validate a monoid JSON file")
+    s = command("monoid-check", cmd_monoid_check, "validate a monoid JSON file")
     s.add_argument("file")
-    s.set_defaults(func=cmd_monoid_check)
 
-    s = sub.add_parser("verify", help="run an acceptance suite")
+    s = command("verify", cmd_verify, "run an acceptance suite")
     s.add_argument("suite", choices=list(acceptance.SUITES))
-    s.set_defaults(func=cmd_verify)
 
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line (by default sys.argv[1:]); its exit code.
+
+    When argv[0] names a command, only that command's parser reads argv[1:]
+    (one argparse pass); any other argv goes to the full parser.  Arguments
+    left over are refused by the full parser, so both routes print and exit
+    alike.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.func(args)
     except BudgetExceeded as e:

@@ -7,7 +7,8 @@ representation: `_light_bytes` on byte rows up to 256 elements, one
 `bytes.translate` per x in X, and `_light_rows` above.  Rows given as
 `bytes` skip the per-entry type test, since their entries are ints by
 construction; C(i, p) is validated from byte slices of its projections
-that way (`CyclicMonoid.to_monoid`).  A table derived from
+that way (`CyclicMonoid.to_monoid`), and so is a file's table when its
+JSON text can hold no bool (`load_monoid`).  A table derived from
 validated monoids, checked integer arguments or a checked congruence (a
 quotient) is a monoid by construction and is built by `_built` unchecked.
 Every monoid keeps X as `gens`, and builds a `Presentation` over it on
@@ -762,14 +763,23 @@ def direct_summand_analysis(N: FiniteCommMonoid, M: Sequence[int],
 
 @dataclass(frozen=True)
 class NatVec:
-    """Finitely supported map from generator labels to positive multiplicities."""
+    """Finitely supported map from generator labels to positive multiplicities.
+
+    The coordinates are ordered by the label's type name, then by label, so
+    labels of different types never compare and equal vectors have equal
+    coordinates.
+    """
 
     coords: tuple[tuple[object, int], ...]
 
     @staticmethod
     def of(mapping: Mapping) -> "NatVec":
         _require_ints(*mapping.values())
-        items = tuple(sorted((x, k) for x, k in mapping.items() if k != 0))
+        try:
+            items = tuple(sorted(((x, k) for x, k in mapping.items() if k != 0),
+                                 key=lambda xk: (type(xk[0]).__name__, xk[0])))
+        except TypeError:
+            raise OutOfRange("labels of one type must be comparable") from None
         for _, k in items:
             if k < 0:
                 raise OutOfRange("multiplicities must be nonnegative")
@@ -890,8 +900,31 @@ def monoid_from_json(data: dict) -> FiniteCommMonoid:
 
 
 def load_monoid(path: str) -> FiniteCommMonoid:
+    """The monoid of a JSON file, or the error, as `monoid_from_json` gives it.
+
+    A text with no letter t or f holds no JSON true or false (the keys
+    size, add and labels have neither letter), so `bytes()` takes exactly
+    the ints in [0, 256) of its lists.  Then an `add` of at most 256 lists
+    goes to `validate_monoid` as byte rows, which skip the per-entry type
+    test, unless `bytes()` refuses a row.
+    """
     with open(path) as fh:
-        return monoid_from_json(json.load(fh))
+        text = fh.read()
+    data = json.loads(text)
+    if "t" not in text and "f" not in text and type(data) is dict:
+        data["add"] = _as_byte_rows(data.get("add"))
+    del text                      # so that validation does not keep it alive
+    return monoid_from_json(data)
+
+
+def _as_byte_rows(add):
+    """add as byte rows if it is at most 256 lists that `bytes()` takes, else add."""
+    if type(add) is list and len(add) <= 256 and all(type(r) is list for r in add):
+        try:
+            return list(map(bytes, add))
+        except (TypeError, ValueError):
+            pass
+    return add
 
 
 # --- handy standard tables -------------------------------------------------

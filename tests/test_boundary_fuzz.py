@@ -4,12 +4,14 @@ rows and the CLI argv.
 Whatever arrives, the loader returns a validated monoid or raises a
 SemimodError, a table answers the same whether its rows are lists or bytes,
 and `main` exits 0, 1 or 2, printing a message on stderr whenever it exits
-nonzero; no other exception escapes.
+nonzero; no other exception escapes.  A file loads as its parsed JSON
+does, and `main` prints and exits as a full parse of every argv does.
 """
 
 import io
 import json
 import os
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -17,13 +19,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semimod.cli import main
+from semimod import core
+from semimod.cli import build_parser, main
 from semimod.core import (
+    BudgetExceeded,
     CyclicMonoid,
     FiniteCommMonoid,
     SemimodError,
     _product,
     cyclic_group,
+    load_monoid,
     monoid_from_json,
     monoid_to_json,
     saturating_monoid,
@@ -88,9 +93,10 @@ def corrupted_tables(draw):
     return table, labels
 
 
-def validation_outcome(table, labels):
+def outcome(build, *args):
+    """build(*args)'s monoid as (add, gens, labels), or its error's class and message."""
     try:
-        M = validate_monoid(table, labels)
+        M = build(*args)
     except SemimodError as e:
         return type(e), str(e)
     return M.add, M.gens, M.labels
@@ -101,19 +107,19 @@ def validation_outcome(table, labels):
 def test_bytes_rows_validate_as_lists(case, data):
     table, labels = case
     as_bytes = data.draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table)))
-    outcome = validation_outcome(table, labels)
-    assert validation_outcome(list(map(bytes, table)), labels) == outcome
+    expected = outcome(validate_monoid, table, labels)
+    assert outcome(validate_monoid, list(map(bytes, table)), labels) == expected
     mixed = [bytes(r) if b else r for r, b in zip(table, as_bytes)]
-    assert validation_outcome(mixed, labels) == outcome
-    if not isinstance(outcome[0], type):
-        assert all(type(r) is tuple and all(type(v) is int for v in r) for r in outcome[0])
+    assert outcome(validate_monoid, mixed, labels) == expected
+    if not isinstance(expected[0], type):
+        assert all(type(r) is tuple and all(type(v) is int for v in r) for r in expected[0])
 
 
-def run_main(argv):
+def run_main(argv, entry=main):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(argv)
+            code = entry(argv)
         except SystemExit as e:     # argparse: usage errors and --help
             code = e.code
     return code, out.getvalue(), err.getvalue()
@@ -173,3 +179,125 @@ tokens = (st.integers(-3, 40).map(str)
 @example(command="coeq", args=["0", "--", "--"])    # argparse leaves b = []
 def test_cli_random_argv(files, command, args):
     check_exit([command] + [files[a] if isinstance(a, int) else a for a in args])
+
+
+# --- a file loads as its parsed JSON does -----------------------------------
+
+# tables of 255, 256 and 257 rows, on both sides of the byte-row limit
+BIG = [cyclic_group(255), cyclic_group(256), CyclicMonoid(2, 254).to_monoid(labels=False),
+       cyclic_group(257), CyclicMonoid(3, 254).to_monoid(labels=False)]
+
+
+@st.composite
+def monoid_texts(draw):
+    """JSON text of a monoid file with up to three cells, a row, the labels or
+    the size rewritten: to bools, floats (NaN among them), null, strings,
+    entries in [n, 256), at least 256 or negative; or any JSON at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(any_json))
+    M = draw(st.sampled_from(MONOIDS + BIG))
+    n = M.size
+    table = [list(r) for r in M.add]
+    cell = (st.integers(0, n - 1) | st.integers(n, max(n, 255)) | st.integers(256, 300)
+            | st.integers(-3, -1) | st.booleans() | st.floats() | st.none() | st.text(max_size=2))
+    for _ in range(draw(st.integers(0, 3))):
+        table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(cell)
+    if draw(st.integers(0, 9)) == 0:
+        table[draw(st.integers(0, n - 1))] = draw(json_values)
+    data = {"size": draw(st.just(n) | st.integers(-1, 300) | st.booleans()), "add": table}
+    prefix = draw(st.sampled_from([None, "m", "t", "f"]))
+    if prefix is not None:
+        data["labels"] = [f"{prefix}{a}" for a in range(n)]
+    return json.dumps(data)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("load") / "m.json")
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=monoid_texts())
+@example(text='{"size": 2, "add": [[0, 1], [1, true]]}')
+@example(text='{"size": 2, "add": [[0, 1], [1, NaN]]}')
+@example(text='{"size": 2, "add": [[0, 1], [1, 1.0]]}')
+@example(text='{"size": 2, "add": [[0, 1], [1, 2]]}')
+@example(text='{"size": 2, "add": [[0, 1], [1, 256]]}')
+@example(text='{"size": 2, "add": [[0, 1], [1, -1]]}')
+@example(text='{"size": 3, "add": [[0, 1], [1, 0], 3]}')
+def test_load_monoid_reads_a_file_as_its_parsed_json(scratch_file, text):
+    with open(scratch_file, "w") as fh:
+        fh.write(text)
+    assert outcome(load_monoid, scratch_file) == outcome(monoid_from_json, json.loads(text))
+
+
+@pytest.mark.parametrize("data, row_type", [
+    (monoid_to_json(cyclic_group(5)), bytes),
+    (monoid_to_json(cyclic_group(256)), bytes),
+    ({"size": 3, "add": [[0, 1, 2], [1, 0, 2], [2, 2, 3]]}, bytes),   # an entry in [n, 256)
+    ({"size": 2, "add": [[0, 1], [1, True]]}, list),
+    ({"size": 2, "add": [[0, 1], [1, 0]], "labels": ["a", "t"]}, list),
+    ({"size": 2, "add": [[0, 1], [1, 0]], "labels": ["a", "f"]}, list),
+    ({"size": 2, "add": [[0, 1], [1, 0.0]]}, list),
+    ({"size": 2, "add": [[0, 1], [1, 256]]}, list),
+    (monoid_to_json(cyclic_group(257)), list),
+])
+def test_load_monoid_gives_byte_rows_only_to_bool_free_files(tmp_path, monkeypatch,
+                                                            data, row_type):
+    received = []
+
+    def recording(table, labels=None):
+        received.append({type(r) for r in table})
+        return validate_monoid(table, labels)
+
+    monkeypatch.setattr(core, "validate_monoid", recording)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    try:
+        load_monoid(str(path))
+    except SemimodError:
+        pass
+    assert received == [{row_type}]
+
+
+# --- main answers as a full parse of every argv does ------------------------
+
+def main_by_full_parse(argv=None) -> int:
+    """`main` with every argv read by the full parser, the oracle of its dispatch."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except BudgetExceeded as e:
+        print(f"budget exceeded: {e}", file=sys.stderr)
+        return 2
+    except (SemimodError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["semiideal", "coeq", "quotient", "tensor", "monoid-check",
+                                "coeqq", "-h", "--help", "--"]) | tokens,
+       args=st.lists(tokens | st.integers(0, 7), max_size=6))
+@example(command="coeq", args=["0", "--", "--"])
+@example(command="coeq", args=["1", "2", "extra"])
+@example(command="coeq", args=["1", "2", "--json", "--", "3"])
+def test_main_answers_as_the_full_parser(files, command, args):
+    argv = [command] + [files[a] if isinstance(a, int) else a for a in args]
+    assert run_main(argv) == run_main(argv, main_by_full_parse), argv
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["coeq", "--help"], ["coeq", "--", "5", "3"],
+    ["coeq", "1", "--js", "2"], ["coeqq", "1", "2"], ["coeq", "2", "3", "--json", "4"],
+    ["semiideal"], ["verify", "nothing"], ["verify", "--help"],
+])
+def test_main_answers_as_the_full_parser_on_known_argv(argv):
+    assert run_main(argv) == run_main(argv, main_by_full_parse)
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["coeq", "2", "3", "--json"], ["coeqq", "1"],
+                                  ["semiideal", "4", "6", "x"]])
+def test_main_reads_sys_argv_by_default(monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["semimod", *argv])
+    assert run_main(None) == run_main(None, main_by_full_parse) == run_main(argv)

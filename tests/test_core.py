@@ -820,6 +820,19 @@ class TestFreeVectors:
         u, v = NatVec.of({"x": 2}), NatVec.of({"x": 1, "y": 4})
         assert g(u + v) == M.plus(g(u), g(v))
 
+    def test_labels_of_mixed_types(self):
+        assert NatVec.of({1: 1, "a": 1}) == NatVec.of({"a": 1, 1: 1})
+        u, v = NatVec.unit(1), NatVec.unit("a")
+        assert u + v == v + u == NatVec.of({1: 1, "a": 1})
+        g = free_universal_map([1, "a"], {1: 1, "a": 2}, C42)
+        assert g(u + v) == g(v + u) == C42.plus(1, 2)
+
+    def test_labels_of_one_type_that_do_not_compare(self):
+        with pytest.raises(OutOfRange, match="labels of one type must be comparable"):
+            NatVec.of({1j: 1, 2j: 1})
+        with pytest.raises(OutOfRange):
+            NatVec.unit(1j) + NatVec.unit(2j)
+
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
