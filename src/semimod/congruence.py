@@ -5,12 +5,13 @@ element, so the quotient carries a well-defined addition.  Translation by
 a sum is a composite of translations by its terms, so an equivalence
 closed under translation by a generating set X is already a congruence.
 Everything here uses the greedy generating set X every monoid keeps
-(`FiniteCommMonoid.gens`): every generated congruence, Bourne's included,
-comes from one union-find worklist that, whenever two classes merge,
-re-examines their translates by X only; one closure test compares each
-element with one member of its class under each x in X, O(n |X|), and
-`quotient` runs it instead of validating the table it builds; and the
-coequalizer of f, g seeds f(y) ~ g(y) for y in the source's X only.
+(`FiniteCommMonoid.gens`): every generated relation, Bourne's, the
+tensor's and `naive_congruence`'s included, closes in `_closure`, the one
+union-find worklist, which re-examines the translates by X only of two
+classes that merge; one closure test compares each element with one
+member of its class under each x in X, O(n |X|), and `quotient` runs it
+instead of validating the table it builds; and the coequalizer of f, g
+seeds f(y) ~ g(y) for y in the source's X only.
 """
 
 from __future__ import annotations
@@ -43,27 +44,6 @@ class NotACongruence(SemimodError):
     def __init__(self, a: int, x: int):
         super().__init__(f"{a} + {x} is not related to rep[{a}] + {x}: not a congruence")
         self.witness = (a, x)
-
-
-class UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra  # keep the smaller index as representative
-        return True
 
 
 @dataclass(frozen=True)
@@ -119,26 +99,36 @@ def _closure(size: int, rows: Sequence[Sequence[int]],
              pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
     """The smallest-member map of the least equivalence on range(size) that
     contains the pairs and is closed under each row (a translation by a
-    generator).
+    generator); with no rows, the equivalence the pairs generate.
+
+    Its union-find is a parent list under two rules: a union hangs the
+    larger root under the smaller, and find halves the path it walks, so
+    each root is its class's smallest member and no parent exceeds its
+    child.  In increasing order each parent then already maps to its root.
 
     Every merge of a pair (a, b) pushes its translates (row[a], row[b]),
     except those that merge nothing: a pair of equal translates, and the
     pair itself (row[a] = a and row[b] = b), which most translates of a
     merge in Sat_n are.
     """
-    uf = UnionFind(size)
+    parent = list(range(size))
     work = list(pairs)
     while work:
         a, b = work.pop()
-        if uf.union(a, b):
+        ra, rb = a, b
+        while parent[ra] != ra:
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            parent[rb] = ra
             work.extend((row[a], row[b]) for row in rows
                         if row[a] != row[b] and (row[a] != a or row[b] != b))
-    # roots are the smallest members and parents never exceed their children,
-    # so in increasing order each parent already points at its root
-    rep = uf.parent
-    for a, p in enumerate(rep):
-        rep[a] = rep[p]
-    return tuple(rep)
+    for a, p in enumerate(parent):
+        parent[a] = parent[p]
+    return tuple(parent)
 
 
 def identity_congruence(M: FiniteCommMonoid) -> Congruence:
@@ -255,19 +245,19 @@ def naive_congruence(f: MonoidHom, g: MonoidHom) -> Congruence:
     """m ~ m' iff m + f(n) + g(n') = m' + f(n') + g(n) for some n, n'.
 
     Computed by exhaustive enumeration over the finite source once f and g
-    are parallel and pass `hom_check`; the relation is then a congruence,
-    which is re-checked.
+    are parallel and pass `hom_check`: the related pairs close through
+    `_closure` with no rows.  The relation is then a congruence, which is
+    re-checked.
     """
     _require_parallel(f, g)
     for h in (f, g):
         hom_check(h.source, h.target, h.image)
     M = f.target
     N = f.source
-    uf = UnionFind(M.size)
-    for m, m2, n, n2 in product(M.elements(), M.elements(), N.elements(), N.elements()):
-        if M.sum([m, f.image[n], g.image[n2]]) == M.sum([m2, f.image[n2], g.image[n]]):
-            uf.union(m, m2)
-    C = Congruence(M, tuple(map(uf.find, M.elements())))
+    pairs = ((m, m2) for m, m2 in product(M.elements(), repeat=2)
+             if any(M.sum([m, f.image[n], g.image[n2]]) == M.sum([m2, f.image[n2], g.image[n]])
+                    for n, n2 in product(N.elements(), repeat=2)))
+    C = Congruence(M, _closure(M.size, (), pairs))
     if not C.is_translation_closed():
         raise SemimodError("internal error: the relation is not translation-closed")
     return C

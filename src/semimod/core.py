@@ -906,11 +906,18 @@ def load_monoid(path: str) -> FiniteCommMonoid:
     size, add and labels have neither letter), so `bytes()` takes exactly
     the ints in [0, 256) of its lists.  Then an `add` of at most 256 lists
     goes to `validate_monoid` as byte rows, which skip the per-entry type
-    test, unless `bytes()` refuses a row.
+    test, unless `bytes()` refuses a row.  Nesting past the recursion limit,
+    or an int longer than `sys.get_int_max_str_digits()`, raises
+    `SemimodError`.
     """
     with open(path) as fh:
         text = fh.read()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as e:
+        raise SemimodError(f"{path}: cannot decode: {e}") from None
     if "t" not in text and "f" not in text and type(data) is dict:
         data["add"] = _as_byte_rows(data.get("add"))
     del text                      # so that validation does not keep it alive

@@ -387,6 +387,26 @@ def test_malformed_table_exits_1(tmp_path, capsys, command, data):
         assert err.startswith("invalid: ")
 
 
+# past the interpreter's limits: json.loads raises RecursionError on deep
+# nesting and a plain ValueError on an integer of too many digits
+LIMIT_TEXTS = {
+    "deep": "[" * 5000,
+    "long-int": '{"size": 2, "add": [[0, 1], [1, ' + "9" * 5000 + "]]}",
+}
+
+
+@pytest.mark.parametrize("text", LIMIT_TEXTS.values(), ids=LIMIT_TEXTS.keys())
+@pytest.mark.parametrize("command", ["monoid-check", "quotient", "tensor"])
+def test_file_past_the_decoders_limits_exits_1(tmp_path, capsys, command, text):
+    p = tmp_path / "m.json"
+    p.write_text(text)
+    argv = {"monoid-check": [str(p)], "quotient": [str(p), "0", "1"],
+            "tensor": [str(p), str(p)]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "cannot decode" in err and "Traceback" not in err
+
+
 def test_undecodable_file_exits_1(tmp_path, capsys):
     p = tmp_path / "m.json"
     p.write_bytes(b"\xff\xfe{")

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from semimod import congruence
 from semimod.congruence import (
     Congruence,
     HypothesisFails,
     NotACongruence,
-    UnionFind,
     _class_label,
+    _closure,
     bourne_congruence,
     chain_congruence,
     coequalizer_finite,
@@ -54,7 +55,8 @@ from semimod.core import (
 from semimod.natcoeq import CyclicMonoid
 from semimod.tensor import tensor_product
 
-from test_validation import all_submonoids, commutative_tables, family_table, fresh, relabel
+from test_validation import (RelabellingUnionFind, all_submonoids, commutative_tables,
+                             equivalence_of_pairs, family_table, fresh, relabel)
 
 C42 = CyclicMonoid(4, 2).to_monoid(labels=False)
 # every labelled commutative monoid table of order <= 4
@@ -72,7 +74,7 @@ def set_partitions(n, rep=()):
 
 def closure_over_all_elements(M, pairs) -> tuple[int, ...]:
     """Reference closure: every merge pushes the translates by all n elements."""
-    uf = UnionFind(M.size)
+    uf = RelabellingUnionFind(M.size)
     work = list(pairs)
     while work:
         a, b = work.pop()
@@ -84,7 +86,7 @@ def closure_over_all_elements(M, pairs) -> tuple[int, ...]:
 def closure_over_all_translates(M, pairs) -> tuple[int, ...]:
     """Reference closure: every merge pushes every unequal translate by M.gens,
     the pair itself included."""
-    uf = UnionFind(M.size)
+    uf = RelabellingUnionFind(M.size)
     rows = [M.add[x] for x in M.gens]
     work = list(pairs)
     while work:
@@ -104,7 +106,7 @@ def cubic_translation_closed(C) -> bool:
 
 def bourne_by_pairs(M, K) -> tuple[int, ...]:
     """Reference Bourne relation: union m, m' whenever m + a = m' + b for a, b in K."""
-    uf = UnionFind(M.size)
+    uf = RelabellingUnionFind(M.size)
     for m in M.elements():
         for m2 in M.elements():
             if any(M.add[m][a] == M.add[m2][b] for a in K for b in K):
@@ -286,6 +288,18 @@ class TestClosure:
         M = validate_monoid(data.draw(monoid_tables))
         seeds = data.draw(st.lists(element_pairs(M.size), min_size=1, max_size=3))
         assert congruence_closure(M, seeds).rep == closure_over_all_elements(M, seeds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(element_pairs(n), max_size=2 * n))))
+    @example((3, [(0, 1)]))
+    @example((3, [(2, 1), (1, 0)]))
+    @example((3, [(1, 2), (0, 2)]))
+    def test_with_no_rows_is_the_equivalence_the_pairs_generate(self, size_pairs):
+        # the closure naive_congruence runs; its smallest-member read-off
+        # needs each union to hang the larger root under the smaller
+        size, pairs = size_pairs
+        assert _closure(size, (), pairs) == equivalence_of_pairs(size, pairs)
 
 
 class TestTranslationClosed:
@@ -504,6 +518,32 @@ class TestChainAndNaive:
         f, g = (zero_hom(cyclic_group(m), cyclic_group(n)) for m, n in zip(sources, targets))
         with pytest.raises(SemimodError, match=message):
             naive_congruence(f, g)
+
+    def test_naive_closes_its_relation_through_the_closure_with_no_rows(self, monkeypatch):
+        calls = []
+
+        def recording(size, rows, pairs):
+            calls.append((size, rows))
+            return _closure(size, rows, pairs)
+
+        monkeypatch.setattr(congruence, "_closure", recording)
+        N = saturating_monoid(3)
+        assert naive_congruence(identity_hom(N), identity_hom(N)).num_classes() == 1
+        assert calls == [(3, ())]
+
+    def test_naive_matches_the_pairwise_union(self):
+        # the reference unions m, m' for every witness n, n' on its own union-find
+        for M in small_monoid_corpus(3):
+            for N in small_monoid_corpus(2):
+                for f in enumerate_homs(N, M):
+                    for g in enumerate_homs(N, M):
+                        uf = RelabellingUnionFind(M.size)
+                        for m, m2, n, n2 in itertools.product(M.elements(), M.elements(),
+                                                              N.elements(), N.elements()):
+                            if (M.sum([m, f.image[n], g.image[n2]])
+                                    == M.sum([m2, f.image[n2], g.image[n]])):
+                                uf.union(m, m2)
+                        assert naive_congruence(f, g).rep == tuple(map(uf.find, M.elements()))
 
     def test_naive_contains_seed_pairs(self):
         M, N = C42, cyclic_group(2)

@@ -7,7 +7,7 @@ import pytest
 
 from semimod import core
 from semimod.cli import main
-from semimod.congruence import UnionFind, congruence_closure
+from semimod.congruence import congruence_closure
 from semimod.core import BudgetExceeded, OutOfRange, SemimodError
 from semimod.natcoeq import (
     BoundCapExceeded,
@@ -19,6 +19,8 @@ from semimod.natcoeq import (
     nat_congruence_quotient,
 )
 from semimod.semiideal import EmptyIdeal, Semiideal
+
+from test_validation import RelabellingUnionFind
 
 C42_TABLE = [
     [0, 1, 2, 3, 4, 5],
@@ -219,7 +221,7 @@ def naive_classes_by_witness_search(a, b, probe_limit):
     {0..probe_limit}, merging m and m' when some n, n' < W witness
     m + an + bn' = m' + an' + bn."""
     W = probe_limit + max(a, b) + 2
-    uf = UnionFind(probe_limit + 1)
+    uf = RelabellingUnionFind(probe_limit + 1)
     for m in range(probe_limit + 1):
         for m2 in range(m + 1, probe_limit + 1):
             if any(m + a * n + b * n2 == m2 + a * n2 + b * n

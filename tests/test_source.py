@@ -110,6 +110,17 @@ def test_only_core_memo_touches_a_monoids_memo():
     assert touching == {"core._memo"}
 
 
+def test_no_module_defines_a_union_find_class():
+    """The library's one union-find is the parent list inside
+    `congruence._closure`: no class has both a find and a union method."""
+    found = [f"{path.name}:{node.lineno} {node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.ClassDef)
+             and {"find", "union"} <= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}]
+    assert found == []
+    assert not hasattr(semimod.congruence, "UnionFind")
+
 
 def _million(node) -> bool:
     """Whether node is the literal 10**6 or 1000000."""

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semimod import tensor
-from semimod.congruence import UnionFind, congruence_closure, quotient
+from semimod.congruence import congruence_closure, quotient
 from semimod.core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -51,7 +51,7 @@ from semimod.tensor import (
     tensor_with_free,
     universal_factorization,
 )
-from test_validation import fresh, relabel, words
+from test_validation import RelabellingUnionFind, equivalence_of_pairs, fresh, relabel, words
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -173,9 +173,9 @@ def saturate(pres: PresentedCommMonoid, budget: int):
     def step(c: int, j: int) -> int:
         return c + (wrap[j] if c // stride[j] % radix[j] == radix[j] - 1 else stride[j])
 
-    # UnionFind keeps the smallest code of a class as its root, so the root
+    # RelabellingUnionFind finds the smallest code of a class, so the root
     # is the class's lex-least vector
-    uf = UnionFind(vol)
+    uf = RelabellingUnionFind(vol)
     work = [(encode(a), encode(b)) for a, b in pres.relations]
     while work:
         a, b = work.pop()
@@ -537,14 +537,6 @@ class TestPowerTableOracle:
                             lambda size, rows, pairs: equivalence_of_pairs(size, pairs))
         with pytest.raises(SemimodError, match="internal error: tensor congruence not closed"):
             tensor_product(SAT3, SAT3)
-
-
-def equivalence_of_pairs(size, pairs):
-    """The smallest-member map of the equivalence the pairs generate, untranslated."""
-    uf = UnionFind(size)
-    for a, b in pairs:
-        uf.union(a, b)
-    return tuple(map(uf.find, range(size)))
 
 
 class TestBudgets:

@@ -112,6 +112,44 @@ def all_submonoids(M, budget=DEFAULT_BUDGET):
     return sorted(found)
 
 
+class RelabellingUnionFind:
+    """The union-find of the reference closures, sharing no code with
+    `congruence._closure`: each element carries its class's label, and each
+    label its members and their least.  A union relabels the smaller class,
+    so each element is relabelled O(log n) times, and find(x) is the
+    smallest member of x's class."""
+
+    def __init__(self, n):
+        self.label = list(range(n))
+        self.members = [[x] for x in range(n)]
+        self.least = list(range(n))
+
+    def find(self, x):
+        return self.least[self.label[x]]
+
+    def union(self, a, b) -> bool:
+        """Merge the classes of a and b; False if they were one class."""
+        keep, gone = self.label[a], self.label[b]
+        if keep == gone:
+            return False
+        if len(self.members[keep]) < len(self.members[gone]):
+            keep, gone = gone, keep
+        for x in self.members[gone]:
+            self.label[x] = keep
+        self.members[keep] += self.members[gone]
+        self.members[gone] = []
+        self.least[keep] = min(self.least[keep], self.least[gone])
+        return True
+
+
+def equivalence_of_pairs(size, pairs):
+    """The smallest-member map of the equivalence the pairs generate, untranslated."""
+    uf = RelabellingUnionFind(size)
+    for a, b in pairs:
+        uf.union(a, b)
+    return tuple(map(uf.find, range(size)))
+
+
 @st.composite
 def corrupted_family_tables(draw):
     family = draw(st.sampled_from(["Z", "Sat", "C"]))
