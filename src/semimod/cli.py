@@ -20,6 +20,7 @@ from .core import (
     BudgetExceeded,
     FiniteCommMonoid,
     SemimodError,
+    _echo,
     load_monoid,
     monoid_to_json,
 )
@@ -34,7 +35,7 @@ def _budget(args) -> int:
         try:
             budget = int(env)
         except ValueError:
-            raise SemimodError(f"SEMIMOD_BUDGET={env!r} is not an integer") from None
+            raise SemimodError(f"SEMIMOD_BUDGET={_echo(env)} is not an integer") from None
     if budget < 0:
         raise SemimodError(f"budget {budget} is negative")
     return budget

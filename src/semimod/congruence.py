@@ -25,11 +25,12 @@ from .core import (
     BudgetExceeded,
     FiniteCommMonoid,
     MonoidHom,
-    NotASubmonoid,
     OutOfRange,
     SemimodError,
     _built,
+    _echo,
     _memo,
+    _submonoid,
     hom_check,
 )
 
@@ -146,7 +147,7 @@ def congruence_closure(M: FiniteCommMonoid,
     for p in pairs:
         if not (isinstance(p, (tuple, list)) and len(p) == 2
                 and all(type(v) is int and 0 <= v < M.size for v in p)):
-            raise OutOfRange(f"pair {p!r} is not two integers in [0, {M.size})")
+            raise OutOfRange(f"pair {_echo(p)} is not two integers in [0, {M.size})")
     return Congruence(M, _closure(M.size, [M.add[x] for x in M.gens], pairs))
 
 
@@ -156,7 +157,7 @@ def _checked_rep(M: FiniteCommMonoid, C: Congruence) -> tuple[int, ...]:
     rep = C.rep
     if len(rep) != M.size or not all(type(r) is int and 0 <= r <= a and rep[r] == r
                                      for a, r in enumerate(rep)):
-        raise OutOfRange(f"{rep!r} is not the smallest-member map of a partition of {M.size}")
+        raise OutOfRange(f"{_echo(rep)} is not the smallest-member map of a partition of {M.size}")
     if (bad := _translation_failure([M.add[x] for x in M.gens], rep)) is not None:
         a, j = bad
         raise NotACongruence(a, M.gens[j])
@@ -269,10 +270,7 @@ def bourne_congruence(M: FiniteCommMonoid, K: Sequence[int]) -> Congruence:
     It is the congruence the pairs k ~ 0 generate: any congruence with
     k ~ 0 on K relates m ~ m + a = m' + b ~ m'.
     """
-    K = tuple(K)
-    if not M.is_submonoid(K):
-        raise NotASubmonoid(f"{K} is not a submonoid")
-    return congruence_closure(M, [(k, 0) for k in sorted(K)])
+    return congruence_closure(M, [(k, 0) for k in _submonoid(M, K)])
 
 
 def zero_class(C: Congruence) -> tuple[int, ...]:

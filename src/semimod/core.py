@@ -4,7 +4,9 @@ Element 0 is always the identity.  A table from outside goes through
 `validate_monoid`, which checks associativity by Light's test over a greedy
 generating set X (O(n^2 |X|), not O(n^3)), by one kernel per
 representation: `_light_bytes` on byte rows up to 256 elements, one
-`bytes.translate` per x in X, and `_light_rows` above.  Rows given as
+`bytes.translate` per x in X, and `_light_rows` above.  One additive
+closure, `_close`, grows X's span and `submonoid_generated`'s, from a
+bytearray of members up to 256 elements and from a set above.  Rows given as
 `bytes` skip the per-entry type test, since their entries are ints by
 construction; C(i, p) is validated from byte slices of its projections
 that way (`CyclicMonoid.to_monoid`), and so is a file's table when its
@@ -34,6 +36,7 @@ memo while any of them lives.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, product
@@ -80,7 +83,9 @@ class NotAdditive(SemimodError):
 
 
 class NotASubmonoid(SemimodError):
-    pass
+    def __init__(self, message: str, witness: Optional[tuple[int, int]] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class BudgetExceeded(SemimodError):
@@ -89,11 +94,22 @@ class BudgetExceeded(SemimodError):
         self.phase, self.spent, self.limit = phase, spent, limit
 
 
+_REPR = reprlib.Repr()
+_REPR.maxother = 100          # a default repr, <module.Class object at 0x...>, stays whole
+
+
+def _echo(value) -> str:
+    """repr(value) for a message, cut short by `reprlib` (long ints, strings and
+    deep or long containers), and to its two ends past 100 characters."""
+    text = _REPR.repr(value)
+    return text if len(text) <= 100 else f"{text[:48]}...{text[-49:]}"
+
+
 def _require_ints(*values) -> None:
     """`OutOfRange` for the first value that is not an exact int (a bool is not)."""
     for v in values:
         if type(v) is not int:
-            raise OutOfRange(f"{v!r} is not an integer")
+            raise OutOfRange(f"{_echo(v)} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -117,9 +133,9 @@ class CyclicMonoid:
 
     def _projections(self) -> list[int]:
         """The projections of 0..2(i + p) - 2, whose slice seq[a:a + size] is row a."""
-        if not _well_formed(self):
-            raise OutOfRange(f"C({self.index!r},{self.period!r}) needs integers i >= 0, p >= 1")
         i, p = self.index, self.period
+        if not _well_formed(self):
+            raise OutOfRange(f"C({_echo(i)},{_echo(p)}) needs integers i >= 0, p >= 1")
         return [*range(i), *(i + t % p for t in range(i + 2 * p - 1))]
 
     def _rows(self) -> list[list[int]]:
@@ -271,80 +287,62 @@ class FiniteCommMonoid:
         return acc
 
     def is_submonoid(self, subset: Iterable[int]) -> bool:
-        members = list(subset)     # distinct ints in [0, size), with 0, closed under +
-        return (all(type(m) is int and 0 <= m < self.size for m in members)
-                and len(s := set(members)) == len(members)
-                and 0 in s and all(self.add[a][b] in s for a in s for b in s))
+        try:
+            return bool(_submonoid(self, subset))
+        except NotASubmonoid:
+            return False
 
 
-def _generating_set(table: Sequence[Sequence[int]]) -> list[int]:
+def _generating_set(rows: Sequence[Sequence[int]]) -> list[int]:
     """Greedy generating set of a commutative table with identity 0.
 
     Walks the elements in ascending order and keeps each one that the
-    closure of the kept ones (under +, with 0) does not yet contain.  The
-    closure grows by a worklist: a popped element is added to every member
-    present at that time, and a later member meets it when that member is
-    popped, so each pair is summed at most twice, O(n^2) in total.  The
-    walk stops as soon as the closure holds every element.  The closure of
-    the kept ones does not depend on the order of the worklist, so neither
-    does X.  Up to 256 elements the members are bytes (`_generating_set_bytes`),
-    above that a set (`_generating_set_sets`).
+    closure of the kept ones (under +, with 0) does not yet contain, growing
+    that closure by `_close` from the new generator.  The closure of the
+    kept ones does not depend on the order of the worklist, so neither does
+    X.  Up to 256 elements the members are a bytearray, above that a set.
     """
-    if len(table) <= 256:
-        return _generating_set_bytes(table)
-    return _generating_set_sets(table)
+    members = bytearray(1) if len(rows) <= 256 else {0}
+    gens = []
+    for e in range(1, len(rows)):
+        if e not in members:
+            gens.append(e)
+            _close(rows, members, [e])
+    return gens
 
 
-def _generating_set_bytes(rows: Sequence[Sequence[int]]) -> list[int]:
-    """`_generating_set` on bytes (n <= 256), each popped element at C speed.
+def _close(rows: Sequence[Sequence[int]], members: bytearray | set[int], work: list[int]):
+    """Add `work`, distinct elements outside `members`, to `members`, a subset
+    closed under + with 0, and close the result under + in place; returns it.
 
-    The members are a bytearray: translating it through the popped
-    element's row, as bytes padded to 256, gives its sums with every
-    member, and deleting the members from those leaves the new ones.  Only
-    popped rows become bytes; a row that already is one is not copied.
+    A popped element is added to every member present then, and a later
+    member meets it when that member is popped: each pair of new members is
+    summed at most twice, and no pair of old ones.  It stops once every
+    element is a member.  A bytearray (n <= 256) translated through the
+    popped row, padded to 256 bytes, gives the sums, less the members the
+    new ones (a bytes row is not copied); a set maps the row over itself.
     """
     n = len(rows)
-    members = bytearray(1)                 # b"\0": the identity
-    gens = []
-    for e in range(1, n):
-        if e in members:
-            continue
-        gens.append(e)
-        members.append(e)
-        work = [e]
+    if type(members) is bytearray:
+        members.extend(work)
         while work and len(members) < n:
             row = bytes(rows[work.pop()]).ljust(256, b"\0")
             fresh = set(members.translate(row).translate(None, members))
             members.extend(fresh)
             work.extend(fresh)
-    return gens
-
-
-def _generating_set_sets(table: Sequence[Sequence[int]]) -> list[int]:
-    """`_generating_set` with the members in a set: the path for n > 256."""
-    n = len(table)
-    inside = {0}
-    members = [0]
-    gens = []
-    for e in range(1, n):
-        if e in inside:
-            continue
-        gens.append(e)
-        inside.add(e)
-        members.append(e)
-        work = [e]
+    else:
+        members.update(work)
         while work and len(members) < n:
-            row = table[work.pop()]
-            fresh = set(map(row.__getitem__, members)) - inside
-            inside |= fresh
-            members.extend(fresh)
+            row = rows[work.pop()]
+            fresh = set(map(row.__getitem__, members)) - members
+            members |= fresh
             work.extend(fresh)
-    return gens
+    return members
 
 
 def _out_of_range(rows, n) -> OutOfRange:
     v = next(v for v in chain.from_iterable(rows) if type(v) is not int or not 0 <= v < n)
-    return OutOfRange(f"entry {v!r} is not an integer in [0, {n})")
+    return OutOfRange(f"entry {_echo(v)} is not an integer in [0, {n})")
 
 
 def _light_rows(rows: Sequence[Sequence[int]], gens: Iterable[int]) -> None:
@@ -466,17 +464,12 @@ def validate_monoid(table: Sequence[Sequence[int]],
                 raise NotCommutative(m, next(m2 for m2 in range(m + 1, n)
                                              if rows[m][m2] != col[m2]))
     if n <= 256:
-        gens = _generating_set_bytes(rb)
+        gens = _generating_set(rb)
         _light_bytes(rb, whole, gens)
     else:
-        gens = _generating_set_sets(rows)
+        gens = _generating_set(rows)
         _light_rows(rows, gens)
-    return FiniteCommMonoid(
-        size=n,
-        add=rows,
-        labels=tuple(labels) if labels is not None else None,
-        gens=tuple(gens),
-    )
+    return FiniteCommMonoid(n, rows, tuple(labels) if labels is not None else None, tuple(gens))
 
 
 def _built(rows: Iterable[Sequence[int]], labels=None) -> FiniteCommMonoid:
@@ -555,7 +548,7 @@ def hom_check(M: FiniteCommMonoid, N: FiniteCommMonoid,
         raise OutOfRange("image table length mismatch")
     for v in image:
         if type(v) is not int or not 0 <= v < N.size:
-            raise OutOfRange(f"image value {v!r} is not an integer in [0, {N.size})")
+            raise OutOfRange(f"image value {_echo(v)} is not an integer in [0, {N.size})")
     if image[0] != 0:
         raise IdentityNotPreserved("f(0) != 0")
     bad = _additivity_failure(M, N, image)
@@ -651,35 +644,43 @@ def biproduct(M: FiniteCommMonoid, N: FiniteCommMonoid) -> Biproduct:
 
 
 def submonoid_generated(M: FiniteCommMonoid, subset: Iterable[int]) -> tuple[int, ...]:
-    """Closure of subset plus {0} under the addition table; each member must
-    be an int in [0, |M|) (else `OutOfRange`)."""
+    """Closure of subset plus {0} under the addition table, by `_close` from
+    {0}; each member must be an int in [0, |M|) (else `OutOfRange`)."""
     subset = list(subset)
     if not all(type(m) is int and 0 <= m < M.size for m in subset):
         raise _out_of_range([subset], M.size)
-    closed = {0} | set(subset)
-    work = list(closed)
-    while work:
-        a = work.pop()
-        for b in list(closed):
-            s = M.add[a][b]
-            if s not in closed:
-                closed.add(s)
-                work.append(s)
-    return tuple(sorted(closed))
+    members = bytearray(1) if M.size <= 256 else {0}
+    return tuple(sorted(_close(M.add, members, list(set(subset) - {0}))))
+
+
+def _submonoid(M: FiniteCommMonoid, subset: Iterable[int]) -> tuple[int, ...]:
+    """subset as a sorted tuple if it is a submonoid of M, else `NotASubmonoid`
+    for its first failure: an entry that is not an int in [0, |M|), a
+    repeated entry, no 0, or a sum a + b outside it (the witness (a, b), a
+    then b least)."""
+    subset = list(subset)
+    if not all(type(m) is int and 0 <= m < M.size for m in subset):
+        raise NotASubmonoid(*_out_of_range([subset], M.size).args)
+    if len(seen := set(subset)) < len(subset):
+        m = next(m for i, m in enumerate(subset) if m in subset[:i])
+        raise NotASubmonoid(f"entry {m} is repeated")
+    if 0 not in seen:
+        raise NotASubmonoid("0 is not an entry")
+    members = sorted(seen)
+    pick = itemgetter(0, *members)         # row a at 0 is a, a member; always a tuple
+    if not all(map(seen.issuperset, map(pick, map(M.add.__getitem__, members)))):
+        a, b = next((a, b) for a in members for b in members if M.add[a][b] not in seen)
+        raise NotASubmonoid(f"{a} + {b} = {M.add[a][b]} is not an entry", (a, b))
+    return tuple(members)
 
 
 def sub_as_monoid(M: FiniteCommMonoid, subset: Sequence[int]) -> tuple[FiniteCommMonoid, MonoidHom]:
     """Present a submonoid as a monoid in its own right, with its inclusion."""
-    subset = tuple(subset)
-    if not M.is_submonoid(subset):
-        raise NotASubmonoid(f"{subset} is not closed or lacks 0")
-    subset = tuple(sorted(subset))
+    subset = _submonoid(M, subset)
     pos = {m: i for i, m in enumerate(subset)}
-    table = [[pos[M.add[a][b]] for b in subset] for a in subset]
-    labels = tuple(M.label(m) for m in subset) if M.labels else None
-    S = _built(table, labels)
-    incl = MonoidHom(S, M, subset)
-    return S, incl
+    S = _built([[pos[M.add[a][b]] for b in subset] for a in subset],
+               tuple(M.label(m) for m in subset) if M.labels else None)
+    return S, MonoidHom(S, M, subset)
 
 
 @dataclass(frozen=True)
@@ -701,11 +702,7 @@ def internal_direct_sum_check(M: FiniteCommMonoid,
     The verdict separates the necessary conditions (sum and independence)
     from the decisive one: uniqueness of decompositions.
     """
-    subs = [tuple(s) for s in subsets]
-    for i, s in enumerate(subs):
-        if not M.is_submonoid(s):
-            raise NotASubmonoid(f"subset #{i} is not a submonoid")
-    subs = [tuple(sorted(s)) for s in subs]
+    subs = [_submonoid(M, s) for s in subsets]
 
     decomps: dict[int, list[tuple[int, ...]]] = {m: [] for m in M.elements()}
     for combo in product(*subs):
@@ -810,16 +807,16 @@ def free_universal_map(X: Sequence, f: Mapping, M: FiniteCommMonoid) -> Callable
     """The unique additive map from free vectors over X into M extending f."""
     for x in X:
         if x not in f:
-            raise OutOfRange(f"f has no value at {x!r}")
+            raise OutOfRange(f"f has no value at {_echo(x)}")
         if type(f[x]) is not int or not 0 <= f[x] < M.size:
-            raise OutOfRange(f"f({x!r}) out of range")
+            raise OutOfRange(f"f({_echo(x)}) out of range")
     fx = {x: f[x] for x in X}              # f restricted to X
 
     def g(vec: NatVec) -> int:
         acc = 0
         for x, k in vec.coords:
             if x not in fx:
-                raise OutOfRange(f"unknown label {x!r}")
+                raise OutOfRange(f"unknown label {_echo(x)}")
             acc = M.add[acc][M.scalar(k, fx[x])]
         return acc
 
@@ -943,12 +940,12 @@ def trivial_monoid() -> FiniteCommMonoid:
 def cyclic_group(n: int) -> FiniteCommMonoid:
     """Z/n, the cyclic monoid C(0, n)."""
     if type(n) is not int or n < 1:
-        raise OutOfRange(f"Z/n needs an integer n >= 1, not {n!r}")
+        raise OutOfRange(f"Z/n needs an integer n >= 1, not {_echo(n)}")
     return _built(CyclicMonoid(0, n)._rows())
 
 
 def saturating_monoid(n: int) -> FiniteCommMonoid:
     """{0, 1, ..., n-1} under a + b = max(a, b); every element is idempotent."""
     if type(n) is not int or n < 1:
-        raise OutOfRange(f"Sat_n needs an integer n >= 1, not {n!r}")
+        raise OutOfRange(f"Sat_n needs an integer n >= 1, not {_echo(n)}")
     return _built([[max(a, b) for b in range(n)] for a in range(n)])

@@ -38,7 +38,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .core import (DEFAULT_BUDGET, BudgetExceeded, CyclicMonoid, OutOfRange, SemimodError,
-                   _require_ints, _well_formed)
+                   _echo, _require_ints, _well_formed)
 from . import semiideal as _semiideal
 
 
@@ -190,12 +190,12 @@ def nat_congruence_quotient(pairs: Iterable[tuple[int, int]],
     `BoundCapExceeded` for the unverified candidate, phase "certificate B reach".
     """
     if type(bound_cap) is not int or bound_cap < 0:
-        raise OutOfRange(f"bound cap {bound_cap!r} is not an integer >= 0")
+        raise OutOfRange(f"bound cap {_echo(bound_cap)} is not an integer >= 0")
     all_pairs = []
     for pair in pairs:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
                 or not all(type(v) is int and v >= 0 for v in pair)):
-            raise OutOfRange(f"pair {pair!r} is not two integers >= 0")
+            raise OutOfRange(f"pair {_echo(pair)} is not two integers >= 0")
         all_pairs.append((min(pair), max(pair)))
     norm = [(a, b) for a, b in all_pairs if a != b]
     if not norm:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional, Sequence
 
-from .core import DEFAULT_BUDGET, BudgetExceeded, OutOfRange, SemimodError, _require_ints
+from .core import DEFAULT_BUDGET, BudgetExceeded, OutOfRange, SemimodError, _echo, _require_ints
 
 
 class EmptyIdeal(SemimodError):
@@ -39,7 +39,8 @@ class Semiideal:
         try:
             items = iter(generators)
         except TypeError:
-            raise OutOfRange(f"generators {generators!r} are not an iterable of integers") from None
+            raise OutOfRange(f"generators {_echo(generators)} are not an iterable "
+                             "of integers") from None
         generators = tuple(items)
         _require_ints(*generators)
         if any(g < 0 for g in generators):

@@ -80,6 +80,7 @@ from .core import (
     SemimodError,
     _additivity_failure,
     _built,
+    _echo,
     _memo,
     _out_of_range,
     _product,
@@ -340,7 +341,7 @@ def tensor_with_free(M: FiniteCommMonoid, X: Sequence) -> tuple[FiniteCommMonoid
     X = list(X)
     stride = {x: M.size ** (len(X) - 1 - j) for j, x in enumerate(X)}
     if len(stride) < len(X):
-        raise SemimodError(f"label {max(X, key=X.count)!r} is repeated")
+        raise SemimodError(f"label {_echo(max(X, key=X.count))} is repeated")
     cells = M.size ** (2 * len(X))
     if cells > DEFAULT_BUDGET:
         raise BudgetExceeded("free power cells", cells, DEFAULT_BUDGET)
@@ -348,7 +349,7 @@ def tensor_with_free(M: FiniteCommMonoid, X: Sequence) -> tuple[FiniteCommMonoid
 
     def pure(m: int, x) -> int:
         if x not in stride:
-            raise SemimodError(f"{x!r} is not in the label set")
+            raise SemimodError(f"{_echo(x)} is not in the label set")
         return m * stride[x]
 
     return P, pure

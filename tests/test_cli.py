@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semimod
 from semimod import acceptance, semiideal
 from semimod.cli import main, render_table
 from semimod.congruence import enumerate_congruences, quotient
@@ -405,6 +410,47 @@ def test_file_past_the_decoders_limits_exits_1(tmp_path, capsys, command, text):
     code, out, err = run(capsys, command, *argv)
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "cannot decode" in err and "Traceback" not in err
+
+
+# values that decode, so that validation echoes them: an entry of 4,000 digits
+# (under int()'s limit) and an entry nested 900 deep (under the recursion limit)
+LONG_VALUE_TEXTS = {
+    "4000-digits": '{"size": 2, "add": [[0, 1], [1, ' + "9" * 4000 + "]]}",
+    "900-deep": '{"size": 2, "add": [[0, 1], [1, ' + "[" * 900 + "]" * 900 + "]]}",
+}
+
+
+def long_value_argvs(tmp_path):
+    """monoid-check, quotient and tensor on each long-value file, and quotient
+    of Z/3 by a pair with a 4,000-digit entry."""
+    z3 = tmp_path / "z3.json"
+    z3.write_text(json.dumps(monoid_to_json(validate_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))))
+    argvs = [["quotient", str(z3), "0", "9" * 4000]]
+    for name, text in LONG_VALUE_TEXTS.items():
+        p = tmp_path / f"{name}.json"
+        p.write_text(text)
+        argvs += [["monoid-check", str(p)], ["quotient", str(p), "0", "1"],
+                  ["tensor", str(p), str(p)]]
+    return argvs
+
+
+def test_long_values_are_echoed_short(tmp_path, capsys):
+    for argv in long_value_argvs(tmp_path):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err, argv[0]
+        assert err.count("\n") == 1 and len(err.encode()) < 300, (argv[0], len(err))
+        assert "is not" in err and ("99..." in err or "[[[[..." in err), err
+
+
+def test_long_values_are_echoed_short_through_the_module(tmp_path):
+    src = str(Path(semimod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argvs = long_value_argvs(tmp_path)
+    for argv in (argvs[0], argvs[1], argvs[4]):   # quotient by a long pair, monoid-check of each
+        done = subprocess.run([sys.executable, "-m", "semimod.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1 and done.stdout == "", argv[0]
+        assert "Traceback" not in done.stderr and len(done.stderr.encode()) < 300, done.stderr
 
 
 def test_undecodable_file_exits_1(tmp_path, capsys):

@@ -600,6 +600,35 @@ class TestSubmonoids:
         with pytest.raises(NotASubmonoid):
             direct_summand_analysis(M, subset)
 
+    @pytest.mark.parametrize("subset, message, witness", [
+        ([0, 3], "entry 3 is not an integer in [0, 3)", None),
+        ([0, True], "entry True is not an integer in [0, 3)", None),
+        ([0, int("9" * 4000)], f"entry {'9' * 18}...{'9' * 19} is not an integer in [0, 3)",
+         None),
+        ([0, 1, 2, 1], "entry 1 is repeated", None),
+        ([1, 2], "0 is not an entry", None),
+        ([0, 1], "1 + 1 = 2 is not an entry", (1, 1)),
+    ])
+    def test_each_failure_of_a_submonoid_is_named(self, subset, message, witness):
+        # one check behind every caller: the first failure, a long entry cut
+        # short, and a sum outside the subset with its witness
+        M = cyclic_group(3)
+        calls = [lambda: sub_as_monoid(M, subset), lambda: bourne_congruence(M, subset),
+                 lambda: internal_direct_sum_check(M, [list(M.elements()), subset]),
+                 lambda: direct_summand_analysis(M, subset)]
+        for call in calls:
+            with pytest.raises(NotASubmonoid) as e:
+                call()
+            assert str(e.value) == message and e.value.witness == witness
+        assert not M.is_submonoid(subset)
+
+    def test_the_witness_is_the_least_sum_outside(self):
+        M = validate_monoid(M4_TABLE)
+        with pytest.raises(NotASubmonoid, match=r"^1 \+ 2 = 3 is not an entry$") as e:
+            sub_as_monoid(M, (2, 1, 0))
+        assert e.value.witness == (1, 2)
+        assert sub_as_monoid(M, (3, 1, 0))[1].image == (0, 1, 3)
+
 
 class TestDirectSums:
     def test_four_element_counterexample(self):
@@ -849,6 +878,23 @@ def test_the_free_universal_map_is_n_linear_and_natural(data):
     # a hom h after g is the universal map of h o f
     h = data.draw(st.sampled_from(enumerate_homs(M, C42)))
     assert h(g(v)) == free_universal_map(X, {x: h(f[x]) for x in X}, C42)(v)
+
+
+def test_echoes_of_a_callers_values_are_bounded():
+    """Short values echo as repr does; long or deep ones stay under 100 characters."""
+    class Index:
+        def __index__(self):
+            return 1
+
+    for v in (True, -1, "a", None, [1], (1, 2, 3), 1.5, [2, "3"], Index()):
+        assert core._echo(v) == repr(v)
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    wide = [[[[[[0] * 6] * 6] * 6] * 6] * 6] * 6   # six levels of six: reprlib keeps them all
+    for v in (int("9" * 4000), "x" * 10**5, list(range(10**5)), deep, wide):
+        assert len(core._echo(v)) <= 100
+    assert len(core._REPR.repr(wide)) > 1000
 
 
 def test_json_round_trip():

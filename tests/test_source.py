@@ -152,3 +152,19 @@ def test_every_budget_refusal_is_built_from_phase_spent_and_limit():
             elif _million(node) and not any(node is d for d in default):
                 found.append(f"{where} 10**6")
     assert found == []
+
+
+def test_one_additive_closure():
+    """`core._close` is the one loop that grows a member set under +: the
+    generating set and `submonoid_generated` close through it, and the two
+    per-representation copies of the generating set stay gone."""
+    tree = ast.parse((SOURCES[0].parent / "core.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_close" in defined
+    assert not defined & {"_generating_set_bytes", "_generating_set_sets"}
+    callers = {f"{path.stem}.{name}"
+               for path in SOURCES
+               for name, scope in _scopes(ast.parse(path.read_text(), str(path)))
+               for node in ast.walk(scope)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_close"}
+    assert callers == {"core._generating_set", "core.submonoid_generated"}

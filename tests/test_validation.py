@@ -18,9 +18,8 @@ from semimod.core import (
     NotIdentity,
     OutOfRange,
     SemimodError,
+    _close,
     _generating_set,
-    _generating_set_bytes,
-    _generating_set_sets,
     _light_bytes,
     _light_rows,
     _out_of_range,
@@ -210,6 +209,59 @@ def test_generating_set_generates_the_whole_table():
         gens = _generating_set(M.add)
         assert 0 not in gens
         assert submonoid_generated(M, gens) == tuple(M.elements())
+
+
+def closure_by_rounds(table, start):
+    """The closure of start plus {0} under +, by whole rounds of all pairwise
+    sums until a round adds nothing: the oracle for `core._close`."""
+    closed = {0, *start}
+    while not (sums := {table[a][b] for a in closed for b in closed}) <= closed:
+        closed |= sums
+    return sorted(closed)
+
+
+def close_from(members, rows, start, more):
+    """`_close` from the members of {0}, a bytearray or a set, over the new
+    elements of start, then over those of more."""
+    for new in (start, more):
+        _close(rows, members, list(set(new).difference(members)))
+    return sorted(members)
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutative_tables(), st.data())
+def test_close_from_bytes_and_from_a_set_is_the_closure_by_rounds(table, data):
+    """Closed under every pairwise sum, by any commutative table with
+    identity 0 (associative or not), from a closed set plus new elements."""
+    n = len(table)
+    start = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    more = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+    rows = tuple(map(tuple, table))
+    expected = closure_by_rounds(rows, start + more)
+    for r in (rows, list(map(bytes, rows))):
+        assert close_from(bytearray(1), r, start, more) == expected
+        assert close_from({0}, r, start, more) == expected
+    M = core._built(rows)
+    assert list(submonoid_generated(M, start)) == closure_by_rounds(rows, start)
+    distinct = len(set(start)) == len(start)
+    assert M.is_submonoid(start) == (distinct and 0 in start and all(
+        rows[a][b] in start for a in start for b in start))
+
+
+@pytest.mark.parametrize("family", ["Z", "Sat"])
+def test_close_from_a_set_past_256_elements(family):
+    table = family_table(family, 300)
+    rows = tuple(map(tuple, table))
+    M = validate_monoid(table)
+    rng = random.Random(300)
+    for start, more in [([1], []), ([], [2]), ([150], [100]), ([299], [1])] + [
+            (rng.sample(range(300), 3), rng.sample(range(300), 2)) for _ in range(5)]:
+        expected = closure_by_rounds(rows, start + more)
+        assert close_from({0}, rows, start, more) == expected
+        assert list(submonoid_generated(M, start + more)) == expected
+        assert M.is_submonoid(expected) and M.is_submonoid(expected[::-1])
+        assert M.is_submonoid(expected[:-1]) == (expected[:-1] == closure_by_rounds(
+            rows, expected[:-1]))
 
 
 def words(P):
@@ -443,6 +495,17 @@ def test_a_generator_failing_only_on_the_left_is_passed_over():
     assert outcome(validate_monoid, table) == expected
 
 
+def greedy_gens(rows, members):
+    """Greedy X grown by `_close` from the start `members`: bytearray(1) on a
+    table of at most 256 elements, or {0} on any table."""
+    gens = []
+    for e in range(1, len(rows)):
+        if e not in members:
+            gens.append(e)
+            _close(rows, members, [e])
+    return gens
+
+
 def check_left_translation_decision(table):
     """The one-translate-per-x decision over the set-based greedy X against
     associativity over all triples.  On a commutative table it must also
@@ -453,7 +516,7 @@ def check_left_translation_decision(table):
     n = len(table)
     rows = tuple(map(tuple, table))
     rb = list(map(bytes, rows))
-    gens = _generating_set_sets(rows)
+    gens = greedy_gens(rows, {0})
     verdict = left_translates_associate(rb, b"".join(rb), gens)
     if n <= 30:
         assert verdict == all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
@@ -461,7 +524,7 @@ def check_left_translation_decision(table):
     if is_commutative(table):
         expected = light_outcome(_light_rows, rows, gens)
         assert verdict == (expected is None)
-        assert _generating_set_bytes(rb) == gens
+        assert greedy_gens(rb, bytearray(1)) == gens
         assert light_bytes_outcome(rows, gens) == expected
         assert outcome(validate_monoid, table) == expected
     return verdict
@@ -509,7 +572,7 @@ def test_left_translation_decision_on_relabelled_families(family, n):
     corrupt[d][d] = rng.choice([v for v in range(n) if v != table[d][d]])
     for t in (table, corrupt):
         rows = tuple(map(tuple, t))
-        gens = _generating_set_sets(rows)
+        gens = greedy_gens(rows, {0})
         assert _generating_set(t) == gens
         if n <= 256:
             assert check_left_translation_decision(t) == (t is table)
