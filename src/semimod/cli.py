@@ -37,7 +37,7 @@ def _budget(args) -> int:
         except ValueError:
             raise SemimodError(f"SEMIMOD_BUDGET={_echo(env)} is not an integer") from None
     if budget < 0:
-        raise SemimodError(f"budget {budget} is negative")
+        raise SemimodError(f"budget {_echo(budget)} is negative")
     return budget
 
 
@@ -184,6 +184,14 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _int(text: str) -> int:
+    """int(text), or argparse's refusal with the text cut short by `_echo`."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_echo(text)}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error, since exit code 2 means budget exhausted."""
 
@@ -215,12 +223,12 @@ def build_parser() -> _Parser:
         return s
 
     s = command("semiideal", cmd_semiideal, "period, footing, and canonical generators")
-    s.add_argument("generators", type=int, nargs="+")
+    s.add_argument("generators", type=_int, nargs="+")
     s.add_argument("--json", action="store_true")
 
     s = command("coeq", cmd_coeq, "coequalizer of two multiplication maps on N0")
-    s.add_argument("a", type=int)
-    s.add_argument("b", type=int)
+    s.add_argument("a", type=_int)
+    s.add_argument("b", type=_int)
     s.add_argument("--naive", action="store_true",
                    help="census of the one-step relation instead")
     s.add_argument("--json", action="store_true")
@@ -228,7 +236,7 @@ def build_parser() -> _Parser:
 
     s = command("quotient", cmd_quotient, "quotient of a monoid file by generated pairs")
     s.add_argument("monoid")
-    s.add_argument("pairs", type=int, nargs="*", help="flat list a1 b1 a2 b2 ...")
+    s.add_argument("pairs", type=_int, nargs="*", help="flat list a1 b1 a2 b2 ...")
     s.add_argument("--json", action="store_true")
     s.add_argument("--ascii", action="store_true")
 
@@ -236,7 +244,7 @@ def build_parser() -> _Parser:
     s.add_argument("monoid_m")
     s.add_argument("monoid_n")
     s.add_argument("--check-coherence", action="store_true")
-    s.add_argument("--budget", type=int, default=None)
+    s.add_argument("--budget", type=_int, default=None)
     s.add_argument("--json", action="store_true")
 
     s = command("monoid-check", cmd_monoid_check, "validate a monoid JSON file")

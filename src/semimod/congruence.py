@@ -164,6 +164,14 @@ def _checked_rep(M: FiniteCommMonoid, C: Congruence) -> tuple[int, ...]:
     return rep
 
 
+def _numbering(rep: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The classes of a smallest-member map numbered in order of their least
+    members: those members in increasing order, and each element's class."""
+    reps = sorted(set(rep))
+    index = {r: i for i, r in enumerate(reps)}
+    return reps, list(map(index.__getitem__, rep))
+
+
 def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, MonoidHom]:
     """The quotient monoid and its projection; class of 0 is element 0.
 
@@ -171,14 +179,10 @@ def quotient(M: FiniteCommMonoid, C: Congruence) -> tuple[FiniteCommMonoid, Mono
     construction, so the table is not validated.  A labelled M labels each
     class by `_class_label` of its members' labels.
     """
-    rep = _checked_rep(M, C)
-    classes = C.classes()
-    reps = [c[0] for c in classes]
-    index = {r: i for i, r in enumerate(reps)}
-    nu = [index[r] for r in rep]
+    reps, nu = _numbering(_checked_rep(M, C))
     table = [[nu[row[b]] for b in reps] for row in map(M.add.__getitem__, reps)]
     labels = None if M.labels is None else tuple(
-        _class_label(map(M.label, c)) for c in classes)
+        _class_label(map(M.label, c)) for c in C.classes())
     Q = _built(table, labels)
     return Q, MonoidHom(M, Q, tuple(nu))
 
@@ -207,15 +211,14 @@ def kernel_congruence(f: MonoidHom) -> Congruence:
 def factor_through(f: MonoidHom, C: Congruence) -> MonoidHom:
     """The unique map on the quotient with f = f' o nu; fails loudly otherwise.
 
-    f is constant on each class when it agrees on every a with the class's
+    Once `quotient` accepts C, f must agree on every a with its class's
     representative rep[a]; a failure names (rep[a], a).
     """
-    M = f.source
+    Q, _ = quotient(f.source, C)
     for a, r in enumerate(C.rep):
         if f.image[a] != f.image[r]:
             raise HypothesisFails(r, a)
-    Q, nu = quotient(M, C)
-    reps = sorted(set(C.rep))
+    reps, _ = _numbering(C.rep)
     return MonoidHom(Q, f.target, tuple(f.image[r] for r in reps))
 
 

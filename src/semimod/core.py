@@ -39,7 +39,7 @@ import json
 import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, chain, permutations, product
 from operator import countOf, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -90,17 +90,26 @@ class NotASubmonoid(SemimodError):
 
 class BudgetExceeded(SemimodError):
     def __init__(self, phase: str, spent: int, limit: int):
-        super().__init__(f"{phase}: {spent} exceeds budget {limit}")
+        super().__init__(f"{phase}: {_echo(spent)} exceeds budget {_echo(limit)}")
         self.phase, self.spent, self.limit = phase, spent, limit
 
 
-_REPR = reprlib.Repr()
+class _Repr(reprlib.Repr):
+    def repr_int(self, x, level):      # repr() refuses past sys.get_int_max_str_digits()
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"{'-' if x < 0 else ''}<int of {x.bit_length()} bits>"
+
+
+_REPR = _Repr()
 _REPR.maxother = 100          # a default repr, <module.Class object at 0x...>, stays whole
 
 
 def _echo(value) -> str:
     """repr(value) for a message, cut short by `reprlib` (long ints, strings and
-    deep or long containers), and to its two ends past 100 characters."""
+    deep or long containers), and to its two ends past 100 characters; an int
+    too long to print is its bit length."""
     text = _REPR.repr(value)
     return text if len(text) <= 100 else f"{text[:48]}...{text[-49:]}"
 
@@ -263,7 +272,7 @@ class FiniteCommMonoid:
         """<m> as C(i, p), by walking 0, m, 2m, ... along row m to the first repeat."""
         _require_ints(m)
         if not 0 <= m < self.size:
-            raise OutOfRange(f"element {m} out of range")
+            raise OutOfRange(f"element {_echo(m)} out of range")
         row = self.add[m]
         first = {}                 # k*m -> k
         cur, k = 0, 0
@@ -276,7 +285,7 @@ class FiniteCommMonoid:
         """k*m = m + ... + m (k times), by doubling: O(log k) table reads."""
         _require_ints(k, m)
         if not 0 <= m < self.size:
-            raise OutOfRange(f"element {m} out of range")
+            raise OutOfRange(f"element {_echo(m)} out of range")
         if k < 0:
             raise OutOfRange("scalar must be nonnegative")
         add, acc = self.add, 0
@@ -826,55 +835,34 @@ def free_universal_map(X: Sequence, f: Mapping, M: FiniteCommMonoid) -> Callable
 # --- small-monoid corpus (oracle support) ---------------------------------
 
 def enumerate_comm_monoid_tables(n: int) -> list[FiniteCommMonoid]:
-    """All commutative monoid tables of size n with identity 0 (labeled)."""
+    """All commutative monoid tables of size n with identity 0 (labeled), the
+    fillings of the cells (a, b), 1 <= a <= b < n, in lexicographic order."""
     cells = [(a, b) for a in range(1, n) for b in range(a, n)]
     out = []
-    table = [[0] * n for _ in range(n)]
-    for m in range(n):
-        table[0][m] = table[m][0] = m
-
-    def rec(idx: int):
-        if idx == len(cells):
-            try:
-                out.append(validate_monoid([row[:] for row in table]))
-            except SemimodError:
-                pass
-            return
-        a, b = cells[idx]
-        for v in range(n):
+    table = [[max(a, b) if min(a, b) == 0 else 0 for b in range(n)] for a in range(n)]
+    for values in product(range(n), repeat=len(cells)):
+        for (a, b), v in zip(cells, values):
             table[a][b] = table[b][a] = v
-            rec(idx + 1)
-        table[a][b] = table[b][a] = 0
-
-    rec(0)
+        try:
+            out.append(validate_monoid(table))       # which copies the rows it keeps
+        except SemimodError:
+            pass
     return out
 
 
 def _canonical_form(M: FiniteCommMonoid) -> tuple:
-    from itertools import permutations
-    best = None
-    for perm in permutations(range(1, M.size)):
-        p = (0,) + perm
-        inv = [0] * M.size
-        for i, v in enumerate(p):
-            inv[v] = i
-        t = tuple(tuple(inv[M.add[p[a]][p[b]]] for b in range(M.size)) for a in range(M.size))
-        if best is None or t < best:
-            best = t
-    return best
+    """The least table of M relabelled by a p that fixes 0, p[a] renamed a."""
+    return min(tuple(tuple(p.index(M.add[x][y]) for y in p) for x in p)
+               for p in map((0,).__add__, permutations(range(1, M.size))))
 
 
 def small_monoid_corpus(max_size: int) -> list[FiniteCommMonoid]:
     """One representative per isomorphism class, sizes 1..max_size."""
-    reps = []
+    reps = {}
     for n in range(1, max_size + 1):
-        seen = set()
         for M in enumerate_comm_monoid_tables(n):
-            c = _canonical_form(M)
-            if c not in seen:
-                seen.add(c)
-                reps.append(M)
-    return reps
+            reps.setdefault(_canonical_form(M), M)
+    return list(reps.values())
 
 
 # --- JSON interchange ------------------------------------------------------

@@ -196,7 +196,7 @@ def bezout_nonneg_scaled(a: int, b: int, d: int) -> Optional[tuple[int, int]]:
     if d <= 0:
         raise SemimodError("d must be positive")
     if a % d or b % d:
-        raise NotDivisible(f"{d} must divide both {a} and {b}")
+        raise NotDivisible(f"{_echo(d)} must divide both {_echo(a)} and {_echo(b)}")
     if gcd(a, b) != d:
         return None
     return bezout_nonneg(a // d, b // d)

@@ -70,7 +70,7 @@ from itertools import product
 from typing import Callable, Optional, Sequence
 from weakref import WeakValueDictionary
 
-from .congruence import _closure, _translation_failure
+from .congruence import _closure, _numbering, _translation_failure
 from .core import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -185,11 +185,9 @@ def tensor_product(M: FiniteCommMonoid, N: FiniteCommMonoid,
     rep = _closure(n ** k, rows, seeds)
     if (bad := _translation_failure(rows, rep)) is not None:
         raise SemimodError(f"internal error: tensor congruence not closed at {bad}")
-    reps = sorted(set(rep))
+    reps, nu = _numbering(rep)
     if (cells := len(reps) ** 2) > budget:
         raise BudgetExceeded("tensor table cells", cells, budget)
-    index = {r: i for i, r in enumerate(reps)}
-    nu = list(map(index.__getitem__, rep))
     # T's translations by the generators; walk T's Cayley graph from 0, row
     # c + x being row c moved by x, since (c + x) + s = (c + s) + x
     moves = [[nu[row[r]] for r in reps] for row in rows]

@@ -453,6 +453,42 @@ def test_long_values_are_echoed_short_through_the_module(tmp_path):
         assert "Traceback" not in done.stderr and len(done.stderr.encode()) < 300, done.stderr
 
 
+def too_long_argvs(tmp_path):
+    """Each argv with its exit code: integer arguments past int()'s digit limit
+    (exit 1, refused by the parser), a negative budget of 4,000 digits (exit
+    1), and naturals of 4,000 digits over the default budget (exit 2)."""
+    z3 = tmp_path / "z3.json"
+    z3.write_text(json.dumps(monoid_to_json(validate_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))))
+    d5, d4 = "9" * 5000, "9" * 4000
+    return [(["coeq", d5, "3"], 1), (["semiideal", d5], 1), (["quotient", str(z3), "0", d5], 1),
+            (["tensor", "x.json", "y.json", "--budget", d5], 1),
+            (["tensor", str(z3), str(z3), "--budget", "-" + d4], 1),
+            (["coeq", "0", d4], 2), (["semiideal", d4[:-1] + "8", d4], 2)]
+
+
+def test_too_long_integer_arguments_are_echoed_short(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SEMIMOD_BUDGET", raising=False)
+    for argv, expected in too_long_argvs(tmp_path):
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as e:
+            code, err = e.code, capsys.readouterr().err
+        assert code == expected and "Traceback" not in err, argv[0]
+        assert 0 < len(err.encode()) <= 300, (argv[0], len(err.encode()))
+
+
+def test_too_long_integer_arguments_are_echoed_short_through_the_module(tmp_path):
+    src = str(Path(semimod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    env.pop("SEMIMOD_BUDGET", None)
+    for argv, expected in too_long_argvs(tmp_path):
+        done = subprocess.run([sys.executable, "-m", "semimod.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == expected and done.stdout == "", argv[0]
+        assert "Traceback" not in done.stderr, argv[0]
+        assert 0 < len(done.stderr.encode()) <= 300, (argv[0], len(done.stderr.encode()))
+
+
 def test_undecodable_file_exits_1(tmp_path, capsys):
     p = tmp_path / "m.json"
     p.write_bytes(b"\xff\xfe{")

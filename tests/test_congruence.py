@@ -456,6 +456,15 @@ class TestFactorThrough:
         with pytest.raises(HypothesisFails):
             factor_through(f, C)
 
+    @pytest.mark.parametrize("rep", [(0, 5, 0, 1), (0, 1, 0, 1.0), (0, 1, 0, 1, 0)])
+    def test_malformed_congruence_is_refused_before_it_is_read(self, rep):
+        # an entry out of range, a float, and one entry too many: each is
+        # refused as `quotient` refuses it, not by an IndexError or TypeError
+        # from reading it, nor by HypothesisFails from comparing f along it
+        M = cyclic_group(4)
+        with pytest.raises(OutOfRange, match="is not the smallest-member map"):
+            factor_through(identity_hom(M), Congruence(M, rep))
+
     def test_contains_and_factor_through_against_all_pairs_on_corpus4(self):
         # factor_through(nu_D, C) holds exactly when C lies inside D
         for M in small_monoid_corpus(4):

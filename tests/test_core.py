@@ -40,7 +40,8 @@ from semimod.core import (
     validate_monoid,
     zero_hom,
 )
-from semimod.congruence import bourne_congruence, chain_congruence, kernel_pair
+from semimod.congruence import bourne_congruence, chain_congruence, congruence_closure, kernel_pair
+from semimod.semiideal import NotDivisible, Semiideal, bezout_nonneg_scaled
 from semimod.tensor import induced_map, tensor_product, tensor_with_free
 
 from test_validation import (all_submonoids, commutative_tables, family_table, relabel,
@@ -895,6 +896,43 @@ def test_echoes_of_a_callers_values_are_bounded():
     for v in (int("9" * 4000), "x" * 10**5, list(range(10**5)), deep, wide):
         assert len(core._echo(v)) <= 100
     assert len(core._REPR.repr(wide)) > 1000
+    # past int()'s digit limit repr raises, so the echo is the bit length
+    assert core._echo(10**5000) == "<int of 16610 bits>"
+    assert core._echo((0, -10**5000)) == "(0, -<int of 16610 bits>)"
+
+
+TOO_LONG = 10**5000                     # more digits than repr() prints
+
+
+TOO_LONG_REFUSALS = {
+    "validate_monoid": (lambda: validate_monoid([[0, 1], [1, TOO_LONG]]), OutOfRange),
+    "hom_check": (lambda: hom_check(cyclic_group(2), cyclic_group(2), [0, TOO_LONG]),
+                  OutOfRange),
+    "congruence_closure": (lambda: congruence_closure(cyclic_group(3), [(0, TOO_LONG)]),
+                           OutOfRange),
+    "submonoid_generated": (lambda: submonoid_generated(cyclic_group(3), [TOO_LONG]),
+                            OutOfRange),
+    "sub_as_monoid": (lambda: sub_as_monoid(cyclic_group(3), [0, TOO_LONG]), NotASubmonoid),
+    "bound_cap": (lambda: natcoeq.nat_congruence_quotient([(0, 1)], bound_cap=-TOO_LONG),
+                  OutOfRange),
+    "cyclic_group": (lambda: cyclic_group(-TOO_LONG), OutOfRange),
+    "orbit": (lambda: cyclic_group(3).orbit(TOO_LONG), OutOfRange),
+    "scalar": (lambda: cyclic_group(3).scalar(1, TOO_LONG), OutOfRange),
+    "footing": (lambda: Semiideal([TOO_LONG, TOO_LONG + 1]).footing(), BudgetExceeded),
+    "nat_congruence_quotient": (lambda: natcoeq.nat_congruence_quotient([(0, TOO_LONG)]),
+                                natcoeq.BoundCapExceeded),
+    "coequalizer_nat": (lambda: natcoeq.coequalizer_nat(0, TOO_LONG), natcoeq.BoundCapExceeded),
+    "bezout_nonneg_scaled": (lambda: bezout_nonneg_scaled(TOO_LONG, 1, 3), NotDivisible),
+}
+
+
+@pytest.mark.parametrize("call, error", TOO_LONG_REFUSALS.values(), ids=TOO_LONG_REFUSALS.keys())
+def test_a_refusal_of_an_int_too_long_to_print_is_its_own(call, error):
+    """Each check raises its own exception with a short message, not the
+    ValueError that printing the int whole would raise."""
+    with pytest.raises(error) as e:
+        call()
+    assert type(e.value) is error and len(str(e.value)) <= 300
 
 
 def test_json_round_trip():

@@ -168,3 +168,28 @@ def test_one_additive_closure():
                for node in ast.walk(scope)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_close"}
     assert callers == {"core._generating_set", "core.submonoid_generated"}
+
+
+def test_no_import_inside_a_function():
+    """Every import of the library sits at the top of its module."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES
+             for scope in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(scope)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_the_corpus_functions_nest_no_function():
+    """The corpus is one product loop, one least relabelling and one dict of
+    classes: none of the three defines a function inside it."""
+    tree = ast.parse((SOURCES[0].parent / "core.py").read_text())
+    corpus = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name in ("enumerate_comm_monoid_tables", "_canonical_form",
+                                "small_monoid_corpus")}
+    assert len(corpus) == 3
+    nested = [f"{name}:{node.lineno}" for name, scope in corpus.items()
+              for node in ast.walk(scope) if node is not scope
+              and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    assert nested == []

@@ -3,7 +3,7 @@ the table helpers and subset oracle the other test files import."""
 
 import random
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from semimod.core import (
     NotIdentity,
     OutOfRange,
     SemimodError,
+    _canonical_form,
     _close,
     _generating_set,
     _light_bytes,
@@ -189,6 +190,78 @@ def test_every_small_commutative_table_matches_cubic_oracle():
                 code //= n
             accepted += check_against_oracle(table)
         assert accepted == len(enumerate_comm_monoid_tables(n)) > 0
+
+
+def recursive_tables(n):
+    """The labelled corpus by recursion over one shared table, each cell
+    (a, b), 1 <= a <= b < n, taking the values 0..n-1 in turn, the first cell
+    outermost; the oracle of `enumerate_comm_monoid_tables`."""
+    cells = [(a, b) for a in range(1, n) for b in range(a, n)]
+    out = []
+    table = [[0] * n for _ in range(n)]
+    for m in range(n):
+        table[0][m] = table[m][0] = m
+
+    def rec(idx):
+        if idx == len(cells):
+            try:
+                out.append(validate_monoid([row[:] for row in table]))
+            except SemimodError:
+                pass
+            return
+        a, b = cells[idx]
+        for v in range(n):
+            table[a][b] = table[b][a] = v
+            rec(idx + 1)
+        table[a][b] = table[b][a] = 0
+
+    rec(0)
+    return out
+
+
+def canonical_form_by_loop(M):
+    """The least relabelled table over the permutations p fixing 0, by a
+    running minimum, each table built through the inverse of p."""
+    best = None
+    for perm in permutations(range(1, M.size)):
+        p = (0,) + perm
+        inv = [0] * M.size
+        for i, v in enumerate(p):
+            inv[v] = i
+        t = tuple(tuple(inv[M.add[p[a]][p[b]]] for b in range(M.size)) for a in range(M.size))
+        if best is None or t < best:
+            best = t
+    return best
+
+
+def corpus_by_seen_sets(max_size):
+    """The first table of each canonical form, by one seen-set per size."""
+    reps = []
+    for n in range(1, max_size + 1):
+        seen = set()
+        for M in recursive_tables(n):
+            c = canonical_form_by_loop(M)
+            if c not in seen:
+                seen.add(c)
+                reps.append(M)
+    return reps
+
+
+def as_tables(monoids):
+    """The tables, generating sets and labels, which monoid equality does not all compare."""
+    return [(M.add, M.gens, M.labels) for M in monoids]
+
+
+def test_corpus_matches_the_recursive_and_loop_oracles():
+    labelled = []
+    for n in range(5):
+        tables = enumerate_comm_monoid_tables(n)
+        assert as_tables(tables) == as_tables(recursive_tables(n))
+        labelled += tables
+    assert len(labelled) == 1 + 2 + 9 + 94
+    assert [_canonical_form(M) for M in labelled] == list(map(canonical_form_by_loop, labelled))
+    for k in range(5):
+        assert as_tables(small_monoid_corpus(k)) == as_tables(corpus_by_seen_sets(k))
 
 
 def relabelled_monoids(seed):
