@@ -53,7 +53,7 @@ class Semiideal:
         self._minimal: tuple[int, ...] = ()
 
     def __repr__(self):
-        return f"Semiideal{self.generators}"
+        return f"Semiideal{_echo(self.generators)}"
 
     @property
     def is_zero(self) -> bool:

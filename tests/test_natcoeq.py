@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from semimod import core
+from semimod import core, natcoeq
 from semimod.cli import main
 from semimod.congruence import congruence_closure
 from semimod.core import BudgetExceeded, OutOfRange, SemimodError
@@ -216,6 +216,144 @@ class TestGeneratedQuotient:
                 assert C.same(n, m) == (c.project(n) == c.project(m))
 
 
+def certificate_b_step_by_step(seeds, i, p, bound_cap):
+    """`natcoeq._certificate_b` as it was: the walk chooses each step in turn,
+    the first seed in seed order whose down step stays at or above the floor,
+    else the first seed with up steps left."""
+    seeds = sorted(set(seeds))
+    top = max(a for a, _ in seeds)
+    if top + p > bound_cap:
+        raise BoundCapExceeded(CyclicMonoid(i, p), top + p, bound_cap)
+    climb = []
+    at = i
+    while at < top:
+        a, b = max((s for s in seeds if s[0] <= at), key=lambda s: s[1] - s[0])
+        climb.append((at, at + b - a, (a, b), at - a))
+        at += b - a
+    floor = peak = at
+    walk = []
+    downs, ups = [], []
+    for s, c in zip(seeds, natcoeq._bezout([b - a for a, b in seeds])):
+        if c:
+            (ups if c > 0 else downs).append([s, s[1] - s[0], abs(c)])
+    while downs or ups:
+        for j, todo in enumerate(downs):
+            if at - todo[1] >= floor:
+                side, to = downs, at - todo[1]
+                walk.append((at, to, todo[0], to - todo[0][0]))
+                break
+        else:
+            j, todo = 0, ups[0]
+            side, to = ups, at + todo[1]
+            walk.append((at, to, todo[0], at - todo[0][0]))
+            peak = max(peak, to)
+        at = to
+        todo[2] -= 1
+        if not todo[2]:
+            del side[j]
+    if peak > bound_cap:
+        raise BoundCapExceeded(CyclicMonoid(i, p), peak, bound_cap)
+    descent = [(v + p, u + p, s, k + p) for u, v, s, k in reversed(climb)]
+    return climb + walk + descent, peak
+
+
+def replay_by_tuples(q):
+    """`NatQuotient.verify_certificate_b` as it was: each step's endpoints
+    compared as tuples with the translated seed, both ways round."""
+    if q.result is None:
+        return not q.cert_b
+    c = q.result
+    if not core._well_formed(c):
+        return False
+    pairs = set(q.pairs)
+    at = c.index
+    for u, v, (a, b), k in q.cert_b:
+        if (u != at or k < 0 or (a, b) not in pairs
+                or (u, v) != (a + k, b + k) and (u, v) != (b + k, a + k)):
+            return False
+        at = v
+    return at == c.index + c.period
+
+
+LONG_CHAIN = [(3065, 6043), (2988, 6161)]        # 2,904 steps
+
+
+def seed_sets(seed, count, top):
+    """count seeded sets of 1-5 pairs below top, each with the candidate
+    (i, p) of `nat_congruence_quotient`; a set of equal pairs is skipped."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pairs = [(rng.randrange(top), rng.randrange(top)) for _ in range(rng.randint(1, 5))]
+        norm = [(min(s), max(s)) for s in pairs if s[0] != s[1]]
+        if norm:
+            yield norm, min(a for a, _ in norm), gcd(*(b - a for a, b in norm))
+
+
+def outcome(build, seeds, i, p, cap):
+    try:
+        return build(seeds, i, p, cap)
+    except BoundCapExceeded as refusal:
+        return refusal.phase, refusal.spent, refusal.limit
+
+
+def mutants(chain, pairs, at):
+    """Each chain with one change at each index in at: u, v or k moved by 1,
+    the endpoints swapped, the seed replaced by another pair or given as a
+    list, the same endpoints from the seed moved up by 1 (as a tuple or a
+    list), the step dropped or repeated."""
+    others = sorted(set(pairs) | {(0, 1), (1, 3)})
+    for j in at:
+        u, v, s, k = chain[j]
+        up = (s[0] + 1, s[1] + 1)
+        for step in ((u + 1, v, s, k), (u - 1, v, s, k), (u, v + 1, s, k), (u, v - 1, s, k),
+                     (u, v, s, k + 1), (u, v, s, k - 1), (v, u, s, k), (u, v, list(s), k),
+                     (u, v, s[::-1], k), (u, v, up, k - 1), (u, v, list(up), k - 1),
+                     *((u, v, t, k) for t in others if t != s)):
+            yield chain[:j] + (step,) + chain[j + 1:]
+        yield chain[:j] + chain[j + 1:]
+        yield chain[:j + 1] + chain[j:]
+
+
+class TestCertificateBOracles:
+    def test_the_walk_equals_the_step_by_step_walk(self):
+        rotations = 0
+        for seeds, i, p in [(LONG_CHAIN, 2988, 1), *seed_sets(35, 1000, 8000)]:
+            want = certificate_b_step_by_step(seeds, i, p, 10**9)
+            assert natcoeq._certificate_b(seeds, i, p, 10**9) == want
+            peak = want[1]
+            for cap in (peak - 1, peak):
+                assert outcome(natcoeq._certificate_b, seeds, i, p, cap) == \
+                    outcome(certificate_b_step_by_step, seeds, i, p, cap)
+            assert outcome(natcoeq._certificate_b, seeds, i, p, peak - 1) == \
+                ("certificate B reach", peak, peak - 1)
+            coefficients = natcoeq._bezout([b - a for a, b in sorted(set(seeds))])
+            rotations += sum(c > 0 for c in coefficients) == sum(c < 0 for c in coefficients) == 1
+        assert 200 < rotations < 800        # 270 sets take the rotation, the rest the general walk
+
+    def test_the_long_chain(self):
+        q = nat_congruence_quotient(LONG_CHAIN)
+        assert q.result == CyclicMonoid(2988, 1)
+        assert len(q.cert_b) == 2904 and q.bound_used == 12310
+
+    def test_the_replay_gives_the_replay_by_tuples_verdict_on_every_mutant(self):
+        verdicts = set()
+        cases = [(nat_congruence_quotient(LONG_CHAIN), (0, 1, 1452, 2902, 2903))]
+        for seeds, i, p in seed_sets(36, 300, 60):
+            q = nat_congruence_quotient(seeds)
+            cases.append((q, range(len(q.cert_b))))
+        for q, at in cases:
+            assert q.verify_certificate_b() and replay_by_tuples(q)
+            for chain in mutants(q.cert_b, q.pairs, at):
+                forged = NatQuotient(q.pairs, q.result, True, chain)
+                verdict = forged.verify_certificate_b()
+                assert verdict == replay_by_tuples(forged), chain
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+        # a seed translated below 0 is no step, though its endpoints fit
+        forged = NatQuotient(((1, 3), (2, 4)), CyclicMonoid(1, 2), True, ((1, 3, (2, 4), -1),))
+        assert not forged.verify_certificate_b() and not replay_by_tuples(forged)
+
+
 def naive_classes_by_witness_search(a, b, probe_limit):
     """The census as it was decided by brute force: a union-find over
     {0..probe_limit}, merging m and m' when some n, n' < W witness
@@ -315,6 +453,17 @@ class TestBourneQuotient:
                             lambda self, n: n != self.footing() and contains(self, n))
         with pytest.raises(SemimodError, match="^internal error: 4 or 6 is not a member"):
             bourne_nat_quotient([4, 6])
+
+    def test_the_internal_error_echoes_bounded_values(self, monkeypatch):
+        # a value too long for repr() is echoed by its bit length
+        big = 10**5000
+        monkeypatch.setattr(Semiideal, "perc", lambda self: (big, 1))
+        monkeypatch.setattr(Semiideal, "contains", lambda self, n: False)
+        with pytest.raises(SemimodError) as raised:
+            bourne_nat_quotient([big, big + 1])
+        assert str(raised.value) == (
+            "internal error: <int of 16610 bits> or <int of 16610 bits> is not a member "
+            "of Semiideal(<int of 16610 bits>, <int of 16610 bits>)")
 
     def test_tampered_witnesses_rejected(self):
         q = bourne_nat_quotient([4, 6])

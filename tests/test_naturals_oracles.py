@@ -7,8 +7,8 @@ until i and i + p merge, and reads index and period off the classes.
 Both cost time linear in the size of the numbers, so they serve only as
 oracles for the residue-based ``Semiideal`` and ``nat_congruence_quotient``.
 ``certificate_b_by_generators`` is the Bezout walk choosing each step by a
-scan over a dict of remaining coefficients, the reference for the walk over
-two step lists in ``_certificate_b``.  ``replay_by_sets`` replays a chain
+scan over a dict of remaining coefficients, the reference for the walk in
+``_certificate_b``.  ``replay_by_sets`` replays a chain
 with a set of endpoints per step and a scan of the seed tuple, the
 reference for ``NatQuotient.verify_certificate_b``.
 """

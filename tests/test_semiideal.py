@@ -260,6 +260,14 @@ class TestArgumentChecks:
         with pytest.raises(OutOfRange, match="is not an integer"):
             call()
 
+    def test_repr_is_bounded(self):
+        # repr() of the generators once refused ints of more than 4,300 digits
+        assert repr(Semiideal([6, 4])) == "Semiideal(4, 6)"
+        assert repr(Semiideal([5])) == "Semiideal(5,)"
+        assert repr(Semiideal([10**5000, 10**5000 + 1])) == \
+            "Semiideal(<int of 16610 bits>, <int of 16610 bits>)"
+        assert repr(Semiideal(range(1, 10**4))) == "Semiideal(1, 2, 3, 4, 5, 6, ...)"
+
     @pytest.mark.parametrize("call, message", [
         (lambda: Semiideal([-1, 3]), "generators must be nonnegative"),
         (lambda: Semiideal([3]).contains(-1), "membership is defined for nonnegative"),

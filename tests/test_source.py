@@ -193,3 +193,15 @@ def test_the_corpus_functions_nest_no_function():
               for node in ast.walk(scope) if node is not scope
               and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
     assert nested == []
+
+
+def test_the_certificate_b_replay_names_nothing_of_its_builder():
+    """`NatQuotient.verify_certificate_b` checks each step on its own: it names
+    neither the builder `_certificate_b` nor the `_bezout` it walks, so the
+    check stays independent of the program it checks."""
+    tree = ast.parse((SOURCES[0].parent / "natcoeq.py").read_text())
+    scopes = dict(_scopes(tree))
+    assert {"_certificate_b", "_bezout"} <= set(scopes)
+    named = {getattr(node, "id", getattr(node, "attr", None))
+             for node in ast.walk(scopes["NatQuotient.verify_certificate_b"])}
+    assert not named & {"_certificate_b", "_bezout"}
