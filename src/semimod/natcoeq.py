@@ -80,15 +80,11 @@ class NatQuotient:
             return False
         pairs = set(self.pairs)
         at = c.index
-        for u, v, s, k in self.cert_b:
-            a, b = s
-            # a seed given as a list is looked up as a tuple
-            if u != at or k < 0 or (s if type(s) is tuple else (a, b)) not in pairs:
+        for u, v, (a, b), k in self.cert_b:
+            if (u != at or k < 0 or (a, b) not in pairs
+                    or not (u - k == a and v - k == b or u - k == b and v - k == a)):
                 return False
             at = v
-            u -= k          # {u, v} = {a + k, b + k}
-            if not (u == a and v - k == b or u == b and v - k == a):
-                return False
         return at == c.index + c.period
 
     def verify(self) -> bool:
@@ -144,18 +140,6 @@ def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
     step whenever one stays at or above the floor, else an up step, each by
     the first seed in seed order with such steps left.  The climb, shifted
     by p and reversed, brings the walk down to i + p.
-
-    When one seed walks up, c_u steps of d_u, and one walks down, c_d steps
-    of d_d, the walk is a rotation.  With n = d_u + d_d, the rule keeps
-    r = at - floor in [0, n): from r < d_d it goes up to r + d_u < n, and
-    from r >= d_d down to r - d_d, which is r + d_u modulo n.  So after t
-    steps r = t * d_u mod n, while both seeds have steps left.  Of the
-    first T = c_u + c_d terms, the rule applied without end takes some U up
-    steps and T - U down steps, reaching r = U*d_u - (T - U)*d_d.  That is
-    T*d_u = c_u*d_u - c_d*d_d = p modulo n, hence p itself, as 0 < p < n;
-    solving gives U = c_u.  Once one seed has no steps left, the rule takes
-    the other's, and so does the rotation: its remaining terms hold only
-    those.  So the walk is the first T + 1 terms of the rotation.
     """
     seeds = sorted(set(seeds))
     top = max(a for a, _ in seeds)
@@ -168,35 +152,28 @@ def _certificate_b(seeds: Sequence[tuple[int, int]], i: int, p: int,
         climb.append((at, at + b - a, (a, b), at - a))
         at += b - a
     floor = peak = at
+    walk: list[ChainStep] = []
     # [seed, difference, steps left] in seed order, by the sign of the seed's coefficient
     downs, ups = [], []
     for s, c in zip(seeds, _bezout([b - a for a, b in seeds])):
         if c:
             (ups if c > 0 else downs).append([s, s[1] - s[0], abs(c)])
-    if len(ups) == len(downs) == 1:         # the rotation above
-        (su, du, cu), (sd, dd, cd) = ups[0], downs[0]
-        ats = [floor + r % (du + dd) for r in range(0, (cu + cd + 1) * du, du)]
-        walk = [(x, y, su, x - su[0]) if x < y else (x, y, sd, y - sd[0])
-                for x, y in zip(ats, ats[1:])]
-        peak = max(ats)
-    else:
-        walk = []
-        while downs or ups:
-            for todo in downs:
-                if at - todo[1] >= floor:
-                    side, to = downs, at - todo[1]
-                    walk.append((at, to, todo[0], to - todo[0][0]))
-                    break
-            else:
-                todo = ups[0]
-                side, to = ups, at + todo[1]
-                walk.append((at, to, todo[0], at - todo[0][0]))
-                if to > peak:
-                    peak = to
-            at = to
-            todo[2] -= 1
-            if not todo[2]:
-                side.remove(todo)
+    while downs or ups:
+        for todo in downs:
+            if at - todo[1] >= floor:
+                side, to = downs, at - todo[1]
+                walk.append((at, to, todo[0], to - todo[0][0]))
+                break
+        else:
+            todo = ups[0]
+            side, to = ups, at + todo[1]
+            walk.append((at, to, todo[0], at - todo[0][0]))
+            if to > peak:
+                peak = to
+        at = to
+        todo[2] -= 1
+        if not todo[2]:
+            side.remove(todo)
     if peak > bound_cap:
         raise BoundCapExceeded(CyclicMonoid(i, p), peak, bound_cap)
     descent = [(v + p, u + p, s, k + p) for u, v, s, k in reversed(climb)]

@@ -53,7 +53,8 @@ class Semiideal:
         self._minimal: tuple[int, ...] = ()
 
     def __repr__(self):
-        return f"Semiideal{_echo(self.generators)}"
+        gens = ", ".join(map(_echo, self.generators))
+        return f"Semiideal({gens}{',' if len(self.generators) == 1 else ''})"
 
     @property
     def is_zero(self) -> bool:

@@ -316,7 +316,7 @@ def mutants(chain, pairs, at):
 
 class TestCertificateBOracles:
     def test_the_walk_equals_the_step_by_step_walk(self):
-        rotations = 0
+        two_seed = 0
         for seeds, i, p in [(LONG_CHAIN, 2988, 1), *seed_sets(35, 1000, 8000)]:
             want = certificate_b_step_by_step(seeds, i, p, 10**9)
             assert natcoeq._certificate_b(seeds, i, p, 10**9) == want
@@ -327,8 +327,8 @@ class TestCertificateBOracles:
             assert outcome(natcoeq._certificate_b, seeds, i, p, peak - 1) == \
                 ("certificate B reach", peak, peak - 1)
             coefficients = natcoeq._bezout([b - a for a, b in sorted(set(seeds))])
-            rotations += sum(c > 0 for c in coefficients) == sum(c < 0 for c in coefficients) == 1
-        assert 200 < rotations < 800        # 270 sets take the rotation, the rest the general walk
+            two_seed += sum(c > 0 for c in coefficients) == sum(c < 0 for c in coefficients) == 1
+        assert 200 < two_seed < 800         # 270 sets walk one seed up and one down
 
     def test_the_long_chain(self):
         q = nat_congruence_quotient(LONG_CHAIN)
