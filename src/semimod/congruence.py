@@ -4,14 +4,19 @@ A congruence is an equivalence relation closed under translation by every
 element, so the quotient carries a well-defined addition.  Translation by
 a sum is a composite of translations by its terms, so an equivalence
 closed under translation by a generating set X is already a congruence.
-Everything here uses the greedy generating set X every monoid keeps
-(`FiniteCommMonoid.gens`): every generated relation, Bourne's, the
-tensor's and `naive_congruence`'s included, closes in `_closure`, the one
-union-find worklist, which re-examines the translates by X only of two
-classes that merge; one closure test compares each element with one
-member of its class under each x in X, O(n |X|), and `quotient` runs it
-instead of validating the table it builds; and the coequalizer of f, g
-seeds f(y) ~ g(y) for y in the source's X only.
+Every generated relation, Bourne's, the tensor's and `naive_congruence`'s
+included, closes in `_closure`, the one union-find.  On a table the
+congruence the seeds generate is the equivalence generated by their
+translates (a + m, b + m), since a translate of a translate is a translate:
+each seed not yet related merges its n translates, never translated again,
+and a seed already related is dropped, so s seeds cost O(s + n min(s, n))
+finds.  The tensor's power has no table, and its closure re-examines the
+translates by its generators of two classes that merge.  The greedy
+generating set X every monoid keeps (`FiniteCommMonoid.gens`) serves the
+rest: one closure test compares each element with one member of its class
+under each x in X, O(n |X|), and `quotient` runs it instead of validating
+the table it builds; and the coequalizer of f, g seeds f(y) ~ g(y) for y
+in the source's X only.
 """
 
 from __future__ import annotations
@@ -97,36 +102,51 @@ def _translation_failure(rows: Sequence[Sequence[int]],
 
 
 def _closure(size: int, rows: Sequence[Sequence[int]],
-             pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+             pairs: Iterable[tuple[int, int]],
+             table: Optional[Sequence[Sequence[int]]] = None) -> tuple[int, ...]:
     """The smallest-member map of the least equivalence on range(size) that
     contains the pairs and is closed under each row (a translation by a
-    generator); with no rows, the equivalence the pairs generate.
+    generator), or under every translation of `table`; with neither, the
+    equivalence the pairs generate.
 
     Its union-find is a parent list under two rules: a union hangs the
     larger root under the smaller, and find halves the path it walks, so
     each root is its class's smallest member and no parent exceeds its
     child.  In increasing order each parent then already maps to its root.
 
-    Every merge of a pair (a, b) pushes its translates (row[a], row[b]),
-    except those that merge nothing: a pair of equal translates, and the
-    pair itself (row[a] = a and row[b] = b), which most translates of a
-    merge in Sat_n are.
+    The seeds are taken in order, each once the worklist is empty, when the
+    relation built so far is closed: a seed it already relates adds nothing
+    and is dropped.  With rows, every merge of a pair (a, b) pushes its
+    translates (row[a], row[b]), except those that merge nothing: a pair of
+    equal translates, and the pair itself (row[a] = a and row[b] = b), which
+    most translates of a merge in Sat_n are.  With `table`, the addition
+    table of a commutative monoid with identity 0, a seed (a, b) that merges
+    pushes its n translates zip(table[a], table[b]) and no merge is
+    translated again: a translate of a translate is a translate, so those
+    translates generate the congruence.  Each seed that is not dropped
+    merges two classes, so at most n - 1 are translated, and s seeds cost
+    O(s + n min(s, n)) finds.
     """
     parent = list(range(size))
-    work = list(pairs)
-    while work:
-        a, b = work.pop()
-        ra, rb = a, b
-        while parent[ra] != ra:
-            parent[ra] = ra = parent[parent[ra]]
-        while parent[rb] != rb:
-            parent[rb] = rb = parent[parent[rb]]
-        if ra != rb:
-            if ra > rb:
-                ra, rb = rb, ra
-            parent[rb] = ra
-            work.extend((row[a], row[b]) for row in rows
-                        if row[a] != row[b] and (row[a] != a or row[b] != b))
+    for seed in pairs:
+        work, spread = [seed], table
+        while work:
+            a, b = work.pop()
+            ra, rb = a, b
+            while parent[ra] != ra:
+                parent[ra] = ra = parent[parent[ra]]
+            while parent[rb] != rb:
+                parent[rb] = rb = parent[parent[rb]]
+            if ra != rb:
+                if ra > rb:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                if spread:
+                    work.extend(zip(spread[a], spread[b]))
+                    spread = None
+                elif rows:
+                    work.extend((row[a], row[b]) for row in rows
+                                if row[a] != row[b] and (row[a] != a or row[b] != b))
     for a, p in enumerate(parent):
         parent[a] = parent[p]
     return tuple(parent)
@@ -138,17 +158,20 @@ def identity_congruence(M: FiniteCommMonoid) -> Congruence:
 
 def congruence_closure(M: FiniteCommMonoid,
                        pairs: Iterable[tuple[int, int]]) -> Congruence:
-    """Smallest congruence containing the given pairs, by `_closure` over the
-    rows of M.gens: the least equivalence closed under those translations is
-    the least congruence, and each class keeps its smallest member as
-    representative.  The pairs may be any iterable; they are read once.
+    """Smallest congruence containing the given pairs, by `_closure` over M's
+    table: the congruence they generate is the equivalence generated by their
+    translates (a + m, b + m), since a translate of a translate is one, so
+    each seed not yet related merges its n translates, which are never
+    translated again, in O(s + n min(s, n)) finds for s seeds.  Each class
+    keeps its smallest member as representative.  The pairs may be any
+    iterable; they are read once.
     """
     pairs = tuple(pairs)
     for p in pairs:
         if not (isinstance(p, (tuple, list)) and len(p) == 2
                 and all(type(v) is int and 0 <= v < M.size for v in p)):
             raise OutOfRange(f"pair {_echo(p)} is not two integers in [0, {M.size})")
-    return Congruence(M, _closure(M.size, [M.add[x] for x in M.gens], pairs))
+    return Congruence(M, _closure(M.size, (), pairs, M.add))
 
 
 def _checked_rep(M: FiniteCommMonoid, C: Congruence) -> tuple[int, ...]:

@@ -329,16 +329,18 @@ def _close(rows: Sequence[Sequence[int]], members: bytearray | set[int], work: l
     summed at most twice, and no pair of old ones.  It stops once every
     element is a member.  A bytearray (n <= 256) translated through the
     popped row, padded to 256 bytes, gives the sums, less the members the
-    new ones (a bytes row is not copied); a set maps the row over itself.
+    new ones, and adds nothing when there are none (a bytes row is not
+    copied); a set maps the row over itself.
     """
     n = len(rows)
     if type(members) is bytearray:
         members.extend(work)
         while work and len(members) < n:
             row = bytes(rows[work.pop()]).ljust(256, b"\0")
-            fresh = set(members.translate(row).translate(None, members))
-            members.extend(fresh)
-            work.extend(fresh)
+            if fresh := members.translate(row).translate(None, members):
+                fresh = set(fresh)
+                members.extend(fresh)
+                work.extend(fresh)
     else:
         members.update(work)
         while work and len(members) < n:

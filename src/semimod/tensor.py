@@ -18,14 +18,16 @@ The power A^k is never built.  It is coded in mixed radix |A|, first
 coordinate most significant, as `core._product` codes it, and it is
 generated by "x at coordinate j" for x in A's generating set and j < k; a
 congruence closed under translation by those k |X_A| elements is closed
-under all of A^k.  So the closure kernel that `congruence_closure` runs
-(`congruence._closure`) runs on those k |X_A| rows alone, each built from
-row x of A, and the same translation check that `quotient` runs is applied
-to the result.  The rest is done in the quotient T: the generator rows give
-T's translations, which build T's table by a walk of T's Cayley graph from 0
-(Froidure-Pin) and the pure tensors along B's spanning tree.  The budget
-counts the k |X_A| |A|^k row cells before building them (phase "tensor row
-cells"), and the |T|^2 cells before building the table ("tensor table cells").
+under all of A^k.  `congruence_closure` translates each seed once by all
+of a table, which A^k does not have; so `congruence._closure` runs here on
+those k |X_A| rows alone, each built from row x of A, and translates every
+merge by them, and the same translation check that `quotient` runs is
+applied to the result.  The rest is done in the quotient T: the generator
+rows give T's translations, which build T's table by a walk of T's Cayley
+graph from 0 (Froidure-Pin) and the pure tensors along B's spanning tree.
+The budget counts the k |X_A| |A|^k row cells before building them (phase
+"tensor row cells"), and the |T|^2 cells before building the table
+("tensor table cells").
 
 Both sides of the universal property are checked over generating sets.
 A map f: M x N -> A is balanced when it satisfies the zero laws and is

@@ -185,6 +185,43 @@ def product_tables(draw):
 
 
 monoid_tables = st.one_of(commutative_tables().filter(_is_monoid), product_tables())
+CORPUS4 = small_monoid_corpus(4)
+
+
+@st.composite
+def seeded_monoids(draw):
+    """corpus(4), or Z/n, Sat_n, C(i, p) or Z/m x Z/n of at most 150 elements,
+    relabelled by a permutation fixing 0."""
+    family = draw(st.sampled_from(["corpus", "Z", "Sat", "C", "ZxZ"]))
+    if family == "corpus":
+        return draw(st.sampled_from(CORPUS4))
+    if family == "ZxZ":
+        m = draw(st.integers(1, 12))
+        n = draw(st.integers(1, 150 // m))
+        table = [[(a // n + b // n) % m * n + (a + b) % n for b in range(m * n)]
+                 for a in range(m * n)]
+    else:
+        table = family_table(family, draw(st.integers(1, 150)))
+    rest = draw(st.permutations(range(1, len(table))))
+    return validate_monoid(relabel(table, [0, *rest]))
+
+
+@st.composite
+def seed_lists(draw, n):
+    """0 to 3n seeds: fresh pairs, trivial pairs (a, a), and repeats of an
+    earlier seed in the same or the other order."""
+    seeds = []
+    for _ in range(draw(st.integers(0, 3 * n))):
+        kind = draw(st.sampled_from(["fresh", "trivial", "again", "swapped"][:4 if seeds else 2]))
+        if kind == "fresh":
+            seeds.append(draw(element_pairs(n)))
+        elif kind == "trivial":
+            a = draw(st.integers(0, n - 1))
+            seeds.append((a, a))
+        else:
+            a, b = seeds[draw(st.integers(0, len(seeds) - 1))]
+            seeds.append((a, b) if kind == "again" else (b, a))
+    return seeds
 
 
 def element_pairs(n):
@@ -288,6 +325,22 @@ class TestClosure:
         M = validate_monoid(data.draw(monoid_tables))
         seeds = data.draw(st.lists(element_pairs(M.size), min_size=1, max_size=3))
         assert congruence_closure(M, seeds).rep == closure_over_all_elements(M, seeds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_many_seeds_match_both_oracles(self, data):
+        # the seed pass drops a seed the relation already holds and translates
+        # the others by every element once; both oracles translate every merge
+        M = data.draw(seeded_monoids())
+        seeds = data.draw(seed_lists(M.size))
+        rep = congruence_closure(M, seeds).rep
+        assert rep == closure_over_all_translates(M, seeds)
+        assert rep == closure_over_all_elements(M, seeds)
+        # K = M relates m + m' = m' + m: one class, read pair by pair on small M
+        whole = bourne_congruence(M, list(M.elements())).rep
+        assert whole == (0,) * M.size
+        if M.size <= 30:
+            assert whole == bourne_by_pairs(M, list(M.elements()))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 12).flatmap(

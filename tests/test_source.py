@@ -110,9 +110,20 @@ def test_only_core_memo_touches_a_monoids_memo():
     assert touching == {"core._memo"}
 
 
+def _halving_step(node) -> bool:
+    """Whether node assigns p[p[...]] for one name p, the step of a
+    path-halving find (`parent[x] = x = parent[parent[x]]`)."""
+    read = getattr(node, "value", None)
+    return (isinstance(node, ast.Assign) and isinstance(read, ast.Subscript)
+            and isinstance(read.value, ast.Name) and isinstance(read.slice, ast.Subscript)
+            and getattr(read.slice.value, "id", None) == read.value.id)
+
+
 def test_no_module_defines_a_union_find_class():
     """The library's one union-find is the parent list inside
-    `congruence._closure`: no class has both a find and a union method."""
+    `congruence._closure`: no class has both a find and a union method, and
+    no other scope halves a path, so the seed pass and the generator-row
+    worklist share one find."""
     found = [f"{path.name}:{node.lineno} {node.name}"
              for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
@@ -120,6 +131,11 @@ def test_no_module_defines_a_union_find_class():
              and {"find", "union"} <= {f.name for f in node.body if isinstance(f, ast.FunctionDef)}]
     assert found == []
     assert not hasattr(semimod.congruence, "UnionFind")
+    halving = {f"{path.stem}.{name}"
+               for path in SOURCES
+               for name, scope in _scopes(ast.parse(path.read_text(), str(path)))
+               for node in ast.walk(scope) if _halving_step(node)}
+    assert halving == {"congruence._closure"}
 
 
 def _million(node) -> bool:
