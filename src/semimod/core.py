@@ -106,12 +106,17 @@ _REPR = _Repr()
 _REPR.maxother = 100          # a default repr, <module.Class object at 0x...>, stays whole
 
 
+def _cut(text: str, width: int = 100) -> str:
+    """text, or its two ends joined by '...' in `width` characters if it is longer."""
+    head = (width - 3) // 2
+    return text if len(text) <= width else f"{text[:head]}...{text[head + 3 - width:]}"
+
+
 def _echo(value) -> str:
     """repr(value) for a message, cut short by `reprlib` (long ints, strings and
-    deep or long containers), and to its two ends past 100 characters; an int
-    too long to print is its bit length."""
-    text = _REPR.repr(value)
-    return text if len(text) <= 100 else f"{text[:48]}...{text[-49:]}"
+    deep or long containers), and by `_cut` to 100 characters; an int too long
+    to print is its bit length."""
+    return _cut(_REPR.repr(value))
 
 
 def _require_ints(*values) -> None:
@@ -889,22 +894,23 @@ def monoid_from_json(data: dict) -> FiniteCommMonoid:
 def load_monoid(path: str) -> FiniteCommMonoid:
     """The monoid of a JSON file, or the error, as `monoid_from_json` gives it.
 
-    A text with no letter t or f holds no JSON true or false (the keys
-    size, add and labels have neither letter), so `bytes()` takes exactly
-    the ints in [0, 256) of its lists.  Then an `add` of at most 256 lists
-    goes to `validate_monoid` as byte rows, which skip the per-entry type
-    test, unless `bytes()` refuses a row.  Nesting past the recursion limit,
-    or an int longer than `sys.get_int_max_str_digits()`, raises
-    `SemimodError`.
+    A file that cannot be opened, read or decoded (bad encoding or syntax,
+    nesting past the recursion limit, an int longer than
+    `sys.get_int_max_str_digits()`) raises one `SemimodError` naming it by
+    `_echo`.  A text with no letter t or f holds no JSON true or false (the
+    keys size, add and labels have neither letter), so `bytes()` takes
+    exactly the ints in [0, 256) of its lists.  Then an `add` of at most 256
+    lists goes to `validate_monoid` as byte rows, which skip the per-entry
+    type test, unless `bytes()` refuses a row.
     """
-    with open(path) as fh:
-        text = fh.read()
     try:
+        with open(path) as fh:
+            text = fh.read()
         data = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except (RecursionError, ValueError) as e:
-        raise SemimodError(f"{path}: cannot decode: {e}") from None
+    except OSError as e:
+        raise SemimodError(f"{_echo(path)}: {e.strerror}") from None
+    except (RecursionError, ValueError) as e:       # UnicodeDecodeError, JSONDecodeError too
+        raise SemimodError(f"{_echo(path)}: cannot decode: {e}") from None
     if "t" not in text and "f" not in text and type(data) is dict:
         data["add"] = _as_byte_rows(data.get("add"))
     del text                      # so that validation does not keep it alive

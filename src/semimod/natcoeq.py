@@ -57,7 +57,6 @@ ChainStep = tuple[int, int, tuple[int, int], int]
 class NatQuotient:
     pairs: tuple[tuple[int, int], ...]
     result: Optional[CyclicMonoid]        # None: the quotient is the naturals
-    cert_a: bool = False
     cert_b: tuple[ChainStep, ...] = ()
     bound_used: int = 0
 
@@ -70,6 +69,8 @@ class NatQuotient:
             return all(a == b for a, b in self.pairs)
         c = self.result
         return _well_formed(c) and all(c.project(a) == c.project(b) for a, b in self.pairs)
+
+    cert_a = property(verify_certificate_a)     # replayed on each read, never stored
 
     def verify_certificate_b(self) -> bool:
         """Replay the merge chain from i to i+p through translated seeds."""
@@ -205,8 +206,7 @@ def nat_congruence_quotient(pairs: Iterable[tuple[int, int]],
     i = min(a for a, b in norm)
     p = gcd(*(b - a for a, b in norm))
     chain, peak = _certificate_b(norm, i, p, bound_cap)
-    q = NatQuotient(tuple(norm), CyclicMonoid(i, p), cert_a=True,
-                    cert_b=tuple(chain), bound_used=peak)
+    q = NatQuotient(tuple(norm), CyclicMonoid(i, p), cert_b=tuple(chain), bound_used=peak)
     if not q.verify():
         raise SemimodError("internal error: certificate replay failed")
     return q

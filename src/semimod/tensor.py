@@ -260,12 +260,10 @@ def _balanced_failure(M: FiniteCommMonoid, N: FiniteCommMonoid, A: FiniteCommMon
             for n in range(N.size):
                 if fmx[n] != A.add[fm[n]][fx[n]]:
                     return "add-left", m, x, n
-    for y in N.gens:
-        for m, fm in enumerate(f):
-            fy = fm[y]
-            for n, ny in enumerate(N.add[y]):
-                if fm[ny] != A.add[fm[n]][fy]:
-                    return "add-right", m, n, y
+    for m, fm in enumerate(f):                  # row m is a map N -> A
+        bad = _additivity_failure(N, A, fm)
+        if bad is not None:
+            return "add-right", m, *bad
     return None
 
 

@@ -270,7 +270,7 @@ def main_by_full_parse(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 2
-    except (SemimodError, OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    except (SemimodError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

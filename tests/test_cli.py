@@ -489,6 +489,57 @@ def test_too_long_integer_arguments_are_echoed_short_through_the_module(tmp_path
         assert 0 < len(done.stderr.encode()) <= 300, (argv[0], len(done.stderr.encode()))
 
 
+def refusal_argvs(tmp_path):
+    """Each argv with a phrase of its one-line refusal: a file of invalid JSON
+    (after a good file under tensor, so the message must name the bad one), a
+    5,000-character file name, suite, command, trailing argument and option."""
+    good, bad = tmp_path / "z3.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(monoid_to_json(validate_monoid([[0, 1, 2], [1, 2, 0], [2, 0, 1]]))))
+    bad.write_text("[")
+    token = "x" * 5000
+    return [(["monoid-check", str(bad)], "cannot decode"),
+            (["quotient", str(bad), "0", "1"], "cannot decode"),
+            (["tensor", str(good), str(bad)], "cannot decode"),
+            (["monoid-check", token], "File name too long"),
+            (["quotient", token, "0", "1"], "File name too long"),
+            (["tensor", token, token], "File name too long"),
+            (["verify", token], "invalid choice"),
+            ([token, "1"], "invalid choice"),
+            (["coeq", "1", "2", token], "unrecognized arguments"),
+            (["semiideal", "3", "--" + token], "unrecognized arguments")]
+
+
+def assert_one_short_refusal(argv, phrase, code, err):
+    """Exit 1 and one line of at most 300 bytes after any usage line, no traceback."""
+    assert code == 1 and "Traceback" not in err, argv[0][:20]
+    assert len(err.encode()) <= 300, (argv[0][:20], len(err.encode()))
+    *usage, line = err.splitlines()
+    assert len(usage) <= 1 and all(u.startswith("usage: ") for u in usage), err
+    assert phrase in line, err
+    if argv[-1].endswith("bad.json"):
+        assert "bad.json" in line and "z3.json" not in line, err
+
+
+def test_refusals_are_one_short_line(tmp_path, capsys):
+    for argv, phrase in refusal_argvs(tmp_path):
+        try:
+            code, out, err = run(capsys, *argv)
+        except SystemExit as e:
+            code, out, err = e.code, *capsys.readouterr()
+        assert out == ""
+        assert_one_short_refusal(argv, phrase, code, err)
+
+
+def test_refusals_are_one_short_line_through_the_module(tmp_path):
+    src = str(Path(semimod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    for argv, phrase in refusal_argvs(tmp_path):
+        done = subprocess.run([sys.executable, "-m", "semimod.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.stdout == ""
+        assert_one_short_refusal(argv, phrase, done.returncode, done.stderr)
+
+
 def test_undecodable_file_exits_1(tmp_path, capsys):
     p = tmp_path / "m.json"
     p.write_bytes(b"\xff\xfe{")

@@ -977,3 +977,12 @@ Z2, Z3, Z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
 def test_library_boundaries_raise(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_cut_keeps_both_ends_of_a_long_text():
+    text = "".join(map(str, range(100)))
+    for width in (100, 150):
+        head, tail = core._cut(text, width).split("...")
+        assert len(head) + 3 + len(tail) == width
+        assert text.startswith(head) and text.endswith(tail)
+    assert core._cut(text, len(text)) == text

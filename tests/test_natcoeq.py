@@ -97,17 +97,24 @@ class TestCoequalizerNat:
             assert q.verify_certificate_a()
             assert q.verify_certificate_b()
 
+    def test_cert_a_is_its_replay(self):
+        # on N0 answers cert_a was once a stored False beside a passing check
+        for q in (nat_congruence_quotient([(3, 3)]), coequalizer_nat(5, 5), coequalizer_nat(4, 6)):
+            assert q.cert_a is True
+        assert NatQuotient(((1, 7),), CyclicMonoid(1, 4)).cert_a is False
+        assert NatQuotient(((1, 7),), None).cert_a is False
+
     def test_tampered_certificate_rejected(self):
         q = coequalizer_nat(4, 6)
-        bad = NatQuotient(q.pairs, CyclicMonoid(4, 4), q.cert_a, q.cert_b, q.bound_used)
+        bad = NatQuotient(q.pairs, CyclicMonoid(4, 4), q.cert_b, q.bound_used)
         assert not bad.verify_certificate_b()
         broken_chain = tuple((u + 1, v, s, k) for u, v, s, k in q.cert_b)
-        bad2 = NatQuotient(q.pairs, q.result, q.cert_a, broken_chain, q.bound_used)
+        bad2 = NatQuotient(q.pairs, q.result, broken_chain, q.bound_used)
         assert not bad2.verify_certificate_b()
 
     def test_negative_shift_rejected(self):
         # (4, 6) shifted by -4 would merge 0 and 2, which the congruence does not
-        forged = NatQuotient(((4, 6),), CyclicMonoid(0, 2), True, ((0, 2, (4, 6), -4),))
+        forged = NatQuotient(((4, 6),), CyclicMonoid(0, 2), ((0, 2, (4, 6), -4),))
         assert not forged.verify_certificate_b()
 
     @pytest.mark.parametrize("result", [CyclicMonoid(5, 0), CyclicMonoid(0, 0), CyclicMonoid(-1, 2),
@@ -115,9 +122,9 @@ class TestCoequalizerNat:
                                         CyclicMonoid(1, 2.0), (1, 6)])
     def test_forged_result_fails_both_replays(self, result):
         # an empty chain would "merge" i with i + 0, and project would divide by 0
-        assert not NatQuotient(((1, 2),), result, True, ()).verify_certificate_b()
-        assert not NatQuotient(((1, 7),), result, True, ()).verify()
-        assert not NatQuotient(((1, 7),), result, True, ()).verify_certificate_a()
+        assert not NatQuotient(((1, 2),), result).verify_certificate_b()
+        assert not NatQuotient(((1, 7),), result).verify()
+        assert not NatQuotient(((1, 7),), result).verify_certificate_a()
 
     @pytest.mark.parametrize("a, b", [(True, 3), (2.0, 4), (-1, 3)])
     def test_multipliers_are_integers_at_least_zero(self, a, b):
@@ -344,13 +351,13 @@ class TestCertificateBOracles:
         for q, at in cases:
             assert q.verify_certificate_b() and replay_by_tuples(q)
             for chain in mutants(q.cert_b, q.pairs, at):
-                forged = NatQuotient(q.pairs, q.result, True, chain)
+                forged = NatQuotient(q.pairs, q.result, chain)
                 verdict = forged.verify_certificate_b()
                 assert verdict == replay_by_tuples(forged), chain
                 verdicts.add(verdict)
         assert verdicts == {True, False}
         # a seed translated below 0 is no step, though its endpoints fit
-        forged = NatQuotient(((1, 3), (2, 4)), CyclicMonoid(1, 2), True, ((1, 3, (2, 4), -1),))
+        forged = NatQuotient(((1, 3), (2, 4)), CyclicMonoid(1, 2), ((1, 3, (2, 4), -1),))
         assert not forged.verify_certificate_b() and not replay_by_tuples(forged)
 
 
@@ -469,7 +476,7 @@ class TestBourneQuotient:
         q = bourne_nat_quotient([4, 6])
         for j, (u, v, s, k) in enumerate(q.cert_b):
             chain = q.cert_b[:j] + ((u, v, s, k + 1),) + q.cert_b[j + 1:]
-            assert not NatQuotient(q.pairs, q.result, True, chain).verify()
+            assert not NatQuotient(q.pairs, q.result, chain).verify()
 
     def test_is_the_quotient_by_the_footing_and_the_next_member(self):
         rng = random.Random(28)
@@ -527,4 +534,4 @@ class TestJson:
         assert main(["coeq", "7", "95", "--json"]) == 0 and calls == []
         assert main(["coeq", "7", "95"]) == 0 and calls == [95]
         with pytest.raises(OutOfRange, match="needs integers"):
-            NatQuotient(((1, 7),), CyclicMonoid(1, 0), True, ()).to_json()
+            NatQuotient(((1, 7),), CyclicMonoid(1, 0)).to_json()

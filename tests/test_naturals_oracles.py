@@ -169,7 +169,7 @@ def forest_quotient(pairs):
     sizes = Counter(roots)
     index = next(n for n, r in enumerate(roots) if sizes[r] > 1)
     period = next(q for q in range(1, bound - index + 1) if roots[index + q] == roots[index])
-    return NatQuotient(tuple(norm), CyclicMonoid(index, period), cert_a=True,
+    return NatQuotient(tuple(norm), CyclicMonoid(index, period),
                        cert_b=tuple(forest.chain(index, index + period)), bound_used=bound)
 
 
